@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 
 from .codebook import Codebook, assign, fit_kmeans
 from .losses import LossBreakdown, SampledPair, VicWeights, covariance, invariance, \
-    masked_prediction_loss, sample_frames, total_loss, variance, vic_loss
+    masked_prediction_loss, sample_frames, variance, vic_loss
 from .model import EncoderConfig, EncoderState, MaskSpec, apply_mask, backward, forward, \
     init_encoder, predict_codewords
-from .numerics import GradCheckReport, grad_check, matmul, softmax_xent
+from .numerics import GradCheckReport, grad_check, softmax_xent
 from .signal import FeatureSequence, NoisySample, Utterance, Waveform, build_corpus, \
     extract_features, measure_snr, mix_at_snr, synth_noise, synth_utterance
 from .trainer import AdamState, Corpus, TrainConfig, TrainLog, adam_step, make_batch, \
@@ -25,10 +25,10 @@ from .trainer import AdamState, Corpus, TrainConfig, TrainLog, adam_step, make_b
 __all__ = [
     "Codebook", "assign", "fit_kmeans",
     "LossBreakdown", "SampledPair", "VicWeights", "covariance", "invariance",
-    "masked_prediction_loss", "sample_frames", "total_loss", "variance", "vic_loss",
+    "masked_prediction_loss", "sample_frames", "variance", "vic_loss",
     "EncoderConfig", "EncoderState", "MaskSpec", "apply_mask", "backward", "forward",
     "init_encoder", "predict_codewords",
-    "GradCheckReport", "grad_check", "matmul", "softmax_xent",
+    "GradCheckReport", "grad_check", "softmax_xent",
     "FeatureSequence", "NoisySample", "Utterance", "Waveform", "build_corpus",
     "extract_features", "measure_snr", "mix_at_snr", "synth_noise", "synth_utterance",
     "AdamState", "Corpus", "TrainConfig", "TrainLog", "adam_step", "make_batch",

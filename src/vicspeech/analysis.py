@@ -14,14 +14,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import codebook as cb_mod
-from .losses import VicWeights, covariance, invariance, masked_prediction_loss, \
-    sample_frames, variance
+from .losses import LossBreakdown, SampledPair, VicWeights, covariance, invariance, \
+    masked_prediction_loss, sample_frames, variance, vic_loss
 from .model import EncoderConfig, EncoderState, MaskSpec, forward, init_encoder, \
     param_layout, predict_codewords, backward
 from .numerics import GradCheckReport, Matrix, as_matrix, grad_check, softmax_xent
-from .signal import FeatureSequence, extract_features, mix_at_snr, synth_noise
+# not called here: kept so that the perfbench benchmark can rebind them in this module
+from .signal import extract_features, mix_at_snr, synth_noise  # noqa: F401
 from .trainer import AdamState, Corpus, TrainConfig, TrainLog, adam_step, derive_seed, \
-    pretrain_clean, pretrain_noisy, _as_corpus
+    pretrain_clean, pretrain_noisy
 
 __all__ = [
     "VarianceRow",
@@ -48,21 +49,6 @@ _TAG_SAMPLE_STD = 103
 
 def _snr_str(snr_db: float) -> str:
     return "inf" if np.isinf(snr_db) else repr(float(snr_db))
-
-
-def _condition_features(
-    corpus: Corpus, utt_index: int, kind: str, snr_db: float, seed: int, tag: int,
-) -> FeatureSequence:
-    """Features of one eval utterance under a (kind, SNR) condition."""
-    utt = corpus.utterances[utt_index]
-    if np.isinf(snr_db) and snr_db > 0:
-        return corpus.clean_features(utt_index)
-    noise_seed = derive_seed(seed, tag, utt_index)
-    noise = synth_noise(kind, noise_seed, len(utt.wave), utt.wave.sample_rate)
-    mixed = mix_at_snr(utt.wave, noise, snr_db, kind)
-    return extract_features(mixed.mixed, frame_len=corpus.frame_len, hop=corpus.hop,
-                            n_filters=corpus.n_filters, segments=utt.unit_labels,
-                            utterance_id=utt.id)
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +106,7 @@ class VarianceReport:
 
 def channel_variance_report(
     enc: EncoderState,
-    eval_corpus,
+    eval_corpus: Corpus,
     noise_kinds: Sequence[str],
     snr_levels_db: Sequence[float],
     seed: int = 0,
@@ -128,13 +114,13 @@ def channel_variance_report(
 ) -> VarianceReport:
     """Per-channel variance of final-layer representations, pooled over the
     eval set, for each (noise kind, SNR) cell; SNR inf is the clean sentinel."""
-    corpus = _as_corpus(eval_corpus)
     report = VarianceReport()
     for kind in noise_kinds:
         for snr in snr_levels_db:
             reps_list = []
-            for i in range(len(corpus)):
-                feats = _condition_features(corpus, i, kind, snr, seed, _TAG_EVAL_NOISE)
+            for i in range(len(eval_corpus)):
+                feats = eval_corpus.condition_features(i, kind, snr,
+                                                       derive_seed(seed, _TAG_EVAL_NOISE, i))
                 reps, _ = forward(enc, feats, training=False)
                 reps_list.append(reps)
             per_channel = pooled_channel_variance(reps_list)
@@ -206,14 +192,12 @@ def _pooled_clean_reps(enc: EncoderState, corpus: Corpus) -> tuple[Matrix, np.nd
 
 def fit_linear_probe(
     enc: EncoderState,
-    train_corpus,
-    seed: int = 0,
+    train_corpus: Corpus,
     iters: int = 300,
     lr: float = 0.05,
 ) -> LinearProbe:
     """Softmax regression from frozen clean representations to unit symbols."""
-    corpus = _as_corpus(train_corpus)
-    x, y = _pooled_clean_reps(enc, corpus)
+    x, y = _pooled_clean_reps(enc, train_corpus)
     n, d = x.shape
     n_classes = int(y.max()) + 1
     w = np.zeros((d, n_classes))
@@ -242,22 +226,21 @@ def fit_linear_probe(
 
 def linear_probe(
     enc: EncoderState,
-    train_corpus,
+    train_corpus: Corpus,
     eval_conditions: Sequence[tuple[str, float]],
     cb: Optional[cb_mod.Codebook] = None,
     seed: int = 0,
-    eval_corpus=None,
+    eval_corpus: Optional[Corpus] = None,
     iters: int = 300,
     lr: float = 0.05,
 ) -> list[ProbeResult]:
     """Fit the probe on clean representations, then score frame accuracy
     under each (noise kind, SNR) condition. SNR inf rows evaluate on clean
     input and are reported under the kind ``clean``."""
-    train = _as_corpus(train_corpus)
-    ev = train if eval_corpus is None else _as_corpus(eval_corpus)
-    if cb is not None and cb.feature_dim != train.n_filters:
+    ev = train_corpus if eval_corpus is None else eval_corpus
+    if cb is not None and cb.feature_dim != train_corpus.n_filters:
         raise ValueError("codebook feature dim does not match corpus features")
-    probe = fit_linear_probe(enc, train, seed=seed, iters=iters, lr=lr)
+    probe = fit_linear_probe(enc, train_corpus, iters=iters, lr=lr)
     results = []
     seen_clean = False
     for kind, snr in eval_conditions:
@@ -269,7 +252,7 @@ def linear_probe(
         correct = 0
         total = 0
         for i in range(len(ev)):
-            feats = _condition_features(ev, i, kind, snr, seed, _TAG_PROBE_NOISE)
+            feats = ev.condition_features(i, kind, snr, derive_seed(seed, _TAG_PROBE_NOISE, i))
             reps, _ = forward(enc, feats, training=False)
             pred = probe.predict(reps)
             correct += int((pred == feats.frame_labels).sum())
@@ -297,7 +280,7 @@ def write_probe_csv(path, results: Sequence[ProbeResult], model_tag: str = "mode
 
 
 def make_train_eval_hook(
-    corpus,
+    corpus: Corpus,
     noise_kind: str = "natural",
     snr_db: float = 7.5,
     probe_iters: int = 100,
@@ -308,18 +291,16 @@ def make_train_eval_hook(
     mean per-channel std of the pooled noisy representations."""
     from .trainer import EvalRow
 
-    corpus = _as_corpus(corpus)
-
     def hook(step: int, state: EncoderState) -> "EvalRow":
-        probe = fit_linear_probe(state, corpus, seed=seed, iters=probe_iters)
+        probe = fit_linear_probe(state, corpus, iters=probe_iters)
         correct_c = total = correct_n = 0
         noisy_reps = []
         for i in range(len(corpus)):
             clean = corpus.clean_features(i)
             reps_c, _ = forward(state, clean)
             correct_c += int((probe.predict(reps_c) == clean.frame_labels).sum())
-            noisy = _condition_features(corpus, i, noise_kind, snr_db, seed,
-                                        _TAG_EVAL_NOISE)
+            noisy = corpus.condition_features(i, noise_kind, snr_db,
+                                              derive_seed(seed, _TAG_EVAL_NOISE, i))
             reps_n, _ = forward(state, noisy)
             correct_n += int((probe.predict(reps_n) == noisy.frame_labels).sum())
             noisy_reps.append(reps_n)
@@ -338,7 +319,7 @@ def make_train_eval_hook(
 
 def mean_sampled_channel_std(
     enc: EncoderState,
-    corpus,
+    corpus: Corpus,
     noise_kinds: Sequence[str],
     snr_range_db: tuple[float, float],
     n: int = 256,
@@ -347,13 +328,12 @@ def mean_sampled_channel_std(
     """Mean per-channel std of student-branch frames sampled the way the
     trainer samples them: one fresh noise draw per utterance, then `n` pooled
     frames without replacement."""
-    corpus = _as_corpus(corpus)
     reps_list = []
     for i in range(len(corpus)):
         rng = np.random.default_rng(derive_seed(seed, _TAG_SAMPLE_STD, i, 0))
         kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
         snr = float(rng.uniform(*snr_range_db))
-        feats = _condition_features(corpus, i, kind, snr, seed, _TAG_SAMPLE_STD)
+        feats = corpus.condition_features(i, kind, snr, derive_seed(seed, _TAG_SAMPLE_STD, i))
         reps, _ = forward(enc, feats, training=False)
         reps_list.append(reps)
     pair = sample_frames(reps_list, reps_list, n, derive_seed(seed, _TAG_SAMPLE_STD + 1))
@@ -411,12 +391,12 @@ class AblationResult:
 
 def ablation_run(
     base_cfg: TrainConfig,
-    train_corpus,
+    train_corpus: Corpus,
     cb: cb_mod.Codebook,
     seeds: Sequence[int],
     eval_conditions: Sequence[tuple[str, float]],
     enc_cfg: Optional[EncoderConfig] = None,
-    eval_corpus=None,
+    eval_corpus: Optional[Corpus] = None,
     teacher: Optional[EncoderState] = None,
     probe_seed: int = 0,
 ) -> AblationResult:
@@ -425,10 +405,9 @@ def ablation_run(
     masked-prediction-only baseline."""
     if not seeds:
         raise ValueError("need at least one seed")
-    train = _as_corpus(train_corpus)
-    ev = train if eval_corpus is None else _as_corpus(eval_corpus)
+    ev = train_corpus if eval_corpus is None else eval_corpus
     if teacher is None:
-        teacher, _ = pretrain_clean(train, cb, base_cfg, enc_cfg=enc_cfg)
+        teacher, _ = pretrain_clean(train_corpus, cb, base_cfg, enc_cfg=enc_cfg)
     rows = []
     students: dict[tuple[str, int], EncoderState] = {}
     logs: dict[tuple[str, int], TrainLog] = {}
@@ -438,8 +417,8 @@ def ablation_run(
         finals = []
         for seed in seeds:
             cfg = replace(base_cfg, seed=seed, use_inv=use_inv, use_var=use_var, use_cov=use_cov)
-            student, log = pretrain_noisy(teacher, train, cb, cfg)
-            results = linear_probe(student, train, eval_conditions, cb,
+            student, log = pretrain_noisy(teacher, train_corpus, cb, cfg)
+            results = linear_probe(student, train_corpus, eval_conditions, cb,
                                    seed=probe_seed, eval_corpus=ev)
             students[(tag, seed)] = student
             logs[(tag, seed)] = log
@@ -490,6 +469,11 @@ def _full_model_loss_and_grad(seed: int):
     cfg, feats, labels, masked_idx, z, sampled, w, student = _full_model_setup(seed)
     spec = MaskSpec(masked_idx)
 
+    sources = [(0, int(t)) for t in sampled]
+
+    def vic_of(reps: Matrix):
+        return vic_loss(SampledPair(Z=z, Zp=reps[sampled], sources=sources), w)
+
     def loss_of(vec: np.ndarray) -> float:
         st = EncoderState.from_vector(cfg, vec)
         x = feats.copy()
@@ -497,11 +481,8 @@ def _full_model_loss_and_grad(seed: int):
         reps, _ = forward(st, x, training=True, mask=spec)
         logits = predict_codewords(st, reps)
         l_m, _ = masked_prediction_loss(logits, labels, spec)
-        zp = reps[sampled]
-        s, _ = invariance(z, zp)
-        v, _ = variance(zp, w.gamma, w.epsilon)
-        c, _ = covariance(zp)
-        return l_m + w.alpha * (w.lam * s + w.mu * v + w.nu * c)
+        s, v, c, _ = vic_of(reps)
+        return LossBreakdown.build(l_m, s, v, c, w).l_tot
 
     vec0 = student.to_vector()
     st = EncoderState.from_vector(cfg, vec0)
@@ -510,12 +491,8 @@ def _full_model_loss_and_grad(seed: int):
     reps, cache = forward(st, x, training=True, mask=spec)
     logits = predict_codewords(st, reps)
     _, grad_logits = masked_prediction_loss(logits, labels, spec)
-    zp = reps[sampled]
-    _, g_s = invariance(z, zp)
-    _, g_v = variance(zp, w.gamma, w.epsilon)
-    _, g_c = covariance(zp)
     grad_reps = np.zeros_like(reps)
-    grad_reps[sampled] = w.alpha * (w.lam * g_s + w.mu * g_v + w.nu * g_c)
+    grad_reps[sampled] = w.alpha * vic_of(reps)[3]
     grad = backward(cache, grad_reps=grad_reps, grad_logits=grad_logits)
     return loss_of, grad, vec0, cfg
 

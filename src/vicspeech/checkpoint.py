@@ -29,8 +29,6 @@ __all__ = [
     "CheckpointError",
     "save_tensors",
     "load_tensors",
-    "save_checkpoint",
-    "load_checkpoint",
     "save_encoder",
     "load_encoder",
     "save_codebook",
@@ -151,23 +149,3 @@ def load_codebook(path) -> Codebook:
     if "centroids" not in tensors:
         raise CheckpointError(f"{path}: missing tensor centroids")
     return Codebook(centroids=tensors["centroids"].astype(np.float64))
-
-
-def save_checkpoint(state, path) -> None:
-    """Save an EncoderState or Codebook by type."""
-    if isinstance(state, EncoderState):
-        save_encoder(path, state)
-    elif isinstance(state, Codebook):
-        save_codebook(path, state)
-    else:
-        raise TypeError(f"cannot checkpoint {type(state).__name__}")
-
-
-def load_checkpoint(path):
-    """Load whichever of EncoderState / Codebook the file holds."""
-    tensors = load_tensors(path)
-    if any(n.startswith(_CONFIG_PREFIX) for n in tensors):
-        return load_encoder(path)
-    if "centroids" in tensors:
-        return load_codebook(path)
-    raise CheckpointError(f"{path}: unrecognized checkpoint contents")

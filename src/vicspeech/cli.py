@@ -50,8 +50,15 @@ def _load_train_corpus(args, cfg: LabConfig) -> Corpus:
                        n_filters=cfg["n_filters"])
 
 
+def _parse_list(flag: str, raw: str, parse) -> list:
+    try:
+        return [parse(tok.strip()) for tok in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: invalid list {raw!r}") from None
+
+
 def _parse_snr_levels(raw: str) -> list[float]:
-    return [float("inf") if tok.strip() == "inf" else float(tok) for tok in raw.split(",")]
+    return _parse_list("--snr-levels", raw, float)
 
 
 def _parse_kinds(raw: str) -> list[str]:
@@ -107,12 +114,12 @@ def _cmd_kmeans(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _resolve(args)
+    train_cfg, enc_cfg = cfg.train_config(), cfg.encoder_config()
     _echo(cfg)
     corpus = _load_train_corpus(args, cfg)
     cb = load_codebook(args.codebook)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
-    teacher, log = pretrain_clean(corpus, cb, cfg.train_config(),
-                                  enc_cfg=cfg.encoder_config(), eval_hook=hook)
+    teacher, log = pretrain_clean(corpus, cb, train_cfg, enc_cfg=enc_cfg, eval_hook=hook)
     save_encoder(args.out, teacher)
     if args.log:
         log.write_loss_csv(args.log)
@@ -134,12 +141,13 @@ def _cmd_vic_pretrain(args) -> int:
         print("warning: no --inv/--var/--cov given; run reduces to the noisy "
               "masked-prediction baseline", file=sys.stderr)
     cfg = LabConfig({**cfg.values, **terms})
+    train_cfg = cfg.train_config()
     _echo(cfg)
     corpus = _load_train_corpus(args, cfg)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
-    student, log = pretrain_noisy(teacher, corpus, cb, cfg.train_config(), eval_hook=hook)
+    student, log = pretrain_noisy(teacher, corpus, cb, train_cfg, eval_hook=hook)
     save_encoder(args.out, student)
     if args.log:
         log.write_loss_csv(args.log)
@@ -161,6 +169,7 @@ def _conditions(kinds: list[str], levels: list[float]) -> list[tuple[str, float]
 
 def _cmd_probe(args) -> int:
     cfg = _resolve(args)
+    conds = _conditions(_parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels))
     _echo(cfg)
     enc = load_encoder(args.encoder)
     train = Corpus.load(args.train_manifest, frame_len=cfg["frame_len"], hop=cfg["hop"],
@@ -169,7 +178,6 @@ def _cmd_probe(args) -> int:
         args.eval_manifest, frame_len=cfg["frame_len"], hop=cfg["hop"],
         n_filters=cfg["n_filters"])
     cb = load_codebook(args.codebook) if args.codebook else None
-    conds = _conditions(_parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels))
     results = analysis.linear_probe(enc, train, conds, cb, seed=args.seed, eval_corpus=ev)
     analysis.write_probe_csv(args.out, results, model_tag=args.model_tag)
     for r in results:
@@ -182,12 +190,12 @@ def _cmd_probe(args) -> int:
 
 def _cmd_analyze_variance(args) -> int:
     cfg = _resolve(args)
+    kinds, levels = _parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels)
     _echo(cfg)
     enc = load_encoder(args.encoder)
     corpus = _load_train_corpus(args, cfg)
-    report = analysis.channel_variance_report(
-        enc, corpus, _parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels),
-        seed=args.seed, model_tag=args.model_tag)
+    report = analysis.channel_variance_report(enc, corpus, kinds, levels, seed=args.seed,
+                                              model_tag=args.model_tag)
     report.write_csv(args.out)
     if args.per_channel_out:
         report.write_per_channel_csv(args.per_channel_out)
@@ -200,18 +208,18 @@ def _cmd_analyze_variance(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _resolve(args)
+    train_cfg, enc_cfg = cfg.train_config(), cfg.encoder_config()
+    seeds = _parse_list("--seeds", args.seeds, int)
+    conds = _conditions(_parse_kinds(args.eval_noise_kinds), _parse_snr_levels(args.snr_levels))
     _echo(cfg)
     corpus = _load_train_corpus(args, cfg)
     ev = corpus if args.eval_manifest is None else Corpus.load(
         args.eval_manifest, frame_len=cfg["frame_len"], hop=cfg["hop"],
         n_filters=cfg["n_filters"])
     cb = load_codebook(args.codebook)
-    seeds = [int(s) for s in args.seeds.split(",")]
     teacher = load_encoder(args.teacher) if args.teacher else None
-    conds = _conditions(_parse_kinds(args.eval_noise_kinds), _parse_snr_levels(args.snr_levels))
-    result = analysis.ablation_run(cfg.train_config(), corpus, cb, seeds, conds,
-                                   enc_cfg=cfg.encoder_config(), eval_corpus=ev,
-                                   teacher=teacher, probe_seed=args.seed)
+    result = analysis.ablation_run(train_cfg, corpus, cb, seeds, conds, enc_cfg=enc_cfg,
+                                   eval_corpus=ev, teacher=teacher, probe_seed=args.seed)
     result.write_csv(args.out)
     print(result.format_table())
     print(f"wrote {args.out}")

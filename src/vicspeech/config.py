@@ -8,6 +8,7 @@ so a run can be reproduced from its log alone.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -72,6 +73,15 @@ DEFAULTS: dict[str, tuple[str, Any]] = {
 }
 
 
+@contextmanager
+def _as_config_error():
+    """Report a dataclass's rejection of a resolved value as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _parse_value(key: str, raw: str, where: str):
     kind = DEFAULTS[key][0]
     raw = raw.strip()
@@ -111,15 +121,19 @@ class LabConfig:
         return "\n".join(f"{k} = {self.values[k]}" for k in sorted(self.values))
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            feature_dim=self["n_filters"],
-            model_dim=self["model_dim"],
-            n_blocks=self["n_blocks"],
-            mlp_hidden=self["mlp_hidden"],
-            k_codewords=self["k"],
-            mask_start_prob=self["mask_start_prob"],
-            mask_span=self["mask_span"],
-        )
+        # Training draws masks until one is nonempty, which never happens at 0.
+        if self["mask_start_prob"] == 0:
+            raise ConfigError("mask_start_prob must be > 0 to train")
+        with _as_config_error():
+            return EncoderConfig(
+                feature_dim=self["n_filters"],
+                model_dim=self["model_dim"],
+                n_blocks=self["n_blocks"],
+                mlp_hidden=self["mlp_hidden"],
+                k_codewords=self["k"],
+                mask_start_prob=self["mask_start_prob"],
+                mask_span=self["mask_span"],
+            )
 
     def vic_weights(self) -> VicWeights:
         return VicWeights(
@@ -130,23 +144,24 @@ class LabConfig:
         return tuple(k.strip() for k in str(self["noise_kinds"]).split(",") if k.strip())
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            steps=self["steps"],
-            batch_utterances=self["batch_utterances"],
-            learning_rate=self["learning_rate"],
-            adam_beta1=self["adam_beta1"],
-            adam_beta2=self["adam_beta2"],
-            adam_eps=self["adam_eps"],
-            snr_range_db=(self["snr_low"], self["snr_high"]),
-            noise_kinds=self.noise_kinds(),
-            vic=self.vic_weights(),
-            use_inv=self["use_inv"],
-            use_var=self["use_var"],
-            use_cov=self["use_cov"],
-            vic_exclude_masked=self["vic_exclude_masked"],
-            seed=self["train_seed"],
-            eval_interval=self["eval_interval"],
-        )
+        with _as_config_error():
+            return TrainConfig(
+                steps=self["steps"],
+                batch_utterances=self["batch_utterances"],
+                learning_rate=self["learning_rate"],
+                adam_beta1=self["adam_beta1"],
+                adam_beta2=self["adam_beta2"],
+                adam_eps=self["adam_eps"],
+                snr_range_db=(self["snr_low"], self["snr_high"]),
+                noise_kinds=self.noise_kinds(),
+                vic=self.vic_weights(),
+                use_inv=self["use_inv"],
+                use_var=self["use_var"],
+                use_cov=self["use_cov"],
+                vic_exclude_masked=self["vic_exclude_masked"],
+                seed=self["train_seed"],
+                eval_interval=self["eval_interval"],
+            )
 
 
 def load_config(path=None, overrides: Optional[dict[str, Any]] = None) -> LabConfig:

@@ -20,7 +20,7 @@ only; no gradient ever flows to the teacher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,14 +31,12 @@ __all__ = [
     "VicWeights",
     "SampledPair",
     "LossBreakdown",
-    "VicTerms",
     "masked_prediction_loss",
     "sample_frames",
     "invariance",
     "variance",
     "covariance",
     "vic_loss",
-    "total_loss",
 ]
 
 
@@ -95,13 +93,6 @@ class LossBreakdown:
         l_vic = w.lam * s + w.mu * v + w.nu * c
         return cls(l_m=float(l_m), s=float(s), v=float(v), c=float(c),
                    l_vic=float(l_vic), l_tot=float(l_m + w.alpha * l_vic), weights=w)
-
-
-class VicTerms(NamedTuple):
-    s: float
-    v: float
-    c: float
-    l_vic: float
 
 
 def masked_prediction_loss(
@@ -217,19 +208,28 @@ def covariance(Zp) -> tuple[float, Matrix]:
     return c, grad
 
 
-def vic_loss(pair: SampledPair, w: VicWeights) -> tuple[VicTerms, Matrix]:
-    """Weighted combination of the three terms with its student-side gradient."""
-    s, g_s = invariance(pair.Z, pair.Zp)
-    v, g_v = variance(pair.Zp, w.gamma, w.epsilon)
-    c, g_c = covariance(pair.Zp)
-    l_vic = w.lam * s + w.mu * v + w.nu * c
-    grad = w.lam * g_s + w.mu * g_v + w.nu * g_c
-    return VicTerms(s=s, v=v, c=c, l_vic=float(l_vic)), grad
+def vic_loss(
+    pair: SampledPair,
+    w: VicWeights,
+    use_inv: bool = True,
+    use_var: bool = True,
+    use_cov: bool = True,
+) -> tuple[float, float, float, Matrix]:
+    """The enabled terms (s, v, c) and their weighted student-side gradient.
 
-
-def total_loss(l_m: float, l_vic: float, alpha: float) -> float:
-    """Masked-prediction loss plus alpha times the regularizer."""
-    out = float(l_m) + float(alpha) * float(l_vic)
-    if not np.isfinite(out):
-        raise ValueError("non-finite total loss")
-    return out
+    A disabled term is reported as exactly 0.0 and adds no gradient. The
+    gradient starts from zeros and adds lambda*g_s, mu*g_v, nu*g_c in that
+    order; `LossBreakdown.build` forms l_vic and l_tot from the terms.
+    """
+    s = v = c = 0.0
+    grad = np.zeros_like(pair.Zp)
+    if use_inv:
+        s, g = invariance(pair.Z, pair.Zp)
+        grad += w.lam * g
+    if use_var:
+        v, g = variance(pair.Zp, w.gamma, w.epsilon)
+        grad += w.mu * g
+    if use_cov:
+        c, g = covariance(pair.Zp)
+        grad += w.nu * g
+    return s, v, c, grad

@@ -58,8 +58,9 @@ class EncoderConfig:
     mask_span: int = 10
 
     def __post_init__(self):
-        if self.model_dim < 2 or self.n_blocks < 1 or self.mask_span < 1:
-            raise ValueError("invalid encoder config")
+        for name, low in (("model_dim", 2), ("n_blocks", 1), ("mask_span", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"invalid encoder config: {name} must be >= {low}")
         if not 0.0 <= self.mask_start_prob <= 1.0:
             raise ValueError("mask_start_prob must be in [0, 1]")
 

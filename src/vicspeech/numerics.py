@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-__all__ = ["Matrix", "GradCheckReport", "as_matrix", "matmul", "softmax_xent", "grad_check"]
+__all__ = ["Matrix", "GradCheckReport", "as_matrix", "softmax_xent", "grad_check"]
 
 # A "Matrix" throughout the package is a 2-D C-contiguous float64 ndarray
 # with finite entries; `as_matrix` is the validating constructor.
@@ -28,24 +28,6 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
-def matmul(a, b) -> Matrix:
-    """Matrix product with ascending inner-index accumulation.
-
-    Partial products are added in increasing k order, so every output entry
-    sees the exact rounding sequence of a naive triple loop and the result is
-    bit-identical to that oracle. Hot paths elsewhere use ``@`` directly;
-    this is the reference primitive.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k, None] * b[None, k, :]
     return out
 
 

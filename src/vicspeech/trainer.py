@@ -22,8 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import codebook as cb_mod
-from .losses import LossBreakdown, VicWeights, masked_prediction_loss, sample_frames, \
-    covariance, invariance, variance
+from .losses import LossBreakdown, VicWeights, masked_prediction_loss, sample_frames, vic_loss
+# not called here: kept so that the perfbench benchmark can rebind them in this module
+from .losses import covariance, invariance, variance  # noqa: F401
 from .model import EncoderConfig, EncoderState, TrainingDivergedError, apply_mask, \
     backward, forward, init_encoder, predict_codewords
 from .signal import FRAME_LEN, HOP, N_FILTERS, FeatureSequence, NOISE_KINDS, Utterance, \
@@ -191,11 +192,18 @@ class Corpus:
                 n_filters=self.n_filters)
         return self._clean[i]
 
-
-def _as_corpus(corpus) -> Corpus:
-    if isinstance(corpus, Corpus):
-        return corpus
-    return Corpus.load(corpus)
+    def condition_features(self, i: int, kind: str, snr_db: float,
+                           noise_seed: int) -> FeatureSequence:
+        """Features of utterance `i` mixed with the `kind` noise drawn from
+        `noise_seed` at `snr_db`; SNR +inf returns the cached clean features."""
+        if np.isinf(snr_db) and snr_db > 0:
+            return self.clean_features(i)
+        utt = self.utterances[i]
+        noise = synth_noise(kind, noise_seed, len(utt.wave), utt.wave.sample_rate)
+        mixed = mix_at_snr(utt.wave, noise, snr_db, kind)
+        return extract_features(mixed.mixed, frame_len=self.frame_len, hop=self.hop,
+                                n_filters=self.n_filters, segments=utt.unit_labels,
+                                utterance_id=utt.id)
 
 
 @dataclass
@@ -227,7 +235,7 @@ def batch_indices(n_utterances: int, batch_utterances: int, step: int, seed: int
 
 
 def make_batch(
-    corpus,
+    corpus: Corpus,
     batch_utterances: int,
     step: int,
     seed: int,
@@ -237,22 +245,15 @@ def make_batch(
     """Assemble one batch; with `noise_kinds` given, each utterance gets a
     fresh noise draw at an SNR uniform in `snr_range_db`. Clean and noisy
     features share frame counts and labels by construction."""
-    corpus = _as_corpus(corpus)
     items = []
     for j, utt_index in enumerate(batch_indices(len(corpus), batch_utterances, step, seed)):
-        utt = corpus.utterances[utt_index]
-        clean = corpus.clean_features(utt_index)
-        item = BatchItem(utt_index=utt_index, clean=clean)
+        item = BatchItem(utt_index=utt_index, clean=corpus.clean_features(utt_index))
         if noise_kinds:
             rng = np.random.default_rng(derive_seed(seed, _TAG_NOISE, step, j, 0))
             item.noise_kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
             item.snr_db = float(rng.uniform(*snr_range_db))
-            noise = synth_noise(item.noise_kind, derive_seed(seed, _TAG_NOISE, step, j, 1),
-                                len(utt.wave), utt.wave.sample_rate)
-            mixed = mix_at_snr(utt.wave, noise, item.snr_db, item.noise_kind)
-            item.noisy = extract_features(
-                mixed.mixed, frame_len=corpus.frame_len, hop=corpus.hop,
-                n_filters=corpus.n_filters, segments=utt.unit_labels, utterance_id=utt.id)
+            item.noisy = corpus.condition_features(utt_index, item.noise_kind, item.snr_db,
+                                                   derive_seed(seed, _TAG_NOISE, step, j, 1))
         items.append(item)
     return items
 
@@ -332,16 +333,7 @@ def _train_loop(
                 if cfg.vic_exclude_masked else None
             pair = sample_frames(teacher_reps_list, student_reps_list, weights.n_sample,
                                  derive_seed(cfg.seed, _TAG_SAMPLE, step), exclude=exclude)
-            grad_zp = np.zeros_like(pair.Zp)
-            if cfg.use_inv:
-                s, g = invariance(pair.Z, pair.Zp)
-                grad_zp += weights.lam * g
-            if cfg.use_var:
-                v, g = variance(pair.Zp, weights.gamma, weights.epsilon)
-                grad_zp += weights.mu * g
-            if cfg.use_cov:
-                c, g = covariance(pair.Zp)
-                grad_zp += weights.nu * g
+            s, v, c, grad_zp = vic_loss(pair, weights, cfg.use_inv, cfg.use_var, cfg.use_cov)
             for row, (u, t) in enumerate(pair.sources):
                 if grad_reps_list[u] is None:
                     grad_reps_list[u] = np.zeros_like(student_reps_list[u])
@@ -366,7 +358,7 @@ def _train_loop(
 
 
 def pretrain_clean(
-    corpus,
+    corpus: Corpus,
     cb: cb_mod.Codebook,
     cfg: TrainConfig,
     enc_cfg: Optional[EncoderConfig] = None,
@@ -374,7 +366,6 @@ def pretrain_clean(
 ) -> tuple[EncoderState, TrainLog]:
     """Stage 0: masked codeword prediction on clean features from a fresh
     initialization. Returns the teacher state and its log."""
-    corpus = _as_corpus(corpus)
     if enc_cfg is None:
         enc_cfg = EncoderConfig(feature_dim=cb.feature_dim, k_codewords=cb.k)
     if enc_cfg.feature_dim != cb.feature_dim or enc_cfg.k_codewords != cb.k:
@@ -386,7 +377,7 @@ def pretrain_clean(
 
 def pretrain_noisy(
     teacher: EncoderState,
-    corpus,
+    corpus: Corpus,
     cb: cb_mod.Codebook,
     cfg: TrainConfig,
     eval_hook=None,
@@ -401,7 +392,6 @@ def pretrain_noisy(
     sampling are skipped entirely and the loop reduces to the masked-
     prediction-only trainer on noisy inputs.
     """
-    corpus = _as_corpus(corpus)
     if teacher.config.feature_dim != cb.feature_dim or teacher.config.k_codewords != cb.k:
         raise ValueError("teacher config does not match codebook dimensions")
     student = teacher.copy()

@@ -1,0 +1,42 @@
+"""The benchmark in perfbench/ wraps package functions by rebinding them in
+the globals of every module that calls them. Its binding table must match
+the package, or the benchmark refuses to start."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _module(name):
+    return importlib.import_module(f"vicspeech.{name}")
+
+
+def test_every_function_is_bound_at_every_site(spans):
+    for name, mod, attr, sites in spans.FUNCTIONS:
+        fn = getattr(_module(mod), attr)
+        assert callable(fn), name
+        for site in sites:
+            assert _module(site).__dict__.get(attr) is fn, f"{name} not bound in vicspeech.{site}"
+
+
+def test_every_method_exists(spans):
+    for name, mod, cls_name, attr in spans.METHODS:
+        cls = getattr(_module(mod), cls_name)
+        assert attr in cls.__dict__, name

@@ -7,7 +7,6 @@ import pytest
 
 from vicspeech.checkpoint import (
     CheckpointError,
-    load_checkpoint,
     load_codebook,
     load_encoder,
     load_tensors,
@@ -94,17 +93,6 @@ class TestEncoderCheckpoints:
         save_encoder(p1, teacher)
         save_encoder(p2, student)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_load_checkpoint_dispatches_by_content(self, tmp_path):
-        cfg = EncoderConfig(feature_dim=6, model_dim=8, n_blocks=1, mlp_hidden=12,
-                            k_codewords=4)
-        enc_path = tmp_path / "enc.ckpt"
-        save_encoder(enc_path, init_encoder(cfg, 0))
-        assert load_checkpoint(enc_path).config == cfg
-
-        cb_path = tmp_path / "cb.ckpt"
-        save_codebook(cb_path, Codebook(centroids=np.arange(12.0).reshape(3, 4)))
-        assert load_checkpoint(cb_path).k == 3
 
 
 class TestCodebookCheckpoints:

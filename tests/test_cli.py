@@ -49,6 +49,50 @@ class TestExitCodes:
         assert "gamma" in capsys.readouterr().err
 
 
+class TestConfigErrorsBeforeInput:
+    """A bad value exits 1 naming its key; the inputs do not exist, so the
+    value must have been rejected before any of them was read."""
+
+    @pytest.fixture
+    def missing(self, tmp_path):
+        return str(tmp_path / "missing")
+
+    def _pretrain(self, missing, *extra):
+        return ["pretrain", "--manifest", missing, "--codebook", missing,
+                "--out", missing, *extra]
+
+    def _ablate(self, missing, *extra):
+        return ["ablate", "--manifest", missing, "--codebook", missing,
+                "--out", missing, *extra]
+
+    @pytest.mark.parametrize("extra, key", [
+        (("--steps", "0"), "steps"),
+        (("--model-dim", "1"), "model_dim"),
+        (("--mask-start-prob", "0"), "mask_start_prob"),
+    ])
+    def test_pretrain(self, missing, capsys, extra, key):
+        assert run(self._pretrain(missing, *extra)) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        (("--seeds", "1,a"), "seeds"),
+        (("--snr-levels", "0,abc"), "snr-levels"),
+    ])
+    def test_ablate(self, missing, capsys, extra, key):
+        assert run(self._ablate(missing, *extra)) == 1
+        assert key in capsys.readouterr().err
+
+    def test_probe_snr_levels(self, missing, capsys):
+        assert run(["probe", "--encoder", missing, "--train-manifest", missing,
+                    "--out", missing, "--snr-levels", "0,abc"]) == 1
+        assert "snr-levels" in capsys.readouterr().err
+
+    def test_analyze_variance_snr_levels(self, missing, capsys):
+        assert run(["analyze-variance", "--encoder", missing, "--manifest", missing,
+                    "--out", missing, "--snr-levels", "0,abc"]) == 1
+        assert "snr-levels" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_writes_manifest_and_wavs(self, pipeline_dir):
         manifest = pipeline_dir / "corpus" / "manifest.tsv"

@@ -1,5 +1,6 @@
 """Objective terms: closed-form values, gradients, invariances, fixed points."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from vicspeech.losses import (
     invariance,
     masked_prediction_loss,
     sample_frames,
-    total_loss,
     variance,
     vic_loss,
     SampledPair,
@@ -253,6 +253,10 @@ class TestCovariance:
             covariance(np.zeros((1, 3)))
 
 
+def _pair(z, zp):
+    return SampledPair(Z=z, Zp=zp, sources=[(0, i) for i in range(z.shape[0])])
+
+
 class TestVicCombination:
     def test_weighted_sum_value(self):
         """s=2, v=0.5, c=0.25, weights (5,1,1) -> 10.75."""
@@ -261,40 +265,68 @@ class TestVicCombination:
         w = VicWeights(lam=5.0, mu=1.0, nu=1.0, gamma=1.0, epsilon=1e-4, n_sample=2)
         z = np.zeros((2, 2))
         zp = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        terms, _ = vic_loss(SampledPair(Z=z, Zp=zp, sources=[(0, 0), (0, 1)]), w)
+        s_, v_, c_, _ = vic_loss(_pair(z, zp), w)
         s, _ = invariance(z, zp)
         v, _ = variance(zp, 1.0, 1e-4)
         c, _ = covariance(zp)
-        assert terms.l_vic == pytest.approx(5 * s + v + c, rel=1e-12)
+        assert (s_, v_, c_) == (s, v, c)
+        l_vic = LossBreakdown.build(0.0, s_, v_, c_, w).l_vic
+        assert l_vic == pytest.approx(5 * s + v + c, rel=1e-12)
 
     def test_zero_weights_zero_loss_and_gradient(self):
         w = VicWeights(lam=0.0, mu=0.0, nu=0.0, n_sample=2)
         rng = np.random.default_rng(1)
         z, zp = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        terms, grad = vic_loss(SampledPair(Z=z, Zp=zp, sources=[(0, i) for i in range(5)]), w)
-        assert terms.l_vic == 0.0
+        s, v, c, grad = vic_loss(_pair(z, zp), w)
+        assert LossBreakdown.build(0.0, s, v, c, w).l_vic == 0.0
         assert np.all(grad == 0.0)
 
     def test_gradient_is_weighted_sum_of_term_gradients(self):
         w = VicWeights(lam=5.0, mu=1.0, nu=1.0, n_sample=2)
         rng = np.random.default_rng(2)
         z, zp = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
-        _, grad = vic_loss(SampledPair(Z=z, Zp=zp, sources=[(0, i) for i in range(6)]), w)
+        _, _, _, grad = vic_loss(_pair(z, zp), w)
         _, gs = invariance(z, zp)
         _, gv = variance(zp, w.gamma, w.epsilon)
         _, gc = covariance(zp)
         assert np.allclose(grad, 5 * gs + gv + gc, atol=1e-15)
 
+    @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
+    def test_flags_select_terms_bitwise(self, flags):
+        """A disabled term is exactly 0.0 and adds no gradient; the enabled
+        weighted gradients are added to zeros in lambda, mu, nu order."""
+        use_inv, use_var, use_cov = flags
+        w = VicWeights(lam=5.0, mu=0.7, nu=1.3, gamma=2.0, n_sample=2)
+        rng = np.random.default_rng(3)
+        z, zp = rng.standard_normal((7, 4)), rng.standard_normal((7, 4))
+        s, v, c, grad = vic_loss(_pair(z, zp), w, use_inv, use_var, use_cov)
+        want = np.zeros_like(zp)
+        terms = []
+        for on, weight, (value, g) in ((use_inv, w.lam, invariance(z, zp)),
+                                       (use_var, w.mu, variance(zp, w.gamma, w.epsilon)),
+                                       (use_cov, w.nu, covariance(zp))):
+            terms.append(value if on else 0.0)
+            if on:
+                want += weight * g
+        assert [s, v, c] == terms
+        assert np.array_equal(grad, want)
+
 
 class TestTotalLoss:
+    """l_tot is formed by `LossBreakdown.build` only."""
+
     def test_alpha_zero_reduces_to_masked_loss(self):
-        assert total_loss(2.0, 123.0, 0.0) == 2.0
+        b = LossBreakdown.build(2.0, s=24.6, v=0.0, c=0.0, w=VicWeights(alpha=0.0))
+        assert b.l_vic == 123.0
+        assert b.l_tot == 2.0
 
     def test_paper_weights_arithmetic(self):
-        assert total_loss(2.0, 10.75, 1.0) == pytest.approx(12.75, abs=1e-15)
+        b = LossBreakdown.build(2.0, s=2.0, v=0.5, c=0.25, w=VicWeights())
+        assert b.l_vic == pytest.approx(10.75, abs=1e-15)
+        assert b.l_tot == pytest.approx(12.75, abs=1e-15)
 
     def test_zero_vic_identity(self):
-        assert total_loss(1.7, 0.0, 1.0) == 1.7
+        assert LossBreakdown.build(1.7, s=0.0, v=0.0, c=0.0, w=VicWeights()).l_tot == 1.7
 
     def test_breakdown_invariants(self):
         w = VicWeights()

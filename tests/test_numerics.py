@@ -1,4 +1,4 @@
-"""Matrix primitives and the finite-difference harness."""
+"""Softmax cross-entropy and the finite-difference harness."""
 
 import math
 
@@ -7,55 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vicspeech.numerics import grad_check, matmul, softmax_xent
-
-
-def triple_loop_matmul(a, b):
-    """Independent oracle: naive i-j-k loops with sequential accumulation."""
-    m, kk = a.shape
-    _, p = b.shape
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for k in range(kk):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.array_equal(matmul(a, b), triple_loop_matmul(a, b))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16), st.integers(0, 10**6))
-    def test_bit_identical_to_oracle(self, m, k, p, seed):
-        """Same rounding sequence as the oracle on every instance <= 16x16."""
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m, k))
-        b = rng.standard_normal((k, p))
-        assert np.array_equal(matmul(a, b), triple_loop_matmul(a, b))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
+from vicspeech.numerics import grad_check, softmax_xent
 
 
 class TestSoftmaxXent:

@@ -10,6 +10,7 @@ from vicspeech.codebook import assign
 from vicspeech.losses import masked_prediction_loss
 from vicspeech.model import EncoderState, TrainingDivergedError, apply_mask, backward, \
     forward, predict_codewords
+from vicspeech.signal import extract_features, mix_at_snr, synth_noise
 from vicspeech.trainer import (
     AdamState,
     TrainConfig,
@@ -20,6 +21,7 @@ from vicspeech.trainer import (
     pretrain_clean,
     pretrain_noisy,
     _TAG_MASK,
+    _TAG_NOISE,
 )
 
 
@@ -96,6 +98,34 @@ class TestBatching:
         assert [i.utt_index for i in a] == [i.utt_index for i in b]
         for x, y in zip(a, b):
             assert np.array_equal(x.noisy.frames, y.noisy.frames)
+
+
+class TestConditionFeatures:
+    @pytest.mark.parametrize("kind", ["babble", "music", "natural"])
+    def test_finite_snr_matches_direct_pipeline(self, mini_corpus, kind):
+        utt = mini_corpus.utterances[2]
+        got = mini_corpus.condition_features(2, kind, 7.5, 1234)
+        noise = synth_noise(kind, 1234, len(utt.wave), utt.wave.sample_rate)
+        mixed = mix_at_snr(utt.wave, noise, 7.5, kind)
+        want = extract_features(mixed.mixed, frame_len=mini_corpus.frame_len,
+                                hop=mini_corpus.hop, n_filters=mini_corpus.n_filters,
+                                segments=utt.unit_labels, utterance_id=utt.id)
+        assert np.array_equal(got.frames, want.frames)
+        assert np.array_equal(got.frame_labels, want.frame_labels)
+        assert got.utterance_id == want.utterance_id
+
+    def test_infinite_snr_returns_cached_clean(self, mini_corpus):
+        got = mini_corpus.condition_features(1, "babble", float("inf"), 1234)
+        assert got is mini_corpus.clean_features(1)
+
+    def test_make_batch_noisy_uses_condition_features(self, mini_corpus):
+        items = make_batch(mini_corpus, 4, step=3, seed=9, noise_kinds=("music", "natural"),
+                           snr_range_db=(5.0, 10.0))
+        for j, item in enumerate(items):
+            want = mini_corpus.condition_features(item.utt_index, item.noise_kind, item.snr_db,
+                                                  derive_seed(9, _TAG_NOISE, 3, j, 1))
+            assert np.array_equal(item.noisy.frames, want.frames)
+            assert np.array_equal(item.noisy.frame_labels, want.frame_labels)
 
 
 class TestPretrainClean:
