@@ -51,7 +51,7 @@ for tag, flags in [("baseline", (False, False, False)),
     last = slog.steps[-1]
     print(f"\nstage 1 [{tag}]")
     print(f"  final l_m {last.l_m:.3f}  s {last.s:.2f}  v {last.v:.4f}  c {last.c:.4f}")
-    results = linear_probe(student, train, conditions, cb, seed=0, eval_corpus=ev)
+    results = linear_probe(student, train, conditions, seed=0, eval_corpus=ev)
     for r in results:
         snr = "inf" if np.isinf(r.snr_db) else f"{r.snr_db:g}"
         print(f"  probe {r.noise_kind:>6} @ {snr:>4} dB: {r.frame_accuracy:.3f}")

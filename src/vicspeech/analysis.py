@@ -14,15 +14,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import codebook as cb_mod
-from .losses import LossBreakdown, SampledPair, VicWeights, covariance, invariance, \
-    masked_prediction_loss, sample_frames, variance, vic_loss
-from .model import EncoderConfig, EncoderState, MaskSpec, forward, init_encoder, \
-    param_layout, predict_codewords, backward
+from .losses import VicWeights, covariance, invariance, masked_prediction_loss, sample_frames, \
+    variance
+from .model import EncoderConfig, EncoderState, MaskSpec, forward, init_encoder, param_layout
+# not called here: kept so that the perfbench benchmark can rebind them in this module
+from .model import backward, predict_codewords  # noqa: F401
 from .numerics import GradCheckReport, Matrix, as_matrix, grad_check, softmax_xent
 # not called here: kept so that the perfbench benchmark can rebind them in this module
 from .signal import extract_features, mix_at_snr, synth_noise  # noqa: F401
 from .trainer import AdamState, Corpus, TrainConfig, TrainLog, adam_step, derive_seed, \
-    pretrain_clean, pretrain_noisy
+    pretrain_clean, pretrain_noisy, step_objective
 
 __all__ = [
     "VarianceRow",
@@ -228,7 +229,6 @@ def linear_probe(
     enc: EncoderState,
     train_corpus: Corpus,
     eval_conditions: Sequence[tuple[str, float]],
-    cb: Optional[cb_mod.Codebook] = None,
     seed: int = 0,
     eval_corpus: Optional[Corpus] = None,
     iters: int = 300,
@@ -238,8 +238,6 @@ def linear_probe(
     under each (noise kind, SNR) condition. SNR inf rows evaluate on clean
     input and are reported under the kind ``clean``."""
     ev = train_corpus if eval_corpus is None else eval_corpus
-    if cb is not None and cb.feature_dim != train_corpus.n_filters:
-        raise ValueError("codebook feature dim does not match corpus features")
     probe = fit_linear_probe(enc, train_corpus, iters=iters, lr=lr)
     results = []
     seen_clean = False
@@ -418,8 +416,8 @@ def ablation_run(
         for seed in seeds:
             cfg = replace(base_cfg, seed=seed, use_inv=use_inv, use_var=use_var, use_cov=use_cov)
             student, log = pretrain_noisy(teacher, train_corpus, cb, cfg)
-            results = linear_probe(student, train_corpus, eval_conditions, cb,
-                                   seed=probe_seed, eval_corpus=ev)
+            results = linear_probe(student, train_corpus, eval_conditions, seed=probe_seed,
+                                   eval_corpus=ev)
             students[(tag, seed)] = student
             logs[(tag, seed)] = log
             probe_results[(tag, seed)] = results
@@ -444,57 +442,43 @@ def ablation_run(
 # gradient-check suite
 # ----------------------------------------------------------------------
 
-def _full_model_setup(seed: int):
-    cfg = EncoderConfig(feature_dim=10, model_dim=16, n_blocks=2, mlp_hidden=24,
-                        k_codewords=8, mask_start_prob=0.25, mask_span=3)
-    rng = np.random.default_rng(seed)
-    n_frames = 12
-    feats = rng.standard_normal((n_frames, cfg.feature_dim))
-    labels = rng.integers(cfg.k_codewords, size=n_frames)
-    masked_idx = np.array([1, 2, 5, 6, 9])
-    teacher = init_encoder(cfg, seed + 1)
-    student = init_encoder(cfg, seed + 2)
-    sampled = np.array([0, 2, 3, 5, 7, 8, 10, 11])
-    teacher_reps, _ = forward(teacher, feats)
-    z = teacher_reps[sampled]
-    weights = VicWeights(lam=5.0, mu=1.0, nu=1.0, gamma=1.0, epsilon=1e-4, alpha=1.0, n_sample=8)
-    # pick gamma above every sampled column std so the hinge is active with margin
-    reps0, _ = forward(student, feats)
-    gamma = 1.5 * float(reps0[sampled].std(axis=0, ddof=1).max()) + 0.5
-    weights = replace(weights, gamma=gamma)
-    return cfg, feats, labels, masked_idx, z, sampled, weights, student
-
-
 def _full_model_loss_and_grad(seed: int):
-    cfg, feats, labels, masked_idx, z, sampled, w, student = _full_model_setup(seed)
-    spec = MaskSpec(masked_idx)
+    """`step_objective` on two utterances of unequal length, with fewer VIC
+    samples than pooled frames, as a function of the student's parameter
+    vector. Returns (loss_of, grad at vec0, vec0, encoder config)."""
+    enc_cfg = EncoderConfig(feature_dim=10, model_dim=16, n_blocks=2, mlp_hidden=24,
+                            k_codewords=8, mask_start_prob=0.25, mask_span=3)
+    rng = np.random.default_rng(seed)
+    feats = [rng.standard_normal((n, enc_cfg.feature_dim)) for n in (12, 9)]
+    labels = [rng.integers(enc_cfg.k_codewords, size=len(x)) for x in feats]
+    specs = [MaskSpec(np.array([1, 2, 5, 6, 9])), MaskSpec(np.array([0, 3, 4, 7]))]
+    teacher = init_encoder(enc_cfg, seed + 1)
+    teacher_reps = [forward(teacher, x)[0] for x in feats]
+    vec0 = init_encoder(enc_cfg, seed + 2).to_vector()
+    n_sample, sample_seed = 12, seed + 3
 
-    sources = [(0, int(t)) for t in sampled]
+    def masked_inputs(st: EncoderState) -> list[Matrix]:
+        inputs = [x.copy() for x in feats]
+        for x, spec in zip(inputs, specs):
+            x[spec.masked_frames] = st.params["mask_embedding"]
+        return inputs
 
-    def vic_of(reps: Matrix):
-        return vic_loss(SampledPair(Z=z, Zp=reps[sampled], sources=sources), w)
+    # pick gamma above every column std of the frames sampled at vec0 so the
+    # hinge is active with margin
+    st0 = EncoderState.from_vector(enc_cfg, vec0)
+    reps0 = [forward(st0, x)[0] for x in masked_inputs(st0)]
+    zp0 = sample_frames(teacher_reps, reps0, n_sample, sample_seed).Zp
+    gamma = 1.5 * float(zp0.std(axis=0, ddof=1).max()) + 0.5
+    cfg = TrainConfig(vic=VicWeights(lam=5.0, mu=1.0, nu=1.0, gamma=gamma, epsilon=1e-4,
+                                      alpha=0.5, n_sample=n_sample))
 
-    def loss_of(vec: np.ndarray) -> float:
-        st = EncoderState.from_vector(cfg, vec)
-        x = feats.copy()
-        x[masked_idx] = st.params["mask_embedding"]
-        reps, _ = forward(st, x, training=True, mask=spec)
-        logits = predict_codewords(st, reps)
-        l_m, _ = masked_prediction_loss(logits, labels, spec)
-        s, v, c, _ = vic_of(reps)
-        return LossBreakdown.build(l_m, s, v, c, w).l_tot
+    def objective(vec: np.ndarray):
+        st = EncoderState.from_vector(enc_cfg, vec)
+        return step_objective(st, masked_inputs(st), specs, labels, teacher_reps, cfg,
+                              sample_seed)
 
-    vec0 = student.to_vector()
-    st = EncoderState.from_vector(cfg, vec0)
-    x = feats.copy()
-    x[masked_idx] = st.params["mask_embedding"]
-    reps, cache = forward(st, x, training=True, mask=spec)
-    logits = predict_codewords(st, reps)
-    _, grad_logits = masked_prediction_loss(logits, labels, spec)
-    grad_reps = np.zeros_like(reps)
-    grad_reps[sampled] = w.alpha * vic_of(reps)[3]
-    grad = backward(cache, grad_reps=grad_reps, grad_logits=grad_logits)
-    return loss_of, grad, vec0, cfg
+    _, grad = objective(vec0)
+    return (lambda vec: objective(vec)[0].l_tot), grad, vec0, enc_cfg
 
 
 def gradcheck_suite(seed: int = 0, step: float = 1e-5, n_model_coords: int = 220):

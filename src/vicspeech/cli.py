@@ -21,7 +21,7 @@ from .checkpoint import CheckpointError, load_codebook, load_encoder, save_codeb
 from .codebook import fit_kmeans
 from .config import ConfigError, LabConfig, load_config
 from .model import TrainingDivergedError
-from .signal import NOISE_KINDS, build_corpus
+from .signal import MAX_VOCAB_SIZE, NOISE_KINDS, build_corpus
 from .trainer import Corpus, pretrain_clean, pretrain_noisy
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -45,8 +45,8 @@ def _echo(cfg: LabConfig) -> None:
     print(cfg.echo())
 
 
-def _load_train_corpus(args, cfg: LabConfig) -> Corpus:
-    return Corpus.load(args.manifest, frame_len=cfg["frame_len"], hop=cfg["hop"],
+def _load_corpus(path, cfg: LabConfig) -> Corpus:
+    return Corpus.load(path, frame_len=cfg["frame_len"], hop=cfg["hop"],
                        n_filters=cfg["n_filters"])
 
 
@@ -75,6 +75,8 @@ def _parse_kinds(raw: str) -> list[str]:
 
 def _cmd_synth(args) -> int:
     cfg = _resolve(args)
+    if not 2 <= cfg["vocab_size"] <= MAX_VOCAB_SIZE:
+        raise ConfigError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
     _echo(cfg)
     manifest = build_corpus(args.out, n_utterances=cfg["n_utterances"],
                             corpus_seed=cfg["corpus_seed"], vocab_size=cfg["vocab_size"],
@@ -86,7 +88,7 @@ def _cmd_synth(args) -> int:
 def _cmd_features(args) -> int:
     cfg = _resolve(args)
     _echo(cfg)
-    corpus = _load_train_corpus(args, cfg)
+    corpus = _load_corpus(args.manifest, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, utt in enumerate(corpus.utterances):
@@ -102,7 +104,7 @@ def _cmd_features(args) -> int:
 def _cmd_kmeans(args) -> int:
     cfg = _resolve(args)
     _echo(cfg)
-    corpus = _load_train_corpus(args, cfg)
+    corpus = _load_corpus(args.manifest, cfg)
     frames = np.concatenate([corpus.clean_features(i).frames for i in range(len(corpus))])
     cb = fit_kmeans(frames, k=cfg["k"], max_iters=cfg["kmeans_max_iters"],
                     seed=cfg["kmeans_seed"])
@@ -116,7 +118,7 @@ def _cmd_pretrain(args) -> int:
     cfg = _resolve(args)
     train_cfg, enc_cfg = cfg.train_config(), cfg.encoder_config()
     _echo(cfg)
-    corpus = _load_train_corpus(args, cfg)
+    corpus = _load_corpus(args.manifest, cfg)
     cb = load_codebook(args.codebook)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
     teacher, log = pretrain_clean(corpus, cb, train_cfg, enc_cfg=enc_cfg, eval_hook=hook)
@@ -143,7 +145,7 @@ def _cmd_vic_pretrain(args) -> int:
     cfg = LabConfig({**cfg.values, **terms})
     train_cfg = cfg.train_config()
     _echo(cfg)
-    corpus = _load_train_corpus(args, cfg)
+    corpus = _load_corpus(args.manifest, cfg)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
@@ -160,11 +162,7 @@ def _cmd_vic_pretrain(args) -> int:
 
 
 def _conditions(kinds: list[str], levels: list[float]) -> list[tuple[str, float]]:
-    conds: list[tuple[str, float]] = []
-    for kind in kinds:
-        for snr in levels:
-            conds.append((kind, snr))
-    return conds
+    return [(kind, snr) for kind in kinds for snr in levels]
 
 
 def _cmd_probe(args) -> int:
@@ -172,13 +170,11 @@ def _cmd_probe(args) -> int:
     conds = _conditions(_parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels))
     _echo(cfg)
     enc = load_encoder(args.encoder)
-    train = Corpus.load(args.train_manifest, frame_len=cfg["frame_len"], hop=cfg["hop"],
-                        n_filters=cfg["n_filters"])
-    ev = train if args.eval_manifest is None else Corpus.load(
-        args.eval_manifest, frame_len=cfg["frame_len"], hop=cfg["hop"],
-        n_filters=cfg["n_filters"])
-    cb = load_codebook(args.codebook) if args.codebook else None
-    results = analysis.linear_probe(enc, train, conds, cb, seed=args.seed, eval_corpus=ev)
+    train = _load_corpus(args.train_manifest, cfg)
+    ev = train if args.eval_manifest is None else _load_corpus(args.eval_manifest, cfg)
+    if args.codebook and load_codebook(args.codebook).feature_dim != train.n_filters:
+        raise ValueError("codebook feature dim does not match corpus features")
+    results = analysis.linear_probe(enc, train, conds, seed=args.seed, eval_corpus=ev)
     analysis.write_probe_csv(args.out, results, model_tag=args.model_tag)
     for r in results:
         snr = "inf" if np.isinf(r.snr_db) else f"{r.snr_db:g}"
@@ -193,7 +189,7 @@ def _cmd_analyze_variance(args) -> int:
     kinds, levels = _parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels)
     _echo(cfg)
     enc = load_encoder(args.encoder)
-    corpus = _load_train_corpus(args, cfg)
+    corpus = _load_corpus(args.manifest, cfg)
     report = analysis.channel_variance_report(enc, corpus, kinds, levels, seed=args.seed,
                                               model_tag=args.model_tag)
     report.write_csv(args.out)
@@ -212,10 +208,8 @@ def _cmd_ablate(args) -> int:
     seeds = _parse_list("--seeds", args.seeds, int)
     conds = _conditions(_parse_kinds(args.eval_noise_kinds), _parse_snr_levels(args.snr_levels))
     _echo(cfg)
-    corpus = _load_train_corpus(args, cfg)
-    ev = corpus if args.eval_manifest is None else Corpus.load(
-        args.eval_manifest, frame_len=cfg["frame_len"], hop=cfg["hop"],
-        n_filters=cfg["n_filters"])
+    corpus = _load_corpus(args.manifest, cfg)
+    ev = corpus if args.eval_manifest is None else _load_corpus(args.eval_manifest, cfg)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher) if args.teacher else None
     result = analysis.ablation_run(train_cfg, corpus, cb, seeds, conds, enc_cfg=enc_cfg,

@@ -19,6 +19,7 @@ only; no gradient ever flows to the teacher.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,6 +54,10 @@ class VicWeights:
     n_sample: int = 256
 
     def __post_init__(self):
+        for key, value in (("lambda", self.lam), ("mu", self.mu), ("nu", self.nu),
+                           ("gamma", self.gamma), ("epsilon", self.epsilon), ("alpha", self.alpha)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite")
         if min(self.lam, self.mu, self.nu, self.gamma, self.alpha) < 0:
             raise ValueError("weights must be nonnegative")
         if self.epsilon <= 0:

@@ -29,6 +29,7 @@ from .numerics import Matrix, as_matrix
 
 __all__ = [
     "NOISE_KINDS",
+    "MAX_VOCAB_SIZE",
     "SAMPLE_RATE",
     "FRAME_LEN",
     "HOP",
@@ -147,10 +148,16 @@ class FeatureSequence:
 # synthesis
 # ----------------------------------------------------------------------
 
+# (fundamentals, formant bands): each unit symbol owns one cell of this grid,
+# so a vocabulary larger than the grid would alias voicings
+_VOICING_GRID = (6, 8)
+MAX_VOCAB_SIZE = _VOICING_GRID[0] * _VOICING_GRID[1]
+
+
 def _voice_params(symbol: int) -> tuple[float, float]:
-    # Fixed (f0, formant-center) per symbol: 6 fundamentals x 8 formant bands.
-    f0 = 90.0 + 18.0 * (symbol % 6)
-    formant = 420.0 + 330.0 * ((symbol // 6) % 8)
+    # Fixed (f0, formant-center) per symbol.
+    f0 = 90.0 + 18.0 * (symbol % _VOICING_GRID[0])
+    formant = 420.0 + 330.0 * (symbol // _VOICING_GRID[0])
     return f0, formant
 
 
@@ -192,8 +199,8 @@ def synth_utterance(
     with probability 0.7, otherwise uniform), so masked segments are partly
     predictable from context, as phone sequences are in speech.
     """
-    if vocab_size < 2:
-        raise ValueError("vocab_size must be >= 2")
+    if not 2 <= vocab_size <= MAX_VOCAB_SIZE:
+        raise ValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
     rng = np.random.default_rng(seed)

@@ -16,8 +16,8 @@ path untouched.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import codebook as cb_mod
 from .losses import LossBreakdown, VicWeights, masked_prediction_loss, sample_frames, vic_loss
 # not called here: kept so that the perfbench benchmark can rebind them in this module
 from .losses import covariance, invariance, variance  # noqa: F401
-from .model import EncoderConfig, EncoderState, TrainingDivergedError, apply_mask, \
+from .model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, apply_mask, \
     backward, forward, init_encoder, predict_codewords
 from .signal import FRAME_LEN, HOP, N_FILTERS, FeatureSequence, NOISE_KINDS, Utterance, \
     extract_features, load_corpus, mix_at_snr, synth_noise
@@ -40,6 +40,7 @@ __all__ = [
     "derive_seed",
     "batch_indices",
     "make_batch",
+    "step_objective",
     "pretrain_clean",
     "pretrain_noisy",
 ]
@@ -82,15 +83,6 @@ class TrainConfig:
         for kind in self.noise_kinds:
             if kind not in NOISE_KINDS:
                 raise ValueError(f"unknown noise kind {kind!r}")
-
-    def effective_weights(self) -> VicWeights:
-        """Disabled ablation flags force the matching term weight to 0."""
-        return replace(
-            self.vic,
-            lam=self.vic.lam if self.use_inv else 0.0,
-            mu=self.vic.mu if self.use_var else 0.0,
-            nu=self.vic.nu if self.use_cov else 0.0,
-        )
 
     @property
     def vic_active(self) -> bool:
@@ -272,6 +264,54 @@ def _nonempty_mask(feats: FeatureSequence, enc_cfg: EncoderConfig, seed: int, st
 # training loops
 # ----------------------------------------------------------------------
 
+def step_objective(
+    state: EncoderState,
+    inputs: Sequence[Union[FeatureSequence, np.ndarray]],
+    specs: Sequence[MaskSpec],
+    labels: Sequence[np.ndarray],
+    teacher_reps: Optional[Sequence[np.ndarray]],
+    cfg: TrainConfig,
+    sample_seed: int,
+) -> tuple[LossBreakdown, np.ndarray]:
+    """The objective of one batch and its gradient, packed in layout order.
+
+    `inputs` are the student's masked inputs, `specs` their masks and
+    `labels` their codeword targets. Masked prediction weights each
+    utterance by its share of the batch's masked frames. With `teacher_reps`
+    given, the enabled VIC terms act on `cfg.vic.n_sample` frames drawn from
+    the pooled batch by `sample_seed`, and alpha times their gradient flows
+    back to the sampled rows; with None the VIC terms are 0.0.
+    """
+    total_masked = sum(len(spec) for spec in specs)
+    l_m = 0.0
+    reps_list, caches, grad_logits_list = [], [], []
+    for x, spec, y in zip(inputs, specs, labels):
+        reps, cache = forward(state, x, training=True, mask=spec)
+        loss_j, grad_logits_j = masked_prediction_loss(predict_codewords(state, reps), y, spec)
+        w_j = len(spec) / total_masked
+        l_m += w_j * loss_j
+        reps_list.append(reps)
+        caches.append(cache)
+        grad_logits_list.append(grad_logits_j * w_j)
+
+    s = v = c = 0.0
+    grad_reps_list = [None] * len(caches)
+    if teacher_reps is not None:
+        exclude = [spec.masked_frames for spec in specs] if cfg.vic_exclude_masked else None
+        pair = sample_frames(teacher_reps, reps_list, cfg.vic.n_sample, sample_seed,
+                             exclude=exclude)
+        s, v, c, grad_zp = vic_loss(pair, cfg.vic, cfg.use_inv, cfg.use_var, cfg.use_cov)
+        for row, (u, t) in enumerate(pair.sources):
+            if grad_reps_list[u] is None:
+                grad_reps_list[u] = np.zeros_like(reps_list[u])
+            grad_reps_list[u][t] += cfg.vic.alpha * grad_zp[row]
+
+    grad = np.zeros(state.n_params())
+    for cache, grad_reps, grad_logits in zip(caches, grad_reps_list, grad_logits_list):
+        grad += backward(cache, grad_reps=grad_reps, grad_logits=grad_logits)
+    return LossBreakdown.build(l_m, s, v, c, cfg.vic), grad
+
+
 def _train_loop(
     state: EncoderState,
     corpus: Corpus,
@@ -282,9 +322,7 @@ def _train_loop(
     eval_hook=None,
 ) -> tuple[EncoderState, TrainLog]:
     enc_cfg = state.config
-    weights = cfg.effective_weights()
-    vic_active = teacher is not None and cfg.vic_active
-    adam = AdamState.zeros(state.to_vector().size)
+    adam = AdamState.zeros(state.n_params())
     log = TrainLog()
     codeword_cache: dict[int, np.ndarray] = {}
     teacher_rep_cache: dict[int, np.ndarray] = {}  # teacher frozen: reps fixed per utterance
@@ -295,55 +333,25 @@ def _train_loop(
             noise_kinds=cfg.noise_kinds if noisy_inputs else None,
             snr_range_db=cfg.snr_range_db if noisy_inputs else None)
 
-        grad_vec = np.zeros(adam.m.size)
-        per_item = []
-        total_masked = 0
+        inputs, specs, labels = [], [], []
         for j, item in enumerate(items):
             if item.utt_index not in codeword_cache:
                 codeword_cache[item.utt_index] = cb_mod.assign(cb, item.clean)
-            student_in = item.noisy if noisy_inputs else item.clean
-            masked, spec = _nonempty_mask(student_in, enc_cfg, cfg.seed, step, j,
-                                          state.params["mask_embedding"])
-            reps, cache = forward(state, masked, training=True, mask=spec)
-            logits = predict_codewords(state, reps)
-            per_item.append((item, spec, reps, cache, logits))
-            total_masked += len(spec)
+            masked, spec = _nonempty_mask(item.noisy if noisy_inputs else item.clean, enc_cfg,
+                                          cfg.seed, step, j, state.params["mask_embedding"])
+            inputs.append(masked)
+            specs.append(spec)
+            labels.append(codeword_cache[item.utt_index])
 
-        l_m = 0.0
-        teacher_reps_list = []
-        student_reps_list = []
-        grad_logits_list = []
-        grad_reps_list = [None] * len(per_item)
-        for item, spec, reps, cache, logits in per_item:
-            labels = codeword_cache[item.utt_index]
-            loss_j, grad_logits_j = masked_prediction_loss(logits, labels, spec)
-            w_j = len(spec) / total_masked
-            l_m += w_j * loss_j
-            grad_logits_list.append(grad_logits_j * w_j)
-            if vic_active:
+        teacher_reps = None
+        if teacher is not None:
+            for item in items:
                 if item.utt_index not in teacher_rep_cache:
-                    t_reps, _ = forward(teacher, item.clean, training=False)
-                    teacher_rep_cache[item.utt_index] = t_reps
-                teacher_reps_list.append(teacher_rep_cache[item.utt_index])
-                student_reps_list.append(reps)
+                    teacher_rep_cache[item.utt_index], _ = forward(teacher, item.clean)
+            teacher_reps = [teacher_rep_cache[item.utt_index] for item in items]
 
-        s = v = c = 0.0
-        if vic_active:
-            exclude = [spec.masked_frames for (_, spec, _, _, _) in per_item] \
-                if cfg.vic_exclude_masked else None
-            pair = sample_frames(teacher_reps_list, student_reps_list, weights.n_sample,
-                                 derive_seed(cfg.seed, _TAG_SAMPLE, step), exclude=exclude)
-            s, v, c, grad_zp = vic_loss(pair, weights, cfg.use_inv, cfg.use_var, cfg.use_cov)
-            for row, (u, t) in enumerate(pair.sources):
-                if grad_reps_list[u] is None:
-                    grad_reps_list[u] = np.zeros_like(student_reps_list[u])
-                grad_reps_list[u][t] += weights.alpha * grad_zp[row]
-
-        for j, (_, _, _, cache, _) in enumerate(per_item):
-            grad_vec += backward(cache, grad_reps=grad_reps_list[j],
-                                 grad_logits=grad_logits_list[j])
-
-        breakdown = LossBreakdown.build(l_m, s, v, c, weights)
+        breakdown, grad_vec = step_objective(state, inputs, specs, labels, teacher_reps, cfg,
+                                             derive_seed(cfg.seed, _TAG_SAMPLE, step))
         if not np.isfinite(breakdown.l_tot):
             raise TrainingDivergedError(f"loss diverged at step {step}")
         log.steps.append(breakdown)

@@ -1,5 +1,18 @@
 """Shared fixtures: a small synthetic corpus for unit tests and the training
-benchmark used by the slow/acceptance tests."""
+benchmark used by the slow/acceptance tests, with its teacher and its
+ablation students."""
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
+# One BLAS thread, set before numpy loads, as perfbench/run.py does. Output
+# bytes depend on the BLAS thread count, so this makes the suite's numbers the
+# same on every machine; and at this model size extra BLAS threads only wait
+# on each other, many times over when the host's cores are busy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest
@@ -70,3 +83,39 @@ def bench_teacher(bench):
                                 replace(bench["base_cfg"], steps=600),
                                 enc_cfg=bench["enc_cfg"])
     return state, log
+
+
+def _ablation_of_seed(bench, teacher, conditions, seed):
+    from vicspeech.analysis import ablation_run
+
+    return ablation_run(bench["base_cfg"], bench["train"], bench["cb"], (seed,), conditions,
+                        enc_cfg=bench["enc_cfg"], eval_corpus=bench["ev"], teacher=teacher,
+                        probe_seed=0)
+
+
+@pytest.fixture(scope="session")
+def ablation(bench, bench_teacher):
+    """The shared teacher plus the four cumulative configurations across
+    seeds 1-3 (the `SEEDS` of test_acceptance), each probed over babble,
+    music and natural noise at 0 and 15 dB and on clean input. Session-wide
+    because the slow tests of several modules read these students.
+
+    Each seed runs `ablation_run` in a process of its own. A (config, seed)
+    run does not depend on the other seeds, so the students, logs and probe
+    results are those of one `ablation_run` over seeds 1-3. The per-config
+    rows average over seeds, so `rows` is left empty."""
+    from vicspeech.analysis import AblationResult
+
+    seeds = (1, 2, 3)
+    conditions = [(k, s) for k in ("babble", "music", "natural") for s in (0.0, 15.0)]
+    conditions.append(("clean", float("inf")))
+    # fork is safe here: BLAS runs single-threaded (see the top of this file)
+    with ProcessPoolExecutor(max_workers=len(seeds),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        parts = list(pool.map(partial(_ablation_of_seed, bench, bench_teacher[0], conditions),
+                              seeds))
+    return AblationResult(
+        rows=[], teacher=bench_teacher[0],
+        students={k: v for part in parts for k, v in part.students.items()},
+        logs={k: v for part in parts for k, v in part.logs.items()},
+        probe_results={k: v for part in parts for k, v in part.probe_results.items()})

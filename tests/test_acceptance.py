@@ -28,6 +28,7 @@ from test_trainer import _reference_lm_only_loop
 
 pytestmark = pytest.mark.slow
 
+# the seeds and the probe grid of the `ablation` fixture in conftest
 SEEDS = (1, 2, 3)
 EVAL_KINDS = ("babble", "music", "natural")
 EVAL_SNRS = (0.0, 15.0)
@@ -38,23 +39,6 @@ def _report(num, name, ok, detail=""):
     suffix = f"  [{detail}]" if detail else ""
     print(f"\n[{tag}] criterion {num}: {name}{suffix}")
     assert ok, f"criterion {num} failed: {name} {detail}"
-
-
-# ----------------------------------------------------------------------
-# benchmark fixtures (the corpus/config fixture `bench` lives in conftest)
-# ----------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def ablation(bench, bench_teacher):
-    """The shared teacher plus the four cumulative configurations across
-    three seeds, each probed over the evaluation grid."""
-    conditions = [(k, s) for k in EVAL_KINDS for s in EVAL_SNRS]
-    conditions.append(("clean", float("inf")))
-    result = analysis.ablation_run(
-        bench["base_cfg"], bench["train"], bench["cb"], SEEDS, conditions,
-        enc_cfg=bench["enc_cfg"], eval_corpus=bench["ev"],
-        teacher=bench_teacher[0], probe_seed=0)
-    return result
 
 
 def _clean_accuracy(results):
@@ -220,7 +204,7 @@ def test_criterion_8_probe_ordering_and_pipeline_time(bench, ablation, tmp_path)
                       for s in SEEDS])
     conditions = [(k, s) for k in EVAL_KINDS for s in EVAL_SNRS] + [("clean", float("inf"))]
     teacher_results = analysis.linear_probe(ablation.teacher, bench["train"], conditions,
-                                            bench["cb"], seed=0, eval_corpus=bench["ev"])
+                                            seed=0, eval_corpus=bench["ev"])
     teacher_clean = _clean_accuracy(teacher_results)
     full_clean = np.mean([_clean_accuracy(ablation.probe_results[("lm+inv+var+cov", s)])
                           for s in SEEDS])

@@ -75,6 +75,15 @@ class TestConfigErrorsBeforeInput:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, key", [
+        (("--lambda", "nan"), "lambda"),
+        (("--gamma", "inf"), "gamma"),
+    ])
+    def test_vic_pretrain(self, missing, capsys, extra, key):
+        assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
+                    "--codebook", missing, "--out", missing, *extra]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
         (("--seeds", "1,a"), "seeds"),
         (("--snr-levels", "0,abc"), "snr-levels"),
     ])
@@ -107,6 +116,12 @@ class TestSynth:
         a = (pipeline_dir / "corpus" / "wav" / "utt0000.wav").read_bytes()
         b = (tmp_path / "again" / "wav" / "utt0000.wav").read_bytes()
         assert a == b
+
+    def test_vocab_beyond_voicing_grid_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "c49"
+        assert run(["synth", "--out", str(out), "--vocab-size", "49"]) == 1
+        assert "vocab_size" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_echoes_resolved_config(self, tmp_path, capsys):
         run(["synth", "--out", str(tmp_path / "c2"), "--n-utterances", "2",
@@ -239,6 +254,20 @@ class TestProbeAndVariance:
         assert len(lines) == 3
         wide_header = wide.read_text().splitlines()[0]
         assert wide_header.startswith("model_tag,noise_kind,snr_db,ch0,")
+
+    def test_codebook_of_other_feature_dim_is_runtime_error(self, pipeline_dir, tmp_path,
+                                                            capsys):
+        manifest = str(pipeline_dir / "corpus" / "manifest.tsv")
+        cb20 = str(tmp_path / "cb20.ckpt")
+        assert run(["kmeans", "--manifest", manifest, "--out", cb20, "--k", "5",
+                    "--n-filters", "20"]) == 0
+        code = run(["probe", "--encoder", str(pipeline_dir / "teacher.ckpt"),
+                    "--train-manifest", manifest, "--codebook", cb20,
+                    "--out", str(tmp_path / "probe.csv"),
+                    "--snr-levels", "inf", "--noise-kinds", "natural"])
+        assert code == 2
+        assert "codebook feature dim" in capsys.readouterr().err
+        assert not (tmp_path / "probe.csv").exists()
 
     def test_rerun_probe_is_byte_identical(self, pipeline_dir, tmp_path):
         a, b = tmp_path / "p1.csv", tmp_path / "p2.csv"

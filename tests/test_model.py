@@ -198,13 +198,14 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(cache, grad_reps=np.zeros((3, 3)))
 
-    def test_full_model_gradient_check(self):
-        """End-to-end check of the combined objective through the encoder at
-        the T=12, d=16, k=8 scale; at least 200 coordinates."""
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_model_gradient_check(self, seed):
+        """End-to-end check of the trainer's batch objective through the
+        encoder at the T=12+9, d=16, k=8 scale; at least 200 coordinates."""
         from vicspeech.analysis import _full_model_loss_and_grad
 
-        loss_of, grad, vec0, cfg = _full_model_loss_and_grad(seed=0)
-        rng = np.random.default_rng(0)
+        loss_of, grad, vec0, cfg = _full_model_loss_and_grad(seed=seed)
+        rng = np.random.default_rng(seed)
         idx = rng.choice(vec0.size, size=min(220, vec0.size), replace=False)
         report = grad_check(loss_of, grad, vec0, 1e-5, indices=sorted(set(idx.tolist())))
         assert report.max_rel_error <= 1e-4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vicspeech.signal import (
+    MAX_VOCAB_SIZE,
     FeatureSequence,
     Utterance,
     Waveform,
@@ -20,6 +21,7 @@ from vicspeech.signal import (
     synth_noise,
     synth_utterance,
     write_wav,
+    _voice_params,
 )
 
 SR = 16000
@@ -76,6 +78,12 @@ class TestSynthUtterance:
             synth_utterance(0, n_segments=0, vocab_size=4)
         with pytest.raises(ValueError):
             synth_utterance(0, n_segments=1, vocab_size=1)
+        with pytest.raises(ValueError):
+            synth_utterance(0, n_segments=1, vocab_size=MAX_VOCAB_SIZE + 1)
+
+    def test_every_symbol_has_its_own_voicing(self):
+        voicings = {_voice_params(sym) for sym in range(MAX_VOCAB_SIZE)}
+        assert len(voicings) == MAX_VOCAB_SIZE
 
 
 class TestSynthNoise:
