@@ -41,12 +41,13 @@ print(f"stage 0: masked loss {tlog.steps[0].l_m:.3f} -> {tlog.steps[-1].l_m:.3f}
 conditions = [(k, s) for k in ("babble", "music") for s in (0.0, 15.0)]
 conditions.append(("clean", float("inf")))
 
+flags = {"baseline": (False, False, False),
+         "invariance-only": (True, False, False),
+         "full regularizer": (True, True, True)}
+run_cfgs = [replace(cfg, use_inv=inv, use_var=var, use_cov=cov) for inv, var, cov in flags.values()]
+# one seed: the three students train in lockstep, on one noisy batch per step
 students = {}
-for tag, flags in [("baseline", (False, False, False)),
-                   ("invariance-only", (True, False, False)),
-                   ("full regularizer", (True, True, True))]:
-    run_cfg = replace(cfg, use_inv=flags[0], use_var=flags[1], use_cov=flags[2])
-    student, slog = pretrain_noisy(teacher, train, cb, run_cfg)
+for tag, (student, slog) in zip(flags, pretrain_noisy(teacher, train, cb, run_cfgs)):
     students[tag] = student
     last = slog.steps[-1]
     print(f"\nstage 1 [{tag}]")

@@ -400,30 +400,31 @@ def ablation_run(
 ) -> AblationResult:
     """Train the four cumulative regularizer configurations with shared seeds
     and probe each student. Rows appear in cumulative order; the first is the
-    masked-prediction-only baseline."""
+    masked-prediction-only baseline. A seed's four students train in lockstep
+    on one noisy batch per step."""
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in {list(seeds)}")
     ev = train_corpus if eval_corpus is None else eval_corpus
     if teacher is None:
         teacher, _ = pretrain_clean(train_corpus, cb, base_cfg, enc_cfg=enc_cfg)
-    rows = []
     students: dict[tuple[str, int], EncoderState] = {}
     logs: dict[tuple[str, int], TrainLog] = {}
     probe_results: dict[tuple[str, int], list[ProbeResult]] = {}
-    for tag, (use_inv, use_var, use_cov) in ABLATION_CONFIGS:
-        accs = []
-        finals = []
-        for seed in seeds:
-            cfg = replace(base_cfg, seed=seed, use_inv=use_inv, use_var=use_var, use_cov=use_cov)
-            student, log = pretrain_noisy(teacher, train_corpus, cb, cfg)
-            results = linear_probe(student, train_corpus, eval_conditions, seed=probe_seed,
-                                   eval_corpus=ev)
+    for seed in seeds:
+        cfgs = [replace(base_cfg, seed=seed, use_inv=use_inv, use_var=use_var, use_cov=use_cov)
+                for _, (use_inv, use_var, use_cov) in ABLATION_CONFIGS]
+        trained = pretrain_noisy(teacher, train_corpus, cb, cfgs)
+        for (tag, _), (student, log) in zip(ABLATION_CONFIGS, trained):
             students[(tag, seed)] = student
             logs[(tag, seed)] = log
-            probe_results[(tag, seed)] = results
-            accs.append(n_accuracy(results))
-            finals.append(log.steps[-1])
-        accs_arr = np.array(accs)
+            probe_results[(tag, seed)] = linear_probe(student, train_corpus, eval_conditions,
+                                                      seed=probe_seed, eval_corpus=ev)
+    rows = []
+    for tag, _ in ABLATION_CONFIGS:
+        accs_arr = np.array([n_accuracy(probe_results[(tag, seed)]) for seed in seeds])
+        finals = [logs[(tag, seed)].steps[-1] for seed in seeds]
         std = float(accs_arr.std(ddof=1)) if accs_arr.size > 1 else 0.0
         rows.append(AblationRow(
             config_tag=tag,

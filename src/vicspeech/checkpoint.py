@@ -52,7 +52,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     payloads = []
     for name, arr in tensors.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
+        data = np.asarray(arr, dtype="<f4", order="C")  # ascontiguousarray would make a scalar 1-D
         name_b = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_b)))
         chunks.append(name_b)

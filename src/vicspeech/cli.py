@@ -149,7 +149,7 @@ def _cmd_vic_pretrain(args) -> int:
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
-    student, log = pretrain_noisy(teacher, corpus, cb, train_cfg, eval_hook=hook)
+    [(student, log)] = pretrain_noisy(teacher, corpus, cb, [train_cfg], eval_hook=hook)
     save_encoder(args.out, student)
     if args.log:
         log.write_loss_csv(args.log)
@@ -206,6 +206,8 @@ def _cmd_ablate(args) -> int:
     cfg = _resolve(args)
     train_cfg, enc_cfg = cfg.train_config(), cfg.encoder_config()
     seeds = _parse_list("--seeds", args.seeds, int)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds: duplicate seed in {args.seeds!r}")
     conds = _conditions(_parse_kinds(args.eval_noise_kinds), _parse_snr_levels(args.snr_levels))
     _echo(cfg)
     corpus = _load_corpus(args.manifest, cfg)

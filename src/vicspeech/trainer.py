@@ -168,6 +168,7 @@ class Corpus:
         self.hop = hop
         self.n_filters = n_filters
         self._clean: dict[int, FeatureSequence] = {}
+        self._last_batch: Optional[tuple[tuple, tuple["BatchItem", ...]]] = None  # see make_batch
 
     @classmethod
     def load(cls, manifest_path, frame_len: int = FRAME_LEN, hop: int = HOP,
@@ -178,10 +179,11 @@ class Corpus:
         return len(self.utterances)
 
     def clean_features(self, i: int) -> FeatureSequence:
+        """Features of clean utterance `i`, computed once and read-only."""
         if i not in self._clean:
-            self._clean[i] = extract_features(
+            self._clean[i] = _read_only(extract_features(
                 self.utterances[i], frame_len=self.frame_len, hop=self.hop,
-                n_filters=self.n_filters)
+                n_filters=self.n_filters))
         return self._clean[i]
 
     def condition_features(self, i: int, kind: str, snr_db: float,
@@ -198,8 +200,18 @@ class Corpus:
                                 utterance_id=utt.id)
 
 
-@dataclass
+def _read_only(feats: FeatureSequence) -> FeatureSequence:
+    feats.frames.flags.writeable = False
+    if feats.frame_labels is not None:
+        feats.frame_labels.flags.writeable = False
+    return feats
+
+
+@dataclass(frozen=True)
 class BatchItem:
+    """One utterance of a batch; its feature arrays are read-only, because
+    `make_batch` hands the same items to every run that asks for them."""
+
     utt_index: int
     clean: FeatureSequence
     noisy: Optional[FeatureSequence] = None
@@ -233,21 +245,34 @@ def make_batch(
     seed: int,
     noise_kinds: Optional[Sequence[str]] = None,
     snr_range_db: Optional[tuple[float, float]] = None,
-) -> list[BatchItem]:
+) -> tuple[BatchItem, ...]:
     """Assemble one batch; with `noise_kinds` given, each utterance gets a
     fresh noise draw at an SNR uniform in `snr_range_db`. Clean and noisy
-    features share frame counts and labels by construction."""
+    features share frame counts and labels by construction.
+
+    The batch is a pure function of the arguments. `corpus` keeps the last
+    batch it built, so a call that repeats the previous call's arguments (the
+    next run of a lockstep, see `pretrain_noisy`) returns the same items
+    without building them again."""
+    key = (batch_utterances, step, seed, tuple(noise_kinds) if noise_kinds else None,
+           None if snr_range_db is None else tuple(snr_range_db))
+    if corpus._last_batch is not None and corpus._last_batch[0] == key:
+        return corpus._last_batch[1]
     items = []
     for j, utt_index in enumerate(batch_indices(len(corpus), batch_utterances, step, seed)):
-        item = BatchItem(utt_index=utt_index, clean=corpus.clean_features(utt_index))
-        if noise_kinds:
-            rng = np.random.default_rng(derive_seed(seed, _TAG_NOISE, step, j, 0))
-            item.noise_kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
-            item.snr_db = float(rng.uniform(*snr_range_db))
-            item.noisy = corpus.condition_features(utt_index, item.noise_kind, item.snr_db,
-                                                   derive_seed(seed, _TAG_NOISE, step, j, 1))
-        items.append(item)
-    return items
+        clean = corpus.clean_features(utt_index)
+        if not noise_kinds:
+            items.append(BatchItem(utt_index=utt_index, clean=clean))
+            continue
+        rng = np.random.default_rng(derive_seed(seed, _TAG_NOISE, step, j, 0))
+        kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
+        snr_db = float(rng.uniform(*snr_range_db))
+        noisy = corpus.condition_features(utt_index, kind, snr_db,
+                                          derive_seed(seed, _TAG_NOISE, step, j, 1))
+        items.append(BatchItem(utt_index=utt_index, clean=clean, noisy=_read_only(noisy),
+                               noise_kind=kind, snr_db=snr_db))
+    corpus._last_batch = (key, tuple(items))
+    return corpus._last_batch[1]
 
 
 def _nonempty_mask(feats: FeatureSequence, enc_cfg: EncoderConfig, seed: int, step: int,
@@ -312,57 +337,78 @@ def step_objective(
     return LossBreakdown.build(l_m, s, v, c, cfg.vic), grad
 
 
+@dataclass
+class _Run:
+    """One configuration's training: its parameters, optimizer and log, and
+    the per-utterance values that stay fixed for the whole run."""
+
+    cfg: TrainConfig
+    state: EncoderState
+    teacher: Optional[EncoderState]
+    adam: AdamState = field(init=False)
+    log: TrainLog = field(default_factory=TrainLog)
+    codewords: dict[int, np.ndarray] = field(default_factory=dict)
+    teacher_reps: dict[int, np.ndarray] = field(default_factory=dict)  # teacher frozen
+
+    def __post_init__(self):
+        self.adam = AdamState.zeros(self.state.n_params())
+
+
+def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
+                noisy_inputs: bool, eval_hook) -> None:
+    cfg = run.cfg
+    enc_cfg = run.state.config
+    items = make_batch(
+        corpus, cfg.batch_utterances, step, cfg.seed,
+        noise_kinds=cfg.noise_kinds if noisy_inputs else None,
+        snr_range_db=cfg.snr_range_db if noisy_inputs else None)
+
+    inputs, specs, labels = [], [], []
+    for j, item in enumerate(items):
+        if item.utt_index not in run.codewords:
+            run.codewords[item.utt_index] = cb_mod.assign(cb, item.clean)
+        masked, spec = _nonempty_mask(item.noisy if noisy_inputs else item.clean, enc_cfg,
+                                      cfg.seed, step, j, run.state.params["mask_embedding"])
+        inputs.append(masked)
+        specs.append(spec)
+        labels.append(run.codewords[item.utt_index])
+
+    teacher_reps = None
+    if run.teacher is not None:
+        for item in items:
+            if item.utt_index not in run.teacher_reps:
+                run.teacher_reps[item.utt_index], _ = forward(run.teacher, item.clean)
+        teacher_reps = [run.teacher_reps[item.utt_index] for item in items]
+
+    breakdown, grad_vec = step_objective(run.state, inputs, specs, labels, teacher_reps, cfg,
+                                         derive_seed(cfg.seed, _TAG_SAMPLE, step))
+    if not np.isfinite(breakdown.l_tot):
+        raise TrainingDivergedError(f"loss diverged at step {step}")
+    run.log.steps.append(breakdown)
+
+    vec, run.adam = adam_step(run.state.to_vector(), grad_vec, run.adam, cfg.learning_rate,
+                              cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    run.state = EncoderState.from_vector(enc_cfg, vec)
+
+    if cfg.eval_interval and eval_hook and (step + 1) % cfg.eval_interval == 0:
+        run.log.eval_rows.append(eval_hook(step, run.state))
+
+
 def _train_loop(
-    state: EncoderState,
+    runs: Sequence[_Run],
     corpus: Corpus,
     cb: cb_mod.Codebook,
-    cfg: TrainConfig,
-    teacher: Optional[EncoderState],
     noisy_inputs: bool,
     eval_hook=None,
-) -> tuple[EncoderState, TrainLog]:
-    enc_cfg = state.config
-    adam = AdamState.zeros(state.n_params())
-    log = TrainLog()
-    codeword_cache: dict[int, np.ndarray] = {}
-    teacher_rep_cache: dict[int, np.ndarray] = {}  # teacher frozen: reps fixed per utterance
-
-    for step in range(cfg.steps):
-        items = make_batch(
-            corpus, cfg.batch_utterances, step, cfg.seed,
-            noise_kinds=cfg.noise_kinds if noisy_inputs else None,
-            snr_range_db=cfg.snr_range_db if noisy_inputs else None)
-
-        inputs, specs, labels = [], [], []
-        for j, item in enumerate(items):
-            if item.utt_index not in codeword_cache:
-                codeword_cache[item.utt_index] = cb_mod.assign(cb, item.clean)
-            masked, spec = _nonempty_mask(item.noisy if noisy_inputs else item.clean, enc_cfg,
-                                          cfg.seed, step, j, state.params["mask_embedding"])
-            inputs.append(masked)
-            specs.append(spec)
-            labels.append(codeword_cache[item.utt_index])
-
-        teacher_reps = None
-        if teacher is not None:
-            for item in items:
-                if item.utt_index not in teacher_rep_cache:
-                    teacher_rep_cache[item.utt_index], _ = forward(teacher, item.clean)
-            teacher_reps = [teacher_rep_cache[item.utt_index] for item in items]
-
-        breakdown, grad_vec = step_objective(state, inputs, specs, labels, teacher_reps, cfg,
-                                             derive_seed(cfg.seed, _TAG_SAMPLE, step))
-        if not np.isfinite(breakdown.l_tot):
-            raise TrainingDivergedError(f"loss diverged at step {step}")
-        log.steps.append(breakdown)
-
-        vec, adam = adam_step(state.to_vector(), grad_vec, adam, cfg.learning_rate,
-                              cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-        state = EncoderState.from_vector(enc_cfg, vec)
-
-        if cfg.eval_interval and eval_hook and (step + 1) % cfg.eval_interval == 0:
-            log.eval_rows.append(eval_hook(step, state))
-    return state, log
+) -> list[tuple[EncoderState, TrainLog]]:
+    """Advance every run one step at a time, in lockstep. Runs share nothing
+    but `corpus`, so each ends as it would alone; runs whose batch arguments
+    agree get each step's batch from one `make_batch` build."""
+    for step in range(max(run.cfg.steps for run in runs)):
+        for run in runs:
+            if step < run.cfg.steps:
+                _train_step(run, step, corpus, cb, noisy_inputs, eval_hook)
+    return [(run.state, run.log) for run in runs]
 
 
 def pretrain_clean(
@@ -378,20 +424,19 @@ def pretrain_clean(
         enc_cfg = EncoderConfig(feature_dim=cb.feature_dim, k_codewords=cb.k)
     if enc_cfg.feature_dim != cb.feature_dim or enc_cfg.k_codewords != cb.k:
         raise ValueError("encoder config does not match codebook dimensions")
-    state = init_encoder(enc_cfg, cfg.seed)
-    return _train_loop(state, corpus, cb, cfg, teacher=None, noisy_inputs=False,
-                       eval_hook=eval_hook)
+    run = _Run(cfg, init_encoder(enc_cfg, cfg.seed), teacher=None)
+    return _train_loop([run], corpus, cb, noisy_inputs=False, eval_hook=eval_hook)[0]
 
 
 def pretrain_noisy(
     teacher: EncoderState,
     corpus: Corpus,
     cb: cb_mod.Codebook,
-    cfg: TrainConfig,
+    cfgs: Sequence[TrainConfig],
     eval_hook=None,
-) -> tuple[EncoderState, TrainLog]:
-    """Stage 1: noise-robust pre-training of a student initialized from the
-    frozen teacher.
+) -> list[tuple[EncoderState, TrainLog]]:
+    """Stage 1: noise-robust pre-training of one student per config, each
+    initialized from the frozen teacher. Returns (student, log) per config.
 
     Per step: the teacher runs on clean, unmasked features; each utterance is
     mixed with a fresh noise draw; the student runs on masked noisy features;
@@ -399,10 +444,16 @@ def pretrain_noisy(
     student only. With all ablation flags off, the teacher forward and frame
     sampling are skipped entirely and the loop reduces to the masked-
     prediction-only trainer on noisy inputs.
+
+    The students train in lockstep, one step at a time. Each student is the
+    one its config alone would give, bit for bit; configs with the same seed
+    and batch settings (an ablation seed's configurations) share each step's
+    noisy batch, which is built once.
     """
+    if not cfgs:
+        raise ValueError("need at least one config")
     if teacher.config.feature_dim != cb.feature_dim or teacher.config.k_codewords != cb.k:
         raise ValueError("teacher config does not match codebook dimensions")
-    student = teacher.copy()
-    return _train_loop(student, corpus, cb, cfg,
-                       teacher=teacher if cfg.vic_active else None,
-                       noisy_inputs=True, eval_hook=eval_hook)
+    runs = [_Run(cfg, teacher.copy(), teacher=teacher if cfg.vic_active else None)
+            for cfg in cfgs]
+    return _train_loop(runs, corpus, cb, noisy_inputs=True, eval_hook=eval_hook)

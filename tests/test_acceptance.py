@@ -131,7 +131,7 @@ def test_criterion_5_reduction_and_ablate(bench, mini_corpus, mini_codebook,
     teacher, _ = pretrain_clean(mini_corpus, mini_codebook, tiny,
                                 enc_cfg=mini_encoder_config)
     off = replace(tiny, use_inv=False, use_var=False, use_cov=False)
-    _, log = pretrain_noisy(teacher, mini_corpus, mini_codebook, off)
+    [(_, log)] = pretrain_noisy(teacher, mini_corpus, mini_codebook, [off])
     ref = _reference_lm_only_loop(teacher, mini_corpus, mini_codebook, off)
     identical = [b.l_m for b in log.steps] == ref
 

@@ -157,6 +157,14 @@ class TestLinearProbe:
         assert untrained[0].frame_accuracy < trained[0].frame_accuracy
 
 
+class TestAblationRun:
+    def test_duplicate_seeds_rejected(self, tiny_encoder, mini_corpus, mini_codebook):
+        cfg = TrainConfig(steps=1, batch_utterances=3, noise_kinds=("natural",))
+        with pytest.raises(ValueError, match="duplicate seeds"):
+            analysis.ablation_run(cfg, mini_corpus, mini_codebook, (1, 1),
+                                  [("clean", float("inf"))], teacher=tiny_encoder)
+
+
 class TestGradcheckSuite:
     def test_all_components_pass_threshold(self):
         reports = analysis.gradcheck_suite(seed=3)

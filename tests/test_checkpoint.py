@@ -1,9 +1,14 @@
 """Checkpoint container: format, integrity, and round trips."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vicspeech.checkpoint import (
     CheckpointError,
@@ -67,6 +72,51 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError):
             load_tensors(path)
+
+
+_tensors = st.dictionaries(
+    st.text(max_size=12),
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(width=32)),
+    max_size=4)
+
+
+def _payload_offsets(tensors: dict) -> list[int]:
+    """File offsets of every payload byte, from the documented layout."""
+    pos, out = 12, []
+    for name, arr in tensors.items():
+        pos += 2 + len(name.encode("utf-8")) + 4 + 4 * arr.ndim
+        out.extend(range(pos, pos + 4 * arr.size))
+        pos += 4 * arr.size
+    return out
+
+
+class TestContainerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tensors=_tensors)
+    def test_round_trip_is_lossless(self, tensors):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.ckpt"
+            save_tensors(path, tensors)
+            back = load_tensors(path)
+        assert list(back) == list(tensors)
+        for name, arr in tensors.items():
+            assert back[name].dtype == np.float32 and back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.astype("<f4").tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tensors=_tensors.filter(lambda t: any(a.size for a in t.values())),
+           pick=st.integers(0, 10**6), flip=st.integers(1, 255))
+    def test_flipped_payload_byte_rejected(self, tensors, pick, flip):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.ckpt"
+            save_tensors(path, tensors)
+            data = bytearray(path.read_bytes())
+            offsets = _payload_offsets(tensors)
+            data[offsets[pick % len(offsets)]] ^= flip
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError):
+                load_tensors(path)
 
 
 class TestEncoderCheckpoints:

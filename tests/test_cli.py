@@ -86,6 +86,7 @@ class TestConfigErrorsBeforeInput:
     @pytest.mark.parametrize("extra, key", [
         (("--seeds", "1,a"), "seeds"),
         (("--snr-levels", "0,abc"), "snr-levels"),
+        (("--seeds", "1,1"), "seeds"),
     ])
     def test_ablate(self, missing, capsys, extra, key):
         assert run(self._ablate(missing, *extra)) == 1

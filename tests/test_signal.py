@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vicspeech.signal import (
     MAX_VOCAB_SIZE,
+    NOISE_KINDS,
     FeatureSequence,
     Utterance,
     Waveform,
@@ -158,6 +161,22 @@ class TestMixAtSnr:
         ns = mix_at_snr(clean, noise, -10.0)  # heavy noise forces normalization
         assert np.abs(ns.mixed.samples).max() <= 1.0
         assert ns.peak_scale >= 1.0
+
+
+# about 0.3 s of audio: babble costs about 0.1 s per 1.5 s utterance
+_SHORT_CLEAN = synth_utterance(5, n_segments=2, vocab_size=4).wave
+
+
+class TestMixAtSnrProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(NOISE_KINDS), noise_seed=st.integers(0, 2**64 - 1),
+           target=st.floats(-10.0, 20.0))
+    def test_measured_snr_is_exact_and_mix_in_range(self, kind, noise_seed, target):
+        noise = synth_noise(kind, noise_seed, len(_SHORT_CLEAN))
+        ns = mix_at_snr(_SHORT_CLEAN, noise, target, kind)
+        noise_part = ns.mixed.samples * ns.peak_scale - _SHORT_CLEAN.samples
+        assert abs(measure_snr(_SHORT_CLEAN, noise_part) - target) <= 1e-6
+        assert np.abs(ns.mixed.samples).max() <= 1.0
 
 
 class TestMeasureSnr:

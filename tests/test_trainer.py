@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from vicspeech.analysis import ABLATION_CONFIGS
 from vicspeech.codebook import assign
 from vicspeech.losses import masked_prediction_loss
 from vicspeech.model import EncoderState, TrainingDivergedError, apply_mask, backward, \
@@ -16,6 +17,7 @@ from vicspeech.model import EncoderState, TrainingDivergedError, apply_mask, bac
 from vicspeech.signal import extract_features, mix_at_snr, synth_noise
 from vicspeech.trainer import (
     AdamState,
+    Corpus,
     TrainConfig,
     adam_step,
     batch_indices,
@@ -103,6 +105,47 @@ class TestBatching:
             assert np.array_equal(x.noisy.frames, y.noisy.frames)
 
 
+_BATCH_ARGS = dict(batch_utterances=3, step=4, seed=9, noise_kinds=("music", "natural"),
+                   snr_range_db=(5.0, 10.0))
+
+
+def _assert_same_batch(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert (x.utt_index, x.noise_kind, x.snr_db) == (y.utt_index, y.noise_kind, y.snr_db)
+        assert np.array_equal(x.noisy.frames, y.noisy.frames)
+
+
+class TestBatchMemo:
+    """`make_batch` keeps the last batch on the corpus and returns it again
+    for a call with the same arguments."""
+
+    def test_repeated_call_returns_the_same_items(self, mini_corpus):
+        a = make_batch(mini_corpus, **_BATCH_ARGS)
+        b = make_batch(mini_corpus, **_BATCH_ARGS)
+        assert b is a
+        _assert_same_batch(a, make_batch(Corpus(mini_corpus.utterances), **_BATCH_ARGS))
+
+    @pytest.mark.parametrize("change", [
+        {"step": 5}, {"seed": 10}, {"noise_kinds": ("natural",)},
+        {"snr_range_db": (0.0, 5.0)}, {"batch_utterances": 4},
+    ], ids=lambda change: next(iter(change)))
+    def test_changed_argument_rebuilds(self, mini_corpus, change):
+        before = make_batch(mini_corpus, **_BATCH_ARGS)
+        args = {**_BATCH_ARGS, **change}
+        got = make_batch(mini_corpus, **args)
+        assert got is not before
+        _assert_same_batch(got, make_batch(Corpus(mini_corpus.utterances), **args))
+
+    def test_items_are_read_only(self, mini_corpus):
+        for item in make_batch(mini_corpus, **_BATCH_ARGS):
+            for arr in (item.clean.frames, item.clean.frame_labels, item.noisy.frames,
+                        item.noisy.frame_labels):
+                assert not arr.flags.writeable
+            with pytest.raises(AttributeError):
+                item.noisy = item.clean
+
+
 class TestConditionFeatures:
     @pytest.mark.parametrize("kind", ["babble", "music", "natural"])
     def test_finite_snr_matches_direct_pipeline(self, mini_corpus, kind):
@@ -167,19 +210,19 @@ class TestPretrainNoisy:
     def test_teacher_parameters_untouched(self, teacher, mini_corpus, mini_codebook,
                                           tiny_cfg):
         before = {k: v.copy() for k, v in teacher.params.items()}
-        pretrain_noisy(teacher, mini_corpus, mini_codebook, tiny_cfg)
+        pretrain_noisy(teacher, mini_corpus, mini_codebook, [tiny_cfg])
         for name, value in teacher.params.items():
             assert np.array_equal(value, before[name])
 
     def test_student_initialized_from_teacher(self, teacher, mini_corpus,
                                               mini_codebook, tiny_cfg):
-        student, _ = pretrain_noisy(teacher, mini_corpus, mini_codebook,
-                                    replace(tiny_cfg, steps=1, learning_rate=0.0))
+        [(student, _)] = pretrain_noisy(teacher, mini_corpus, mini_codebook,
+                                        [replace(tiny_cfg, steps=1, learning_rate=0.0)])
         assert np.array_equal(student.to_vector(), teacher.to_vector())
 
     def test_total_loss_recomputes_from_components(self, teacher, mini_corpus,
                                                    mini_codebook, tiny_cfg):
-        _, log = pretrain_noisy(teacher, mini_corpus, mini_codebook, tiny_cfg)
+        [(_, log)] = pretrain_noisy(teacher, mini_corpus, mini_codebook, [tiny_cfg])
         for b in log.steps:
             w = b.weights
             assert b.l_vic == pytest.approx(w.lam * b.s + w.mu * b.v + w.nu * b.c, abs=1e-12)
@@ -190,7 +233,7 @@ class TestPretrainNoisy:
         """Flags all off: step losses are bit-identical to an independent loop
         that never touches the regularizer machinery."""
         cfg = replace(tiny_cfg, use_inv=False, use_var=False, use_cov=False)
-        student, log = pretrain_noisy(teacher, mini_corpus, mini_codebook, cfg)
+        [(student, log)] = pretrain_noisy(teacher, mini_corpus, mini_codebook, [cfg])
 
         ref_losses = _reference_lm_only_loop(teacher, mini_corpus, mini_codebook, cfg)
         got_losses = [b.l_m for b in log.steps]
@@ -203,13 +246,49 @@ class TestPretrainNoisy:
         # step size near the float64 ceiling overflows activations within a few steps
         bad = replace(tiny_cfg, learning_rate=1e160, steps=6)
         with pytest.raises(TrainingDivergedError):
-            pretrain_noisy(teacher, mini_corpus, mini_codebook, bad)
+            pretrain_noisy(teacher, mini_corpus, mini_codebook, [bad])
 
     def test_full_run_determinism(self, teacher, mini_corpus, mini_codebook, tiny_cfg):
-        a, la = pretrain_noisy(teacher, mini_corpus, mini_codebook, tiny_cfg)
-        b, lb = pretrain_noisy(teacher, mini_corpus, mini_codebook, tiny_cfg)
+        [(a, la)] = pretrain_noisy(teacher, mini_corpus, mini_codebook, [tiny_cfg])
+        [(b, lb)] = pretrain_noisy(teacher, mini_corpus, mini_codebook, [tiny_cfg])
         assert np.array_equal(a.to_vector(), b.to_vector())
         assert [x.l_tot for x in la.steps] == [x.l_tot for x in lb.steps]
+
+    def test_lockstep_matches_separate_runs(self, teacher, mini_corpus, mini_codebook,
+                                            tiny_cfg):
+        """The four ablation configs trained together give, bit for bit, the
+        students and logs of four single-config runs."""
+        cfgs = [replace(tiny_cfg, steps=4, use_inv=inv, use_var=var, use_cov=cov)
+                for _, (inv, var, cov) in ABLATION_CONFIGS]
+        together = pretrain_noisy(teacher, mini_corpus, mini_codebook, cfgs)
+        assert len(together) == len(cfgs)
+        for cfg, (student, log) in zip(cfgs, together):
+            [(alone, alone_log)] = pretrain_noisy(teacher, Corpus(mini_corpus.utterances),
+                                                  mini_codebook, [cfg])
+            assert student.to_vector().tobytes() == alone.to_vector().tobytes()
+            assert [(b.l_m, b.s, b.v, b.c, b.l_vic, b.l_tot) for b in log.steps] == \
+                [(b.l_m, b.s, b.v, b.c, b.l_vic, b.l_tot) for b in alone_log.steps]
+
+    def test_training_leaves_shared_items_unchanged(self, teacher, mini_corpus,
+                                                    mini_codebook, tiny_cfg):
+        cfg = replace(tiny_cfg, steps=1)
+        items = make_batch(mini_corpus, cfg.batch_utterances, 0, cfg.seed,
+                           noise_kinds=cfg.noise_kinds, snr_range_db=cfg.snr_range_db)
+        before = [(i.clean.frames.copy(), i.noisy.frames.copy(), i.noisy.frame_labels.copy())
+                  for i in items]
+        pretrain_noisy(teacher, mini_corpus, mini_codebook,
+                       [cfg, replace(cfg, use_inv=False, use_var=False, use_cov=False)])
+        # both runs trained on this very batch: the memo still holds it
+        assert make_batch(mini_corpus, cfg.batch_utterances, 0, cfg.seed,
+                          noise_kinds=cfg.noise_kinds, snr_range_db=cfg.snr_range_db) is items
+        for item, (clean, noisy, labels) in zip(items, before):
+            assert np.array_equal(item.clean.frames, clean)
+            assert np.array_equal(item.noisy.frames, noisy)
+            assert np.array_equal(item.noisy.frame_labels, labels)
+
+    def test_no_configs_rejected(self, teacher, mini_corpus, mini_codebook):
+        with pytest.raises(ValueError):
+            pretrain_noisy(teacher, mini_corpus, mini_codebook, [])
 
 
 def _reference_lm_only_loop(teacher, corpus, cb, cfg):
