@@ -199,30 +199,49 @@ def fit_linear_probe(
 ) -> LinearProbe:
     """Softmax regression from frozen clean representations to unit symbols."""
     x, y = _pooled_clean_reps(enc, train_corpus)
+    return _fit_softmax_regression(x, y, iters, lr)
+
+
+def _fit_softmax_regression(x: Matrix, y: np.ndarray, iters: int, lr: float) -> LinearProbe:
+    """Full-batch Adam on the mean cross-entropy of softmax(x @ w + b).
+
+    Each step does the arithmetic of the plain loop (logits, shift by the row
+    max, exp, divide by the row sum, gather, one-hot subtract, divide by n),
+    in the same order, so the parameters are bit-identical to it; only array
+    allocation and indexing are hoisted out of the loop. The row max is taken
+    column by column, because numpy's reduction over a narrow inner axis is
+    several times slower, and a max is exact in any order.
+    """
     n, d = x.shape
     n_classes = int(y.max()) + 1
-    w = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    vec = np.concatenate([w.ravel(), b])
+    n_w = d * n_classes
+    vec = np.zeros(n_w + n_classes)
     st = AdamState.zeros(vec.size)
-    onehot_rows = np.arange(n)
+    label_at = np.arange(n) * n_classes + y  # flat index of (row, y[row])
+    logits = np.empty((n, n_classes))
+    flat = logits.reshape(-1)
+    row_max = np.empty(n)
+    grad = np.empty(vec.size)
+    grad_w = grad[:n_w].reshape(d, n_classes)
+    grad_b = grad[n_w:]
     for _ in range(iters):
-        w = vec[: d * n_classes].reshape(d, n_classes)
-        b = vec[d * n_classes :]
-        logits = x @ w + b
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        loss = -np.log(probs[onehot_rows, y] + 1e-300).mean()
+        np.matmul(x, vec[:n_w].reshape(d, n_classes), out=logits)
+        logits += vec[n_w:]
+        np.copyto(row_max, logits[:, 0])
+        for j in range(1, n_classes):
+            np.maximum(row_max, logits[:, j], out=row_max)
+        logits -= row_max[:, None]
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
+        loss = -np.log(flat[label_at] + 1e-300).mean()
         if not np.isfinite(loss):
             raise RuntimeError("linear probe diverged")
-        g = probs
-        g[onehot_rows, y] -= 1.0
-        g /= n
-        grad = np.concatenate([(x.T @ g).ravel(), g.sum(axis=0)])
+        flat[label_at] -= 1.0
+        logits /= n
+        np.matmul(x.T, logits, out=grad_w)
+        logits.sum(axis=0, out=grad_b)
         vec, st = adam_step(vec, grad, st, lr)
-    return LinearProbe(weight=vec[: d * n_classes].reshape(d, n_classes).copy(),
-                       bias=vec[d * n_classes :].copy())
+    return LinearProbe(weight=vec[:n_w].reshape(d, n_classes).copy(), bias=vec[n_w:].copy())
 
 
 def linear_probe(
@@ -231,14 +250,12 @@ def linear_probe(
     eval_conditions: Sequence[tuple[str, float]],
     seed: int = 0,
     eval_corpus: Optional[Corpus] = None,
-    iters: int = 300,
-    lr: float = 0.05,
 ) -> list[ProbeResult]:
     """Fit the probe on clean representations, then score frame accuracy
     under each (noise kind, SNR) condition. SNR inf rows evaluate on clean
     input and are reported under the kind ``clean``."""
     ev = train_corpus if eval_corpus is None else eval_corpus
-    probe = fit_linear_probe(enc, train_corpus, iters=iters, lr=lr)
+    probe = fit_linear_probe(enc, train_corpus)
     results = []
     seen_clean = False
     for kind, snr in eval_conditions:

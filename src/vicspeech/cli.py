@@ -58,7 +58,10 @@ def _parse_list(flag: str, raw: str, parse) -> list:
 
 
 def _parse_snr_levels(raw: str) -> list[float]:
-    return _parse_list("--snr-levels", raw, float)
+    levels = _parse_list("--snr-levels", raw, float)
+    if any(np.isnan(level) for level in levels):
+        raise ConfigError(f"--snr-levels: NaN level in {raw!r}")
+    return levels
 
 
 def _parse_kinds(raw: str) -> list[str]:

@@ -150,15 +150,31 @@ def init_encoder(cfg: EncoderConfig, seed: int) -> EncoderState:
     return EncoderState(config=cfg, params=params)
 
 
-def positional_encoding(n_frames: int, dim: int) -> Matrix:
-    """Fixed sinusoidal position table, shape (n_frames, dim)."""
+def _sinusoid_table(n_frames: int, dim: int) -> Matrix:
     pos = np.arange(n_frames)[:, None].astype(np.float64)
     i = np.arange(dim)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
     pe = np.zeros((n_frames, dim))
     pe[:, 0::2] = np.sin(angle[:, 0::2])
     pe[:, 1::2] = np.cos(angle[:, 1::2])
+    pe.setflags(write=False)
     return pe
+
+
+# dim -> read-only table, rebuilt when a longer sequence than it holds arrives
+_positional_tables: dict[int, Matrix] = {}
+
+
+def positional_encoding(n_frames: int, dim: int) -> Matrix:
+    """Fixed sinusoidal position table, shape (n_frames, dim), read-only.
+
+    Entry (t, i) depends on t and i alone, so the prefix of a longer table
+    is bit-identical to a table built at ``n_frames``.
+    """
+    table = _positional_tables.get(dim)
+    if table is None or table.shape[0] < n_frames:
+        table = _positional_tables[dim] = _sinusoid_table(n_frames, dim)
+    return table[:n_frames]
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.batch_utterances < 1:
+            raise ValueError("batch_utterances must be >= 1")
+        # zero is allowed: it holds the parameters where they start
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not np.isfinite(self.snr_range_db).all():
+            raise ValueError(f"snr range (snr_low, snr_high) must be finite, "
+                             f"got {self.snr_range_db}")
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError("snr range low > high")
         for kind in self.noise_kinds:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vicspeech import analysis
 from vicspeech.model import init_encoder
-from vicspeech.trainer import TrainConfig, pretrain_clean
+from vicspeech.trainer import AdamState, TrainConfig, adam_step, pretrain_clean
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,68 @@ class TestLinearProbe:
         untrained = analysis.linear_probe(tiny_encoder, mini_corpus, cond, seed=0)
         trained = analysis.linear_probe(trained_encoder, mini_corpus, cond, seed=0)
         assert untrained[0].frame_accuracy < trained[0].frame_accuracy
+
+
+def _reference_softmax_regression(x, y, iters, lr):
+    """The probe fit as a plain loop, the reference its fast path must match
+    bit for bit."""
+    n, d = x.shape
+    n_classes = int(y.max()) + 1
+    w = np.zeros((d, n_classes))
+    b = np.zeros(n_classes)
+    vec = np.concatenate([w.ravel(), b])
+    st = AdamState.zeros(vec.size)
+    onehot_rows = np.arange(n)
+    for _ in range(iters):
+        w = vec[: d * n_classes].reshape(d, n_classes)
+        b = vec[d * n_classes :]
+        logits = x @ w + b
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        loss = -np.log(probs[onehot_rows, y] + 1e-300).mean()
+        if not np.isfinite(loss):
+            raise RuntimeError("linear probe diverged")
+        g = probs
+        g[onehot_rows, y] -= 1.0
+        g /= n
+        grad = np.concatenate([(x.T @ g).ravel(), g.sum(axis=0)])
+        vec, st = adam_step(vec, grad, st, lr)
+    return vec[: d * n_classes].reshape(d, n_classes), vec[d * n_classes :]
+
+
+class TestSoftmaxRegression:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4000), n_classes=st.sampled_from([1, 2, 7, 8, 9, 16, 48]),
+           d=st.integers(1, 40), scale=st.floats(0.1, 3.0), iters=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=3300, n_classes=8, d=32, scale=1.0, iters=40, seed=0)  # benchmark scale
+    def test_bit_identical_to_plain_loop(self, n, n_classes, d, scale, iters, seed):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((n, d))
+        y = rng.integers(n_classes, size=n)
+        y[rng.integers(n)] = n_classes - 1  # the class count is read off the labels
+        want_w, want_b = _reference_softmax_regression(x, y, iters, 0.05)
+        got = analysis._fit_softmax_regression(x, y, iters, 0.05)
+        assert got.weight.tobytes() == want_w.tobytes()
+        assert got.bias.tobytes() == want_b.tobytes()
+
+    def test_fit_linear_probe_matches_plain_loop(self, trained_encoder, mini_corpus):
+        x, y = analysis._pooled_clean_reps(trained_encoder, mini_corpus)
+        want_w, want_b = _reference_softmax_regression(x, y, 300, 0.05)
+        got = analysis.fit_linear_probe(trained_encoder, mini_corpus)
+        assert got.weight.tobytes() == want_w.tobytes()
+        assert got.bias.tobytes() == want_b.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises(self):
+        # a step this large on an input this large overflows the logits
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 4))
+        x[0, 0] = 1e300
+        y = rng.integers(3, size=50)
+        with pytest.raises(RuntimeError, match="linear probe diverged"):
+            analysis._fit_softmax_regression(x, y, 5, 1e10)
 
 
 class TestAblationRun:

@@ -69,6 +69,9 @@ class TestConfigErrorsBeforeInput:
         (("--steps", "0"), "steps"),
         (("--model-dim", "1"), "model_dim"),
         (("--mask-start-prob", "0"), "mask_start_prob"),
+        (("--batch-utterances", "0"), "batch_utterances"),
+        (("--learning-rate", "-1"), "learning_rate"),
+        (("--learning-rate", "nan"), "learning_rate"),
     ])
     def test_pretrain(self, missing, capsys, extra, key):
         assert run(self._pretrain(missing, *extra)) == 1
@@ -77,6 +80,8 @@ class TestConfigErrorsBeforeInput:
     @pytest.mark.parametrize("extra, key", [
         (("--lambda", "nan"), "lambda"),
         (("--gamma", "inf"), "gamma"),
+        (("--snr-low", "nan"), "snr_low"),
+        (("--snr-high", "inf"), "snr_high"),
     ])
     def test_vic_pretrain(self, missing, capsys, extra, key):
         assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
@@ -87,6 +92,7 @@ class TestConfigErrorsBeforeInput:
         (("--seeds", "1,a"), "seeds"),
         (("--snr-levels", "0,abc"), "snr-levels"),
         (("--seeds", "1,1"), "seeds"),
+        (("--snr-levels", "0,nan"), "snr-levels"),
     ])
     def test_ablate(self, missing, capsys, extra, key):
         assert run(self._ablate(missing, *extra)) == 1
@@ -95,6 +101,11 @@ class TestConfigErrorsBeforeInput:
     def test_probe_snr_levels(self, missing, capsys):
         assert run(["probe", "--encoder", missing, "--train-manifest", missing,
                     "--out", missing, "--snr-levels", "0,abc"]) == 1
+        assert "snr-levels" in capsys.readouterr().err
+
+    def test_probe_snr_levels_nan(self, missing, capsys):
+        assert run(["probe", "--encoder", missing, "--train-manifest", missing,
+                    "--out", missing, "--snr-levels", "5,nan"]) == 1
         assert "snr-levels" in capsys.readouterr().err
 
     def test_analyze_variance_snr_levels(self, missing, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vicspeech import model
 from vicspeech.losses import masked_prediction_loss
 from vicspeech.model import (
     EncoderConfig,
@@ -15,6 +16,7 @@ from vicspeech.model import (
     forward,
     init_encoder,
     param_layout,
+    positional_encoding,
     predict_codewords,
     sample_mask,
 )
@@ -132,6 +134,39 @@ class TestForward:
     def test_feature_dim_mismatch_rejected(self, small_state):
         with pytest.raises(ValueError):
             forward(small_state, np.zeros((5, 3)))
+
+
+def _reference_positional_encoding(n_frames, dim):
+    """The table built afresh for each call, as before it was cached."""
+    pos = np.arange(n_frames)[:, None].astype(np.float64)
+    i = np.arange(dim)[None, :].astype(np.float64)
+    angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
+    pe = np.zeros((n_frames, dim))
+    pe[:, 0::2] = np.sin(angle[:, 0::2])
+    pe[:, 1::2] = np.cos(angle[:, 1::2])
+    return pe
+
+
+class TestPositionalEncoding:
+    LENGTHS = (145, 1, 300, 145, 1, 300)  # the table grows, then serves shorter prefixes
+
+    def test_forward_matches_uncached_table(self, small_state, small_cfg, monkeypatch):
+        feats = {t: random_feats(small_cfg, n_frames=t, seed=t) for t in set(self.LENGTHS)}
+        with monkeypatch.context() as m:
+            m.setattr(model, "positional_encoding", _reference_positional_encoding)
+            want = {t: forward(small_state, f)[0] for t, f in feats.items()}
+        monkeypatch.setattr(model, "_positional_tables", {})
+        for t in self.LENGTHS:
+            assert forward(small_state, feats[t])[0].tobytes() == want[t].tobytes()
+
+    def test_table_is_read_only_prefix(self, monkeypatch):
+        monkeypatch.setattr(model, "_positional_tables", {})
+        for t in self.LENGTHS:
+            pe = positional_encoding(t, 16)
+            assert pe.tobytes() == _reference_positional_encoding(t, 16).tobytes()
+            assert not pe.flags.writeable
+            with pytest.raises(ValueError):
+                pe[0, 0] = 1.0
 
 
 class TestPredictCodewords:
