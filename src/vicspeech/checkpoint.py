@@ -3,15 +3,17 @@
 Binary layout, all integers little-endian:
 
     magic   4 bytes  b"HVIC"
-    version u32      currently 1
+    version u32      currently 2
     count   u32      number of tensors
     per tensor:
         name_len u16, name UTF-8 bytes, rank u32, dims u32 x rank,
         payload float32 LE (row-major)
-    crc32   u32      CRC-32 of all payload bytes, in stored order
+    crc32   u32      CRC-32 of every byte before it
 
-Round trips are lossless at float32; the CRC is verified on load and a
-truncated or tampered file never yields partial state.
+Round trips are lossless at float32. On load the magic, the version and
+then the CRC are checked before anything is parsed, so a truncated or
+tampered file, names included, never yields partial state. Version 1
+files, whose CRC covered the payloads only, are rejected.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
 ]
 
 MAGIC = b"HVIC"
-VERSION = 1
+VERSION = 2
 
 # The encoder config rides in a zero-length tensor whose NAME carries the
 # exact field values (repr round-trips floats), keeping payloads pure float32.
@@ -50,7 +52,6 @@ class CheckpointError(ValueError):
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     """Write tensors in dict order as float32."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
-    payloads = []
     for name, arr in tensors.items():
         data = np.asarray(arr, dtype="<f4", order="C")  # ascontiguousarray would make a scalar 1-D
         name_b = name.encode("utf-8")
@@ -58,48 +59,46 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(name_b)
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        payload = data.tobytes()
-        chunks.append(payload)
-        payloads.append(payload)
-    crc = zlib.crc32(b"".join(payloads)) & 0xFFFFFFFF
-    chunks.append(struct.pack("<I", crc))
-    Path(path).write_bytes(b"".join(chunks))
+        chunks.append(data.tobytes())
+    body = b"".join(chunks)
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     buf = Path(path).read_bytes()
-    view = memoryview(buf)
-    pos = 0
+    if buf[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
+    if len(buf) < 16:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    (version,) = struct.unpack_from("<I", buf, 4)
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}; "
+                              f"this build reads version {VERSION} only")
+    (crc_stored,) = struct.unpack_from("<I", buf, len(buf) - 4)
+    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != crc_stored:
+        raise CheckpointError(f"{path}: CRC mismatch; file corrupt")
+    view = memoryview(buf)[: len(buf) - 4]
+    pos = 8
 
     def take(n: int) -> memoryview:
         nonlocal pos
-        if pos + n > len(buf):
+        if pos + n > len(view):
             raise CheckpointError(f"{path}: truncated checkpoint")
         out = view[pos : pos + n]
         pos += n
         return out
 
-    if bytes(take(4)) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-    version, count = struct.unpack("<II", take(8))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+    (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
-    payloads = []
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         name = bytes(take(name_len)).decode("utf-8")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         n_items = int(np.prod(dims)) if rank else 1
-        payload = take(4 * n_items)
-        payloads.append(bytes(payload))
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    (crc_stored,) = struct.unpack("<I", take(4))
-    if pos != len(buf):
+        tensors[name] = np.frombuffer(take(4 * n_items), dtype="<f4").reshape(dims).copy()
+    if pos != len(view):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint")
-    if zlib.crc32(b"".join(payloads)) & 0xFFFFFFFF != crc_stored:
-        raise CheckpointError(f"{path}: CRC mismatch; file corrupt")
     return tensors
 
 

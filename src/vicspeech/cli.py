@@ -2,14 +2,15 @@
 
 Subcommands: synth, features, kmeans, pretrain, vic-pretrain, probe,
 analyze-variance, ablate, gradcheck. Exit codes: 0 success, 1 usage or
-config error, 2 runtime/divergence error. Every run echoes its fully
-resolved configuration, and reruns with the same seeds reproduce outputs
-byte for byte.
+config error, 2 runtime/divergence error. :func:`run` parses, checks and
+echoes every value before a subcommand touches any file, and reruns with
+the same seeds reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .checkpoint import CheckpointError, load_codebook, load_encoder, save_codeb
 from .codebook import fit_kmeans
 from .config import ConfigError, LabConfig, load_config
 from .model import TrainingDivergedError
-from .signal import MAX_VOCAB_SIZE, NOISE_KINDS, build_corpus
+from .signal import NOISE_KINDS, build_corpus
 from .trainer import Corpus, pretrain_clean, pretrain_noisy
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -41,7 +42,11 @@ def _resolve(args) -> LabConfig:
 
 
 def _echo(cfg: LabConfig) -> None:
+    # output bytes depend on the BLAS thread count, so the run records it
     print("# resolved config")
+    print(f"# numpy {np.__version__}")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        print(f"# {var} = {os.environ.get(var, 'unset')}")
     print(cfg.echo())
 
 
@@ -50,37 +55,56 @@ def _load_corpus(path, cfg: LabConfig) -> Corpus:
                        n_filters=cfg["n_filters"])
 
 
-def _parse_list(flag: str, raw: str, parse) -> list:
+# argparse `type=` functions for the flags that are not config keys
+
+def _seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _step(raw: str) -> float:
+    step = float(raw)
+    if not (np.isfinite(step) and step > 0):
+        raise argparse.ArgumentTypeError(f"step must be finite and > 0, got {step}")
+    return step
+
+
+def _parse_list(raw: str, parse) -> list:
     try:
-        return [parse(tok.strip()) for tok in raw.split(",")]
+        return [parse(tok) for tok in raw.split(",")]
     except ValueError:
-        raise ConfigError(f"{flag}: invalid list {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid list {raw!r}") from None
 
 
-def _parse_snr_levels(raw: str) -> list[float]:
-    levels = _parse_list("--snr-levels", raw, float)
+def _seed_list(raw: str) -> list[int]:
+    seeds = _parse_list(raw, _seed)
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"duplicate seed in {raw!r}")
+    return seeds
+
+
+def _snr_levels(raw: str) -> list[float]:
+    levels = _parse_list(raw, float)
     if any(np.isnan(level) for level in levels):
-        raise ConfigError(f"--snr-levels: NaN level in {raw!r}")
+        raise argparse.ArgumentTypeError(f"NaN level in {raw!r}")
     return levels
 
 
-def _parse_kinds(raw: str) -> list[str]:
+def _noise_kinds(raw: str) -> list[str]:
     kinds = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    for kind in kinds:
-        if kind not in NOISE_KINDS:
-            raise ConfigError(f"--noise-kinds: unknown kind {kind!r}")
+    if not kinds or not set(kinds) <= set(NOISE_KINDS):
+        raise argparse.ArgumentTypeError(f"expected a list of {', '.join(NOISE_KINDS)}, "
+                                         f"got {raw!r}")
     return kinds
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the parsed arguments and the checked config
 # ----------------------------------------------------------------------
 
-def _cmd_synth(args) -> int:
-    cfg = _resolve(args)
-    if not 2 <= cfg["vocab_size"] <= MAX_VOCAB_SIZE:
-        raise ConfigError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
-    _echo(cfg)
+def _cmd_synth(args, cfg: LabConfig) -> int:
     manifest = build_corpus(args.out, n_utterances=cfg["n_utterances"],
                             corpus_seed=cfg["corpus_seed"], vocab_size=cfg["vocab_size"],
                             n_segments=cfg["n_segments"], sample_rate=cfg["sample_rate"])
@@ -88,9 +112,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_features(args) -> int:
-    cfg = _resolve(args)
-    _echo(cfg)
+def _cmd_features(args, cfg: LabConfig) -> int:
     corpus = _load_corpus(args.manifest, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -104,9 +126,7 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _cmd_kmeans(args) -> int:
-    cfg = _resolve(args)
-    _echo(cfg)
+def _cmd_kmeans(args, cfg: LabConfig) -> int:
     corpus = _load_corpus(args.manifest, cfg)
     frames = np.concatenate([corpus.clean_features(i).frames for i in range(len(corpus))])
     cb = fit_kmeans(frames, k=cfg["k"], max_iters=cfg["kmeans_max_iters"],
@@ -117,14 +137,11 @@ def _cmd_kmeans(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
-    cfg = _resolve(args)
-    train_cfg, enc_cfg = cfg.train_config(), cfg.encoder_config()
-    _echo(cfg)
+def _cmd_pretrain(args, cfg: LabConfig) -> int:
     corpus = _load_corpus(args.manifest, cfg)
     cb = load_codebook(args.codebook)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
-    teacher, log = pretrain_clean(corpus, cb, train_cfg, enc_cfg=enc_cfg, eval_hook=hook)
+    teacher, log = pretrain_clean(corpus, cb, cfg.train, enc_cfg=cfg.encoder, eval_hook=hook)
     save_encoder(args.out, teacher)
     if args.log:
         log.write_loss_csv(args.log)
@@ -135,24 +152,15 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _cmd_vic_pretrain(args) -> int:
-    cfg = _resolve(args)
-    # A present flag turns its term on; otherwise an explicit config value
-    # decides; the command's resting state is all terms off.
-    terms = {}
-    for key, flag in (("use_inv", args.inv), ("use_var", args.var), ("use_cov", args.cov)):
-        terms[key] = True if flag else (bool(cfg[key]) if key in cfg.explicit else False)
-    if not any(terms.values()):
+def _cmd_vic_pretrain(args, cfg: LabConfig) -> int:
+    if not cfg.train.vic_active:
         print("warning: no --inv/--var/--cov given; run reduces to the noisy "
               "masked-prediction baseline", file=sys.stderr)
-    cfg = LabConfig({**cfg.values, **terms})
-    train_cfg = cfg.train_config()
-    _echo(cfg)
     corpus = _load_corpus(args.manifest, cfg)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
-    [(student, log)] = pretrain_noisy(teacher, corpus, cb, [train_cfg], eval_hook=hook)
+    [(student, log)] = pretrain_noisy(teacher, corpus, cb, [cfg.train], eval_hook=hook)
     save_encoder(args.out, student)
     if args.log:
         log.write_loss_csv(args.log)
@@ -168,15 +176,13 @@ def _conditions(kinds: list[str], levels: list[float]) -> list[tuple[str, float]
     return [(kind, snr) for kind in kinds for snr in levels]
 
 
-def _cmd_probe(args) -> int:
-    cfg = _resolve(args)
-    conds = _conditions(_parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels))
-    _echo(cfg)
+def _cmd_probe(args, cfg: LabConfig) -> int:
     enc = load_encoder(args.encoder)
     train = _load_corpus(args.train_manifest, cfg)
     ev = train if args.eval_manifest is None else _load_corpus(args.eval_manifest, cfg)
     if args.codebook and load_codebook(args.codebook).feature_dim != train.n_filters:
         raise ValueError("codebook feature dim does not match corpus features")
+    conds = _conditions(args.noise_kinds, args.snr_levels)
     results = analysis.linear_probe(enc, train, conds, seed=args.seed, eval_corpus=ev)
     analysis.write_probe_csv(args.out, results, model_tag=args.model_tag)
     for r in results:
@@ -187,14 +193,11 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _cmd_analyze_variance(args) -> int:
-    cfg = _resolve(args)
-    kinds, levels = _parse_kinds(args.noise_kinds), _parse_snr_levels(args.snr_levels)
-    _echo(cfg)
+def _cmd_analyze_variance(args, cfg: LabConfig) -> int:
     enc = load_encoder(args.encoder)
     corpus = _load_corpus(args.manifest, cfg)
-    report = analysis.channel_variance_report(enc, corpus, kinds, levels, seed=args.seed,
-                                              model_tag=args.model_tag)
+    report = analysis.channel_variance_report(enc, corpus, args.noise_kinds, args.snr_levels,
+                                              seed=args.seed, model_tag=args.model_tag)
     report.write_csv(args.out)
     if args.per_channel_out:
         report.write_per_channel_csv(args.per_channel_out)
@@ -205,27 +208,22 @@ def _cmd_analyze_variance(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _resolve(args)
-    train_cfg, enc_cfg = cfg.train_config(), cfg.encoder_config()
-    seeds = _parse_list("--seeds", args.seeds, int)
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"--seeds: duplicate seed in {args.seeds!r}")
-    conds = _conditions(_parse_kinds(args.eval_noise_kinds), _parse_snr_levels(args.snr_levels))
-    _echo(cfg)
+def _cmd_ablate(args, cfg: LabConfig) -> int:
     corpus = _load_corpus(args.manifest, cfg)
     ev = corpus if args.eval_manifest is None else _load_corpus(args.eval_manifest, cfg)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher) if args.teacher else None
-    result = analysis.ablation_run(train_cfg, corpus, cb, seeds, conds, enc_cfg=enc_cfg,
-                                   eval_corpus=ev, teacher=teacher, probe_seed=args.seed)
+    conds = _conditions(args.eval_noise_kinds, args.snr_levels)
+    result = analysis.ablation_run(cfg.train, corpus, cb, args.seeds, conds,
+                                   enc_cfg=cfg.encoder, eval_corpus=ev, teacher=teacher,
+                                   probe_seed=args.seed)
     result.write_csv(args.out)
     print(result.format_table())
     print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
+def _cmd_gradcheck(args, cfg: LabConfig) -> int:
     reports = analysis.gradcheck_suite(seed=args.seed, step=args.step)
     worst = 0.0
     for name, rep in reports:
@@ -288,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--inv", action="store_true", help="enable the invariance term")
-    p.add_argument("--var", action="store_true", help="enable the variance term")
-    p.add_argument("--cov", action="store_true", help="enable the covariance term")
+    for flag, term in (("inv", "invariance"), ("var", "variance"), ("cov", "covariance")):
+        p.add_argument(f"--{flag}", dest=f"cfg_use_{flag}", action="store_const", const=True,
+                       help=f"enable the {term} term (else the config file's use_{flag})")
     _add_config_flags(p, ["steps", "batch_utterances", "learning_rate", "train_seed",
                           "lambda", "mu", "nu", "alpha", "gamma", "epsilon", "n_sample",
                           "snr_low", "snr_high", "noise_kinds", "vic_exclude_masked",
@@ -304,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--snr-levels", default="0,5,10,15,inf")
-    p.add_argument("--noise-kinds", default="babble,music,natural")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--snr-levels", type=_snr_levels, default="0,5,10,15,inf")
+    p.add_argument("--noise-kinds", type=_noise_kinds, default="babble,music,natural")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-tag", default="model")
     _add_config_flags(p, ["frame_len", "hop", "n_filters"])
     p.set_defaults(func=_cmd_probe)
@@ -317,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--per-channel-out", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--snr-levels", default="0,5,10,15,inf")
-    p.add_argument("--noise-kinds", default="babble,music")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--snr-levels", type=_snr_levels, default="0,5,10,15,inf")
+    p.add_argument("--noise-kinds", type=_noise_kinds, default="babble,music")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-tag", default="model")
     _add_config_flags(p, ["frame_len", "hop", "n_filters"])
     p.set_defaults(func=_cmd_analyze_variance)
@@ -331,11 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", default=None, help="reuse a stage-0 checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seeds", default="1,2,3")
-    p.add_argument("--snr-levels", default="0,5,10,15,inf", help="probe SNR grid")
-    p.add_argument("--eval-noise-kinds", default="babble,music,natural",
+    p.add_argument("--seeds", type=_seed_list, default="1,2,3")
+    p.add_argument("--snr-levels", type=_snr_levels, default="0,5,10,15,inf",
+                   help="probe SNR grid")
+    p.add_argument("--eval-noise-kinds", type=_noise_kinds, default="babble,music,natural",
                    help="noise kinds for probe conditions")
-    p.add_argument("--seed", type=int, default=0, help="probe seed")
+    p.add_argument("--seed", type=_seed, default=0, help="probe seed")
     _add_config_flags(p, ["steps", "batch_utterances", "learning_rate",
                           "lambda", "mu", "nu", "alpha", "gamma", "epsilon", "n_sample",
                           "snr_low", "snr_high", "noise_kinds",
@@ -346,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every "
                                          "analytic gradient")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--step", type=_step, default=1e-5)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -360,7 +359,9 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        _echo(cfg)
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

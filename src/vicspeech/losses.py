@@ -55,13 +55,11 @@ class VicWeights:
 
     def __post_init__(self):
         for key, value in (("lambda", self.lam), ("mu", self.mu), ("nu", self.nu),
-                           ("gamma", self.gamma), ("epsilon", self.epsilon), ("alpha", self.alpha)):
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite")
-        if min(self.lam, self.mu, self.nu, self.gamma, self.alpha) < 0:
-            raise ValueError("weights must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+                           ("gamma", self.gamma), ("alpha", self.alpha)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.n_sample < 2:
             raise ValueError("n_sample must be >= 2")
 
@@ -91,13 +89,12 @@ class LossBreakdown:
     c: float
     l_vic: float
     l_tot: float
-    weights: Optional[VicWeights] = None
 
     @classmethod
     def build(cls, l_m: float, s: float, v: float, c: float, w: VicWeights) -> "LossBreakdown":
         l_vic = w.lam * s + w.mu * v + w.nu * c
         return cls(l_m=float(l_m), s=float(s), v=float(v), c=float(c),
-                   l_vic=float(l_vic), l_tot=float(l_m + w.alpha * l_vic), weights=w)
+                   l_vic=float(l_vic), l_tot=float(l_m + w.alpha * l_vic))
 
 
 def masked_prediction_loss(

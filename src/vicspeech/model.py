@@ -58,7 +58,7 @@ class EncoderConfig:
     mask_span: int = 10
 
     def __post_init__(self):
-        for name, low in (("model_dim", 2), ("n_blocks", 1), ("mask_span", 1)):
+        for name, low in (("model_dim", 2), ("n_blocks", 1), ("mlp_hidden", 1), ("mask_span", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"invalid encoder config: {name} must be >= {low}")
         if not 0.0 <= self.mask_start_prob <= 1.0:

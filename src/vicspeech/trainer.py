@@ -87,10 +87,15 @@ class TrainConfig:
             raise ValueError(f"snr range (snr_low, snr_high) must be finite, "
                              f"got {self.snr_range_db}")
         if self.snr_range_db[0] > self.snr_range_db[1]:
-            raise ValueError("snr range low > high")
-        for kind in self.noise_kinds:
-            if kind not in NOISE_KINDS:
-                raise ValueError(f"unknown noise kind {kind!r}")
+            raise ValueError(f"snr_low must be <= snr_high, got {self.snr_range_db}")
+        if not self.noise_kinds or not set(self.noise_kinds) <= set(NOISE_KINDS):
+            raise ValueError(f"noise_kinds must be a nonempty subset of {NOISE_KINDS}, "
+                             f"got {self.noise_kinds}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
     @property
     def vic_active(self) -> bool:

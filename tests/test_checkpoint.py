@@ -41,7 +41,7 @@ class TestContainer:
         raw = path.read_bytes()
         assert raw[:4] == b"HVIC"
         version, count = struct.unpack("<II", raw[4:12])
-        assert version == 1 and count == 1
+        assert version == 2 and count == 1
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "z.ckpt"
@@ -58,6 +58,15 @@ class TestContainer:
         data[-12] ^= 0xFF  # flip a payload byte, leave the CRC alone
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="CRC"):
+            load_tensors(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        save_tensors(path, {"t": np.zeros(2)})
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="version 1"):
             load_tensors(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -81,16 +90,6 @@ _tensors = st.dictionaries(
     max_size=4)
 
 
-def _payload_offsets(tensors: dict) -> list[int]:
-    """File offsets of every payload byte, from the documented layout."""
-    pos, out = 12, []
-    for name, arr in tensors.items():
-        pos += 2 + len(name.encode("utf-8")) + 4 + 4 * arr.ndim
-        out.extend(range(pos, pos + 4 * arr.size))
-        pos += 4 * arr.size
-    return out
-
-
 class TestContainerProperties:
     @settings(max_examples=60, deadline=None)
     @given(tensors=_tensors)
@@ -105,15 +104,14 @@ class TestContainerProperties:
             assert back[name].tobytes() == arr.astype("<f4").tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(tensors=_tensors.filter(lambda t: any(a.size for a in t.values())),
-           pick=st.integers(0, 10**6), flip=st.integers(1, 255))
-    def test_flipped_payload_byte_rejected(self, tensors, pick, flip):
+    @given(tensors=_tensors, pick=st.integers(0, 10**6), flip=st.integers(1, 255))
+    def test_flipped_byte_rejected(self, tensors, pick, flip):
+        """Every byte is covered: magic, version, names, shapes, payloads, CRC."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "x.ckpt"
             save_tensors(path, tensors)
             data = bytearray(path.read_bytes())
-            offsets = _payload_offsets(tensors)
-            data[offsets[pick % len(offsets)]] ^= flip
+            data[pick % len(data)] ^= flip
             path.write_bytes(bytes(data))
             with pytest.raises(CheckpointError):
                 load_tensors(path)
@@ -130,6 +128,18 @@ class TestEncoderCheckpoints:
         del tensors["head.bias"]
         save_tensors(path, tensors)
         with pytest.raises(CheckpointError, match="head.bias"):
+            load_encoder(path)
+
+    def test_edited_config_name_rejected(self, tmp_path):
+        """The encoder config rides in a tensor name, which the CRC covers."""
+        state = init_encoder(EncoderConfig(feature_dim=6, model_dim=8, n_blocks=1,
+                                           mlp_hidden=12, k_codewords=4), 0)
+        path = tmp_path / "enc.ckpt"
+        save_encoder(path, state)
+        data = path.read_bytes()
+        assert data.count(b"|0.08|") == 1
+        path.write_bytes(data.replace(b"|0.08|", b"|0.09|"))
+        with pytest.raises(CheckpointError, match="CRC"):
             load_encoder(path)
 
     def test_teacher_and_fresh_student_checkpoints_byte_identical(self, tmp_path):

@@ -1,9 +1,18 @@
 """Command-line pipeline: exit codes, file outputs, determinism."""
 
-import pytest
+import argparse
+import contextlib
+import io
+import itertools
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vicspeech import cli
 from vicspeech.checkpoint import load_codebook, load_encoder
-from vicspeech.cli import run
+from vicspeech.cli import build_parser, run
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +81,7 @@ class TestConfigErrorsBeforeInput:
         (("--batch-utterances", "0"), "batch_utterances"),
         (("--learning-rate", "-1"), "learning_rate"),
         (("--learning-rate", "nan"), "learning_rate"),
+        (("--mlp-hidden", "0"), "mlp_hidden"),
     ])
     def test_pretrain(self, missing, capsys, extra, key):
         assert run(self._pretrain(missing, *extra)) == 1
@@ -113,6 +123,118 @@ class TestConfigErrorsBeforeInput:
                     "--out", missing, "--snr-levels", "0,abc"]) == 1
         assert "snr-levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["0", "nan", "-1e-5"])
+    def test_gradcheck_step(self, capsys, step):
+        assert run(["gradcheck", f"--step={step}"]) == 1
+        assert "--step" in capsys.readouterr().err
+
+    def test_probe_negative_snr_levels_in_equals_form_resolve(self, missing, capsys):
+        """argparse reads `--snr-levels -5,0` as two options; the `=` form
+        parses, so the run gets as far as the missing input."""
+        assert run(["probe", "--encoder", missing, "--train-manifest", missing,
+                    "--out", missing, "--snr-levels=-5,0"]) == 2
+        assert missing in capsys.readouterr().err
+
+
+class TestConfigErrorsBeforeRealInputs:
+    """A bad value exits 1 naming its key with every input present: the
+    command reads no input (each reader fails the test) and creates no
+    output file or directory."""
+
+    @pytest.fixture
+    def no_reads(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an input was read before the config was checked")
+
+        monkeypatch.setattr(cli.Corpus, "load", fail)
+        monkeypatch.setattr(cli, "load_codebook", fail)
+        monkeypatch.setattr(cli, "load_encoder", fail)
+
+    @staticmethod
+    def _argv(command, pipeline_dir, out):
+        manifest = str(pipeline_dir / "corpus" / "manifest.tsv")
+        codebook = str(pipeline_dir / "cb.ckpt")
+        inputs = {
+            "synth": [],
+            "features": ["--manifest", manifest],
+            "kmeans": ["--manifest", manifest],
+            "pretrain": ["--manifest", manifest, "--codebook", codebook],
+            "ablate": ["--manifest", manifest, "--codebook", codebook,
+                       "--teacher", str(pipeline_dir / "teacher.ckpt")],
+        }[command]
+        return [command, *inputs, "--out", str(out)]
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("features", ("--hop", "0"), "hop must be"),
+        ("features", ("--frame-len", "0"), "frame_len must be"),
+        ("kmeans", ("--k", "0"), "k must be"),
+        ("synth", ("--n-utterances", "0"), "n_utterances must be"),
+        ("synth", ("--n-segments", "0"), "n_segments must be"),
+        ("synth", ("--sample-rate", "0"), "sample_rate must be"),
+        ("synth", ("--corpus-seed", "-1"), "corpus_seed must be"),
+        ("pretrain", ("--train-seed", "-1"), "train_seed must be"),
+        ("kmeans", ("--kmeans-seed", "-1"), "kmeans_seed must be"),
+        ("ablate", ("--seeds", "-1"), "--seeds"),
+        ("pretrain", ("--eval-interval", "-1"), "eval_interval must be"),
+    ])
+    def test_rejected(self, pipeline_dir, tmp_path, capsys, no_reads, command, extra, named):
+        out = tmp_path / "out"
+        assert run(self._argv(command, pipeline_dir, out) + list(extra)) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _value_flags():
+    """(subcommand, its required options, flag, config key or flag) for every
+    flag that takes a checked value: the config keys, the list flags and the
+    seeds. gradcheck is left out: it takes no config key and reads no input."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for command, p in sub.choices.items():
+        actions = [a for a in p._actions if a.option_strings]
+        required = [a.option_strings[0] for a in actions if a.required]
+        for a in actions:
+            if a.dest.startswith("cfg_") and a.const is None:
+                out.append((command, required, a.option_strings[0], a.dest[4:]))
+            elif a.type is not None and command != "gradcheck":
+                out.append((command, required, a.option_strings[0], a.option_strings[0]))
+    return out
+
+
+_VALUES = st.one_of(
+    st.integers(-2**40, 2**40).map(str),
+    st.floats().map(repr),  # includes nan and +-inf
+    st.text(max_size=12),
+)
+
+
+class TestErrorPathProperty:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("errors")
+        (root / "blocker").write_text("a regular file\n")
+        return str(root / "missing"), str(root / "blocker")
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(_value_flags()), value=_VALUES)
+    def test_exit_1_names_the_value_or_exit_2_on_missing_io(self, paths, case, value):
+        """No input exists and `synth --out` lies under a regular file, so no
+        value may give exit 0 or let an exception escape."""
+        missing, blocker = paths
+        command, required, flag, key = case
+        target = f"{blocker}/corpus" if command == "synth" else missing
+        argv = [command, *(f"{opt}={target}" for opt in required), f"{flag}={value}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        err = err.getvalue()
+        if code == 1:
+            assert key in err or flag in err, (argv, err)
+        else:
+            assert code == 2, (argv, code, err)
+            assert "error:" in err and target in err, (argv, err)
+
 
 class TestSynth:
     def test_writes_manifest_and_wavs(self, pipeline_dir):
@@ -135,12 +257,19 @@ class TestSynth:
         assert "vocab_size" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_echoes_resolved_config(self, tmp_path, capsys):
+    def test_echoes_resolved_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         run(["synth", "--out", str(tmp_path / "c2"), "--n-utterances", "2",
              "--vocab-size", "4", "--n-segments", "3"])
-        out = capsys.readouterr().out
-        assert "n_utterances = 2" in out
-        assert "lambda = 5.0" in out
+        captured = capsys.readouterr()
+        assert "n_utterances = 2" in captured.out
+        assert "lambda = 5.0" in captured.out
+        assert f"# numpy {np.__version__}\n" in captured.out
+        assert "# OPENBLAS_NUM_THREADS = 3\n" in captured.out
+        assert "# MKL_NUM_THREADS = unset\n" in captured.out
+        assert "# OMP_NUM_THREADS = " in captured.out
+        assert "NUM_THREADS" not in captured.err
 
 
 class TestFeatures:
@@ -172,6 +301,9 @@ class TestKmeansAndPretrain:
         lines = (pipeline_dir / "teacher.csv").read_text().splitlines()
         assert lines[0] == "step,l_m,s,v,c,l_vic,l_tot"
         assert len(lines) == 7
+
+
+_TERMS = ("inv", "var", "cov")
 
 
 class TestVicPretrain:
@@ -223,6 +355,25 @@ class TestVicPretrain:
         assert code == 0
         assert "baseline" not in captured.err  # term active, no warning
         assert float(log.read_text().splitlines()[1].split(",")[2]) > 0.0
+
+    @pytest.mark.parametrize("file_value", [None, "true", "false"])
+    @pytest.mark.parametrize("flags", [c for r in range(4)
+                                       for c in itertools.combinations(_TERMS, r)])
+    def test_term_resolution(self, tmp_path, capsys, flags, file_value):
+        """A flag turns its term on; otherwise the config file decides;
+        otherwise the term is off. The warning shows exactly when all are off."""
+        missing = str(tmp_path / "missing")
+        argv = ["vic-pretrain", "--teacher", missing, "--manifest", missing,
+                "--codebook", missing, "--out", missing, *(f"--{t}" for t in flags)]
+        if file_value is not None:
+            cfg = tmp_path / "terms.cfg"
+            cfg.write_text("".join(f"use_{t} = {file_value}\n" for t in _TERMS))
+            argv += ["--config", str(cfg)]
+        want = tuple(t in flags or file_value == "true" for t in _TERMS)
+        train = cli._resolve(build_parser().parse_args(argv)).train
+        assert (train.use_inv, train.use_var, train.use_cov) == want
+        assert run(argv) == 2
+        assert ("baseline" in capsys.readouterr().err) == (not any(want))
 
     def test_student_step0_equals_teacher_bytes(self, pipeline_dir, tmp_path):
         """Zero learning rate keeps the student at its initialization: the
@@ -295,6 +446,7 @@ class TestGradcheckCommand:
     def test_passes_and_prints_components(self, capsys):
         assert run(["gradcheck"]) == 0
         out = capsys.readouterr().out
+        assert "lambda = 5.0" in out  # the default config is echoed too
         for name in ("softmax_xent", "invariance", "variance", "covariance",
                      "masked_prediction", "full_model_total"):
             assert name in out

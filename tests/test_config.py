@@ -21,13 +21,13 @@ class TestDefaults:
         cfg = load_config()
         assert cfg["steps"] == 3000
         assert cfg["snr_low"] == 5.0 and cfg["snr_high"] == 10.0
-        assert cfg.noise_kinds() == ("babble", "music", "natural")
+        assert cfg.train.noise_kinds == ("babble", "music", "natural")
 
     def test_derived_configs_carry_values(self):
         cfg = load_config(overrides={"model_dim": 24, "lambda": 2.5, "train_seed": 9})
-        assert cfg.encoder_config().model_dim == 24
-        assert cfg.vic_weights().lam == 2.5
-        assert cfg.train_config().seed == 9
+        assert cfg.encoder.model_dim == 24
+        assert cfg.train.vic.lam == 2.5
+        assert cfg.train.seed == 9
 
 
 class TestParsing:

@@ -46,6 +46,12 @@ class TestInit:
         b = init_encoder(small_cfg, 7).to_vector()
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name, low", [("model_dim", 2), ("n_blocks", 1),
+                                           ("mlp_hidden", 1), ("mask_span", 1)])
+    def test_config_below_minimum_rejected(self, small_cfg, name, low):
+        with pytest.raises(ValueError, match=f"{name} must be >= {low}"):
+            EncoderConfig(**{**small_cfg.__dict__, name: low - 1})
+
     def test_layer_norm_gains_one_biases_zero(self, small_state):
         for name, value in small_state.params.items():
             if name.endswith(".gain"):

@@ -223,8 +223,8 @@ class TestPretrainNoisy:
     def test_total_loss_recomputes_from_components(self, teacher, mini_corpus,
                                                    mini_codebook, tiny_cfg):
         [(_, log)] = pretrain_noisy(teacher, mini_corpus, mini_codebook, [tiny_cfg])
+        w = tiny_cfg.vic
         for b in log.steps:
-            w = b.weights
             assert b.l_vic == pytest.approx(w.lam * b.s + w.mu * b.v + w.nu * b.c, abs=1e-12)
             assert b.l_tot == pytest.approx(b.l_m + w.alpha * b.l_vic, abs=1e-12)
 
