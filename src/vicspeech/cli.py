@@ -352,10 +352,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number_list(token: str) -> bool:
+    try:
+        [float(tok) for tok in token.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv) -> list[str]:
+    """Join `--flag -5,0` into `--flag=-5,0`. argparse reads a token that
+    starts with `-` as an option unless it is a plain negative number, and
+    no option here is named like a number, so a number or number list is
+    always the value of the `--flag` before it."""
+    out: list[str] = []
+    for token in argv:
+        if (token.startswith("-") and _is_number_list(token) and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 1
     try:

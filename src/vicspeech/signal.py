@@ -8,6 +8,18 @@ Three noise families cover speech-shaped (babble), tonal (music), and
 broadband (natural, 1/f-colored) interference. All synthesis is a pure
 function of its seed.
 
+Each babble voice is the first ``n`` samples of an utterance that is
+peak-normalized as a whole, so the voice's scale is set by segments past
+the crop. ``synth_utterance(..., n_samples=n)`` returns exactly those
+samples and renders a later segment only when a cheap upper bound on its
+peak exceeds the peak found so far: with G = 128 phases psi_g over one
+period of the segment's f0, the bound is
+``gain * (max_g |sum_h a_h sin(h psi_g + phi_h)| + (pi/G) sum_h a_h h)``,
+widened by x(1 + 1e-6) and +1e-9 for rounding. Every harmonic is a multiple
+of f0, so the sum over h of a_h h bounds the slope in psi, and the fades
+and the gain only shrink a segment: the normalizing peak, and so every
+output sample, is the same as rendering the whole utterance.
+
 On-disk formats: WAV is PCM 16-bit signed little-endian mono; the corpus
 manifest is a UTF-8 TSV with rows
 ``utterance_id<TAB>wav_relpath<TAB>n_samples<TAB>labels_relpath`` and label
@@ -164,22 +176,63 @@ def _voice_params(symbol: int) -> tuple[float, float]:
 _MAX_HARMONICS = 24
 
 
-def _harmonic_segment(rng: np.random.Generator, symbol: int, n: int, sample_rate: int) -> np.ndarray:
+@lru_cache(maxsize=MAX_VOCAB_SIZE)
+def _harmonics(symbol: int) -> tuple[float, np.ndarray, np.ndarray]:
+    # (f0, harmonic numbers, harmonic amplitudes) of a symbol's voicing
     f0, formant = _voice_params(symbol)
-    t = np.arange(n) / sample_rate
     n_harm = max(1, min(int(3800.0 / f0), _MAX_HARMONICS))
     h = np.arange(1, n_harm + 1)
     amps = np.exp(-0.5 * ((h * f0 - formant) / 260.0) ** 2) + 0.10 / h
+    h.setflags(write=False)
+    amps.setflags(write=False)
+    return f0, h, amps
+
+
+@dataclass
+class _Segment:
+    """One drawn segment: its symbol, length, harmonic phases and gain."""
+
+    symbol: int
+    n: int
+    phases: np.ndarray
+    gain: float
+
+
+def _draw_segment(rng: np.random.Generator, symbol: int, n: int) -> _Segment:
+    n_harm = _harmonics(symbol)[1].size
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_harm)
+    return _Segment(symbol, n, phases, rng.uniform(0.5, 1.0))
+
+
+def _render_segment(seg: _Segment, sample_rate: int) -> np.ndarray:
+    f0, h, amps = _harmonics(seg.symbol)
+    n = seg.n
+    t = np.arange(n) / sample_rate
     x = np.zeros(n)
-    for i in range(n_harm):
-        x += amps[i] * np.sin(2.0 * math.pi * f0 * h[i] * t + phases[i])
-    x *= rng.uniform(0.5, 1.0)
+    for i in range(h.size):
+        x += amps[i] * np.sin(2.0 * math.pi * f0 * h[i] * t + seg.phases[i])
+    x *= seg.gain
     fade = max(1, min(int(0.005 * sample_rate), n // 4))
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
     x[:fade] *= ramp
     x[-fade:] *= ramp[::-1]
     return x
+
+
+_BOUND_GRID = 128
+_GRID_PHASES = 2.0 * math.pi * np.arange(_BOUND_GRID) / _BOUND_GRID
+
+
+def _peak_bound(seg: _Segment) -> float:
+    """An upper bound on ``max|_render_segment(seg)|``, from G = 128 phases
+    instead of the segment's samples (see the module docstring). The
+    margin, x(1 + 1e-6) and +1e-9, covers rounding of the sin arguments,
+    which stays well under 1e-10 for segments of at most 0.2 s."""
+    _, h, amps = _harmonics(seg.symbol)
+    on_grid = np.sin(np.multiply.outer(_GRID_PHASES, h) + seg.phases) @ amps
+    slope = float(amps @ h)
+    bound = seg.gain * (float(np.abs(on_grid).max()) + math.pi / _BOUND_GRID * slope)
+    return bound * (1.0 + 1e-6) + 1e-9
 
 
 _FOLLOW_PROB = 0.7  # chance the next symbol is the fixed successor of the last
@@ -190,6 +243,7 @@ def synth_utterance(
     n_segments: int = 12,
     vocab_size: int = 16,
     sample_rate: int = SAMPLE_RATE,
+    n_samples: Optional[int] = None,
 ) -> Utterance:
     """Concatenate `n_segments` harmonic segments with per-segment unit labels.
 
@@ -198,43 +252,63 @@ def synth_utterance(
     sequences follow a first-order chain (each symbol's successor follows
     with probability 0.7, otherwise uniform), so masked segments are partly
     predictable from context, as phone sequences are in speech.
+
+    The whole utterance is peak-normalized to 0.95. With `n_samples` in
+    [1, full length] the result is exactly the first `n_samples` samples of
+    the full utterance, labels clipped to them, still scaled by the full
+    utterance's peak. The segments that cover those samples are rendered;
+    a later segment is rendered only if its peak bound
+    ``gain * (max_g |sum_h a_h sin(h psi_g + phi_h)| + (pi/128) sum_h a_h h)
+    * (1 + 1e-6) + 1e-9`` (psi_g: 128 phases over one f0 period) exceeds the
+    largest peak found so far, which the bound shows it cannot otherwise
+    change.
     """
     if not 2 <= vocab_size <= MAX_VOCAB_SIZE:
         raise ValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
     rng = np.random.default_rng(seed)
-    pieces = []
+    plan: list[_Segment] = []
     labels: list[tuple[int, int, int]] = []
     pos = 0
     sym = int(rng.integers(vocab_size))
     for _ in range(n_segments):
         dur = rng.uniform(_SEGMENT_MIN_S, _SEGMENT_MAX_S)
         n = int(round(dur * sample_rate))
-        pieces.append(_harmonic_segment(rng, sym, n, sample_rate))
+        plan.append(_draw_segment(rng, sym, n))
         labels.append((sym, pos, pos + n))
         pos += n
         if rng.random() < _FOLLOW_PROB:
             sym = (sym + 1) % vocab_size
         else:
             sym = int(rng.integers(vocab_size))
-    samples = np.concatenate(pieces)
-    samples *= _PEAK / np.abs(samples).max()
+    keep = pos if n_samples is None else n_samples
+    if not 1 <= keep <= pos:
+        raise ValueError(f"n_samples must be in [1, {pos}], got {n_samples}")
+    n_cover = sum(start < keep for _, start, _ in labels)
+    pieces = [_render_segment(seg, sample_rate) for seg in plan[:n_cover]]
+    peak = max(np.abs(x).max() for x in pieces)
+    # a later segment can only raise the normalizing peak; try the loudest first
+    for bound, seg in sorted(((_peak_bound(seg), seg) for seg in plan[n_cover:]),
+                             key=lambda pair: pair[0], reverse=True):
+        if bound <= peak:
+            break
+        peak = max(peak, np.abs(_render_segment(seg, sample_rate)).max())
+    samples = np.concatenate(pieces)[:keep]
+    samples *= _PEAK / peak
+    labels = [(sym, start, min(end, keep)) for sym, start, end in labels[:n_cover]]
     return Utterance(id=f"u{seed}", wave=Waveform(sample_rate, samples), unit_labels=labels)
 
 
-def _speech_stream(seed: int, n_samples: int, sample_rate: int) -> np.ndarray:
-    # One babble voice: a speech-like utterance long enough to crop.
-    n_segments = math.ceil(n_samples / (_SEGMENT_MIN_S * sample_rate)) + 1
-    utt = synth_utterance(seed, n_segments=n_segments, vocab_size=8, sample_rate=sample_rate)
-    return utt.wave.samples[:n_samples]
-
-
 def _babble(rng: np.random.Generator, n: int, sample_rate: int) -> np.ndarray:
+    # each voice is the start of a speech-like utterance long enough to crop
     n_voices = int(rng.integers(3, 9))
+    n_segments = math.ceil(n / (_SEGMENT_MIN_S * sample_rate)) + 1
     x = np.zeros(n)
     for _ in range(n_voices):
-        x += _speech_stream(int(rng.integers(2**31)), n, sample_rate)
+        voice = synth_utterance(int(rng.integers(2**31)), n_segments=n_segments, vocab_size=8,
+                                sample_rate=sample_rate, n_samples=n)
+        x += voice.wave.samples
     return x
 
 

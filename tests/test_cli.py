@@ -82,6 +82,7 @@ class TestConfigErrorsBeforeInput:
         (("--learning-rate", "-1"), "learning_rate"),
         (("--learning-rate", "nan"), "learning_rate"),
         (("--mlp-hidden", "0"), "mlp_hidden"),
+        (("--learning-rate", "-1e-3"), "learning_rate"),
     ])
     def test_pretrain(self, missing, capsys, extra, key):
         assert run(self._pretrain(missing, *extra)) == 1
@@ -92,6 +93,7 @@ class TestConfigErrorsBeforeInput:
         (("--gamma", "inf"), "gamma"),
         (("--snr-low", "nan"), "snr_low"),
         (("--snr-high", "inf"), "snr_high"),
+        (("--snr-low", "-inf"), "snr_low"),
     ])
     def test_vic_pretrain(self, missing, capsys, extra, key):
         assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
@@ -128,9 +130,20 @@ class TestConfigErrorsBeforeInput:
         assert run(["gradcheck", f"--step={step}"]) == 1
         assert "--step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, inputs", [
+        ("probe", ("--encoder", "--train-manifest")),
+        ("analyze-variance", ("--encoder", "--manifest")),
+        ("ablate", ("--manifest", "--codebook")),
+    ])
+    def test_negative_snr_levels_as_separate_token_resolve(self, missing, capsys,
+                                                           command, inputs):
+        argv = [command, *(arg for flag in inputs for arg in (flag, missing)),
+                "--out", missing, "--snr-levels", "-5,0"]
+        assert run(argv) == 2
+        assert missing in capsys.readouterr().err
+
     def test_probe_negative_snr_levels_in_equals_form_resolve(self, missing, capsys):
-        """argparse reads `--snr-levels -5,0` as two options; the `=` form
-        parses, so the run gets as far as the missing input."""
+        """The `=` form parses too, so the run gets as far as the missing input."""
         assert run(["probe", "--encoder", missing, "--train-manifest", missing,
                     "--out", missing, "--snr-levels=-5,0"]) == 2
         assert missing in capsys.readouterr().err

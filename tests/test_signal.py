@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vicspeech.signal import (
@@ -24,6 +24,11 @@ from vicspeech.signal import (
     synth_noise,
     synth_utterance,
     write_wav,
+    _BOUND_GRID,
+    _Segment,
+    _harmonics,
+    _peak_bound,
+    _render_segment,
     _voice_params,
 )
 
@@ -118,6 +123,157 @@ class TestSynthNoise:
             assert np.abs(wav.samples).max() <= 1.0
 
 
+# The renderer before partial rendering, kept verbatim as the bitwise
+# reference: every segment is rendered and the whole stream normalized.
+
+def _ref_harmonic_segment(rng, symbol, n, sample_rate):
+    f0, formant = _voice_params(symbol)
+    t = np.arange(n) / sample_rate
+    n_harm = max(1, min(int(3800.0 / f0), 24))
+    h = np.arange(1, n_harm + 1)
+    amps = np.exp(-0.5 * ((h * f0 - formant) / 260.0) ** 2) + 0.10 / h
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_harm)
+    x = np.zeros(n)
+    for i in range(n_harm):
+        x += amps[i] * np.sin(2.0 * math.pi * f0 * h[i] * t + phases[i])
+    x *= rng.uniform(0.5, 1.0)
+    fade = max(1, min(int(0.005 * sample_rate), n // 4))
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
+    x[:fade] *= ramp
+    x[-fade:] *= ramp[::-1]
+    return x
+
+
+def _ref_synth_utterance(seed, n_segments=12, vocab_size=16, sample_rate=SR):
+    rng = np.random.default_rng(seed)
+    pieces = []
+    labels = []
+    pos = 0
+    sym = int(rng.integers(vocab_size))
+    for _ in range(n_segments):
+        dur = rng.uniform(0.08, 0.20)
+        n = int(round(dur * sample_rate))
+        pieces.append(_ref_harmonic_segment(rng, sym, n, sample_rate))
+        labels.append((sym, pos, pos + n))
+        pos += n
+        if rng.random() < 0.7:
+            sym = (sym + 1) % vocab_size
+        else:
+            sym = int(rng.integers(vocab_size))
+    samples = np.concatenate(pieces)
+    samples *= 0.95 / np.abs(samples).max()
+    return samples, labels
+
+
+def _ref_speech_stream(seed, n_samples, sample_rate):
+    n_segments = math.ceil(n_samples / (0.08 * sample_rate)) + 1
+    samples, _ = _ref_synth_utterance(seed, n_segments=n_segments, vocab_size=8,
+                                      sample_rate=sample_rate)
+    return samples[:n_samples]
+
+
+def _ref_babble(seed, n, sample_rate):
+    """synth_noise("babble", ...) through the reference renderer."""
+    rng = np.random.default_rng(seed)
+    n_voices = int(rng.integers(3, 9))
+    x = np.zeros(n)
+    for _ in range(n_voices):
+        x += _ref_speech_stream(int(rng.integers(2**31)), n, sample_rate)
+    return x * (0.95 / np.abs(x).max())
+
+
+def _first_voice_first_end(seed, sample_rate):
+    # where the first babble voice's first segment ends: n at a segment boundary
+    rng = np.random.default_rng(seed)
+    rng.integers(3, 9)
+    _, labels = _ref_synth_utterance(int(rng.integers(2**31)), n_segments=1, vocab_size=8,
+                                     sample_rate=sample_rate)
+    return labels[0][2]
+
+
+_SEEDS = st.integers(0, 2**63 - 1)
+_RATES = st.sampled_from([8000, 16000, 22050])
+
+
+class TestPartialRenderIsBitwise:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(1, 60000), sr=_RATES, at_boundary=st.booleans())
+    @example(seed=0, n=1, sr=16000, at_boundary=False)
+    @example(seed=5, n=500, sr=8000, at_boundary=False)
+    @example(seed=7, n=1, sr=22050, at_boundary=True)
+    def test_babble_equals_reference(self, seed, n, sr, at_boundary):
+        if at_boundary:
+            n = _first_voice_first_end(seed, sr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = _ref_babble(seed, n, sr)
+            if n == 1:  # every voice starts on a zero fade sample: silent, so rejected
+                assert np.isnan(ref).all()
+                with pytest.raises(ValueError):
+                    synth_noise("babble", seed, n, sr)
+                return
+        assert synth_noise("babble", seed, n, sr).samples.tobytes() == ref.tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=_SEEDS, n_segments=st.integers(1, 12), vocab_size=st.integers(2, MAX_VOCAB_SIZE),
+           sr=_RATES)
+    def test_full_utterance_equals_reference(self, seed, n_segments, vocab_size, sr):
+        utt = synth_utterance(seed, n_segments, vocab_size, sr)
+        samples, labels = _ref_synth_utterance(seed, n_segments, vocab_size, sr)
+        assert utt.wave.samples.tobytes() == samples.tobytes()
+        assert utt.unit_labels == labels
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS, n_segments=st.integers(1, 12), sr=_RATES, data=st.data())
+    def test_prefix_equals_full_utterance_start(self, seed, n_segments, sr, data):
+        full = synth_utterance(seed, n_segments, 8, sr)
+        ends = [end for _, _, end in full.unit_labels]
+        n = data.draw(st.one_of(st.integers(1, len(full.wave)), st.sampled_from(ends)))
+        part = synth_utterance(seed, n_segments, 8, sr, n_samples=n)
+        assert part.wave.samples.tobytes() == full.wave.samples[:n].tobytes()
+        assert part.unit_labels == [(sym, start, min(end, n))
+                                    for sym, start, end in full.unit_labels if start < n]
+
+    @pytest.mark.parametrize("n_samples", [0, -1, 10**6])
+    def test_n_samples_out_of_range_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            synth_utterance(3, n_segments=4, vocab_size=8, n_samples=n_samples)
+
+
+class TestPeakBound:
+    @settings(max_examples=40, deadline=None)
+    @given(symbol=st.integers(0, MAX_VOCAB_SIZE - 1), sr=_RATES,
+           phase_seed=st.integers(0, 2**32 - 1), gain=st.floats(0.5, 1.0, exclude_max=True),
+           data=st.data())
+    @example(symbol=0, sr=22050, phase_seed=0, gain=0.999, data=None)  # f0 = 90 Hz, 24 harmonics
+    def test_bound_covers_rendered_peak(self, symbol, sr, phase_seed, gain, data):
+        """Worst cases ride along: the most harmonics (f0 = 90 Hz), the
+        shortest segment, and segments shorter than both fades together."""
+        n_harm = _harmonics(symbol)[1].size
+        phases = np.random.default_rng(phase_seed).uniform(0.0, 2.0 * math.pi, n_harm)
+        shortest, longest = round(0.08 * sr), round(0.20 * sr)
+        lengths = [1, 2, 3, shortest, longest]
+        if data is not None:
+            lengths.append(data.draw(st.integers(1, longest)))
+        for n in lengths:
+            seg = _Segment(symbol, n, phases, gain)
+            assert np.abs(_render_segment(seg, sr)).max() <= _peak_bound(seg)
+
+    @settings(max_examples=10, deadline=None)
+    @given(symbol=st.integers(0, MAX_VOCAB_SIZE - 1), phase_seed=st.integers(0, 2**32 - 1),
+           gain=st.floats(0.5, 1.0, exclude_max=True))
+    def test_bound_is_the_documented_formula(self, symbol, phase_seed, gain):
+        """The Lipschitz term and both margins are each part of the bound."""
+        _, h, amps = _harmonics(symbol)
+        phases = np.random.default_rng(phase_seed).uniform(0.0, 2.0 * math.pi, h.size)
+        grid = [abs(sum(a * math.sin(k * 2.0 * math.pi * g / _BOUND_GRID + p)
+                        for a, k, p in zip(amps, h, phases)))
+                for g in range(_BOUND_GRID)]
+        lipschitz = math.pi / _BOUND_GRID * sum(a * k for a, k in zip(amps, h))
+        want = gain * (max(grid) + lipschitz) * (1.0 + 1e-6) + 1e-9
+        got = _peak_bound(_Segment(symbol, 1000, phases, gain))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestMixAtSnr:
     def test_gain_formula_hand_value(self):
         """P_clean=0.04, P_noise=0.01, snr=10 dB -> g = sqrt(0.4)."""
@@ -163,7 +319,7 @@ class TestMixAtSnr:
         assert ns.peak_scale >= 1.0
 
 
-# about 0.3 s of audio: babble costs about 0.1 s per 1.5 s utterance
+# about 0.3 s of audio: babble costs about 80 ms per 1.5 s utterance (2-core x86 host)
 _SHORT_CLEAN = synth_utterance(5, n_segments=2, vocab_size=4).wave
 
 
