@@ -22,8 +22,8 @@ from .model import backward, predict_codewords  # noqa: F401
 from .numerics import GradCheckReport, Matrix, as_matrix, grad_check, softmax_xent
 # not called here: kept so that the perfbench benchmark can rebind them in this module
 from .signal import extract_features, mix_at_snr, synth_noise  # noqa: F401
-from .trainer import AdamState, Corpus, TrainConfig, TrainLog, adam_step, derive_seed, \
-    pretrain_clean, pretrain_noisy, step_objective
+from .trainer import AdamState, Corpus, EvalRow, TrainConfig, TrainLog, adam_step, \
+    derive_seed, pretrain_clean, pretrain_noisy, step_objective
 
 __all__ = [
     "VarianceRow",
@@ -47,9 +47,23 @@ _TAG_EVAL_NOISE = 101
 _TAG_PROBE_NOISE = 102
 _TAG_SAMPLE_STD = 103
 
+_PROBE_LR = 0.05  # the linear probe's Adam step size
+_HOOK_CONDITION = ("natural", 7.5, 0)  # the training-time eval's noise kind, SNR and seed
+
 
 def _snr_str(snr_db: float) -> str:
     return "inf" if np.isinf(snr_db) else repr(float(snr_db))
+
+
+def _encode(enc: EncoderState, corpus: Corpus, kind: str = "clean", snr_db: float = np.inf,
+            seed: int = 0, tag: int = 0):
+    """Yield (features, final-layer reps) per utterance of `corpus`, in order,
+    with utterance i's noise drawn from ``derive_seed(seed, tag, i)``; SNR +inf
+    (the default) reads the clean features."""
+    for i in range(len(corpus)):
+        feats = corpus.condition_features(i, kind, snr_db, derive_seed(seed, tag, i))
+        reps, _ = forward(enc, feats, training=False)
+        yield feats, reps
 
 
 # ----------------------------------------------------------------------
@@ -118,13 +132,8 @@ def channel_variance_report(
     report = VarianceReport()
     for kind in noise_kinds:
         for snr in snr_levels_db:
-            reps_list = []
-            for i in range(len(eval_corpus)):
-                feats = eval_corpus.condition_features(i, kind, snr,
-                                                       derive_seed(seed, _TAG_EVAL_NOISE, i))
-                reps, _ = forward(enc, feats, training=False)
-                reps_list.append(reps)
-            per_channel = pooled_channel_variance(reps_list)
+            per_channel = pooled_channel_variance(
+                [reps for _, reps in _encode(enc, eval_corpus, kind, snr, seed, _TAG_EVAL_NOISE)])
             report.rows.append(VarianceRow(
                 model_tag=model_tag, noise_kind=kind, snr_db=float(snr),
                 mean_channel_variance=float(per_channel.mean()), per_channel=per_channel))
@@ -179,27 +188,29 @@ class LinearProbe:
         return (reps @ self.weight + self.bias).argmax(axis=1)
 
 
+def _probe_counts(probe: LinearProbe, encoded) -> tuple[int, int]:
+    """(frames the probe labels correctly, frames) over `_encode`'s output."""
+    correct = frames = 0
+    for feats, reps in encoded:
+        correct += int((probe.predict(reps) == feats.frame_labels).sum())
+        frames += feats.n_frames
+    return correct, frames
+
+
 def _pooled_clean_reps(enc: EncoderState, corpus: Corpus) -> tuple[Matrix, np.ndarray]:
     reps_list, labels_list = [], []
-    for i in range(len(corpus)):
-        feats = corpus.clean_features(i)
+    for feats, reps in _encode(enc, corpus):
         if feats.frame_labels is None:
             raise ValueError("probe corpus lacks ground-truth frame labels")
-        reps, _ = forward(enc, feats, training=False)
         reps_list.append(reps)
         labels_list.append(feats.frame_labels)
     return np.concatenate(reps_list), np.concatenate(labels_list)
 
 
-def fit_linear_probe(
-    enc: EncoderState,
-    train_corpus: Corpus,
-    iters: int = 300,
-    lr: float = 0.05,
-) -> LinearProbe:
+def fit_linear_probe(enc: EncoderState, train_corpus: Corpus, iters: int = 300) -> LinearProbe:
     """Softmax regression from frozen clean representations to unit symbols."""
     x, y = _pooled_clean_reps(enc, train_corpus)
-    return _fit_softmax_regression(x, y, iters, lr)
+    return _fit_softmax_regression(x, y, iters, _PROBE_LR)
 
 
 def _fit_softmax_regression(x: Matrix, y: np.ndarray, iters: int, lr: float) -> LinearProbe:
@@ -264,14 +275,7 @@ def linear_probe(
                 continue
             seen_clean = True
             kind = "clean"
-        correct = 0
-        total = 0
-        for i in range(len(ev)):
-            feats = ev.condition_features(i, kind, snr, derive_seed(seed, _TAG_PROBE_NOISE, i))
-            reps, _ = forward(enc, feats, training=False)
-            pred = probe.predict(reps)
-            correct += int((pred == feats.frame_labels).sum())
-            total += feats.n_frames
+        correct, total = _probe_counts(probe, _encode(enc, ev, kind, snr, seed, _TAG_PROBE_NOISE))
         results.append(ProbeResult(noise_kind=kind, snr_db=float(snr),
                                    frame_accuracy=correct / total, n_frames=total))
     return results
@@ -294,33 +298,17 @@ def write_probe_csv(path, results: Sequence[ProbeResult], model_tag: str = "mode
                         repr(float(r.frame_accuracy)), r.n_frames])
 
 
-def make_train_eval_hook(
-    corpus: Corpus,
-    noise_kind: str = "natural",
-    snr_db: float = 7.5,
-    probe_iters: int = 100,
-    seed: int = 0,
-):
+def make_train_eval_hook(corpus: Corpus, probe_iters: int = 100):
     """Periodic-eval callback for the trainer: a quick probe on clean
     representations, the same probe under one fixed noisy condition, and the
     mean per-channel std of the pooled noisy representations."""
-    from .trainer import EvalRow
 
-    def hook(step: int, state: EncoderState) -> "EvalRow":
+    def hook(step: int, state: EncoderState) -> EvalRow:
         probe = fit_linear_probe(state, corpus, iters=probe_iters)
-        correct_c = total = correct_n = 0
-        noisy_reps = []
-        for i in range(len(corpus)):
-            clean = corpus.clean_features(i)
-            reps_c, _ = forward(state, clean)
-            correct_c += int((probe.predict(reps_c) == clean.frame_labels).sum())
-            noisy = corpus.condition_features(i, noise_kind, snr_db,
-                                              derive_seed(seed, _TAG_EVAL_NOISE, i))
-            reps_n, _ = forward(state, noisy)
-            correct_n += int((probe.predict(reps_n) == noisy.frame_labels).sum())
-            noisy_reps.append(reps_n)
-            total += clean.n_frames
-        pooled = np.concatenate(noisy_reps)
+        correct_c, total = _probe_counts(probe, _encode(state, corpus))
+        noisy = list(_encode(state, corpus, *_HOOK_CONDITION, _TAG_EVAL_NOISE))
+        correct_n, _ = _probe_counts(probe, noisy)
+        pooled = np.concatenate([reps for _, reps in noisy])
         return EvalRow(step=step, probe_acc_clean=correct_c / total,
                        probe_acc_noisy=correct_n / total,
                        mean_channel_std=float(pooled.std(axis=0, ddof=1).mean()))

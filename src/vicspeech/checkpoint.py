@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,9 @@ __all__ = [
 MAGIC = b"HVIC"
 VERSION = 2
 
-# The encoder config rides in a zero-length tensor whose NAME carries the
-# exact field values (repr round-trips floats), keeping payloads pure float32.
+# The encoder config rides in a zero-length tensor whose NAME carries every
+# field's exact value, in field order (str round-trips Python floats), keeping
+# payloads pure float32.
 _CONFIG_PREFIX = "meta.encoder_config|"
 
 
@@ -103,10 +105,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
 
 def _config_name(cfg: EncoderConfig) -> str:
-    return _CONFIG_PREFIX + "|".join([
-        str(cfg.feature_dim), str(cfg.model_dim), str(cfg.n_blocks),
-        str(cfg.mlp_hidden), str(cfg.k_codewords), repr(cfg.mask_start_prob),
-        str(cfg.mask_span)])
+    return _CONFIG_PREFIX + "|".join(str(getattr(cfg, f.name)) for f in fields(EncoderConfig))
 
 
 def save_encoder(path, state: EncoderState) -> None:
@@ -122,13 +121,13 @@ def load_encoder(path) -> EncoderState:
     config_names = [n for n in tensors if n.startswith(_CONFIG_PREFIX)]
     if not config_names:
         raise CheckpointError(f"{path}: missing tensor {_CONFIG_PREFIX}*")
-    fields = config_names[0][len(_CONFIG_PREFIX):].split("|")
-    if len(fields) != 7:
-        raise CheckpointError(f"{path}: malformed encoder config tensor name")
-    cfg = EncoderConfig(
-        feature_dim=int(fields[0]), model_dim=int(fields[1]), n_blocks=int(fields[2]),
-        mlp_hidden=int(fields[3]), k_codewords=int(fields[4]),
-        mask_start_prob=float(fields[5]), mask_span=int(fields[6]))
+    values = config_names[0][len(_CONFIG_PREFIX):].split("|")
+    try:  # a wrong field count or a value its field's type cannot parse
+        parsed = {f.name: type(f.default)(value)
+                  for f, value in zip(fields(EncoderConfig), values, strict=True)}
+    except ValueError:
+        raise CheckpointError(f"{path}: malformed encoder config tensor name") from None
+    cfg = EncoderConfig(**parsed)
     params = {}
     for name, shape in param_layout(cfg):
         if name not in tensors:

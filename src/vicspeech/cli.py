@@ -22,7 +22,7 @@ from .checkpoint import CheckpointError, load_codebook, load_encoder, save_codeb
 from .codebook import fit_kmeans
 from .config import ConfigError, LabConfig, load_config
 from .model import TrainingDivergedError
-from .signal import NOISE_KINDS, build_corpus
+from .signal import NOISE_KINDS, SNR_LIMIT_DB, build_corpus
 from .trainer import Corpus, pretrain_clean, pretrain_noisy
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -87,8 +87,9 @@ def _seed_list(raw: str) -> list[int]:
 
 def _snr_levels(raw: str) -> list[float]:
     levels = _parse_list(raw, float)
-    if any(np.isnan(level) for level in levels):
-        raise argparse.ArgumentTypeError(f"NaN level in {raw!r}")
+    if not all(level == np.inf or abs(level) <= SNR_LIMIT_DB for level in levels):
+        raise argparse.ArgumentTypeError(f"levels must be inf or in [-{SNR_LIMIT_DB:g}, "
+                                         f"{SNR_LIMIT_DB:g}] dB, got {raw!r}")
     return levels
 
 
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"enable the {term} term (else the config file's use_{flag})")
     _add_config_flags(p, ["steps", "batch_utterances", "learning_rate", "train_seed",
                           "lambda", "mu", "nu", "alpha", "gamma", "epsilon", "n_sample",
-                          "snr_low", "snr_high", "noise_kinds", "vic_exclude_masked",
-                          "frame_len", "hop", "n_filters", "eval_interval"])
+                          "snr_low", "snr_high", "noise_kinds", "frame_len", "hop",
+                          "n_filters", "eval_interval"])
     p.set_defaults(func=_cmd_vic_pretrain)
 
     p = sub.add_parser("probe", help="frozen-encoder linear probe over noise conditions")

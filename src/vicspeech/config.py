@@ -9,6 +9,8 @@ A :class:`LabConfig` checks every value once, when it is built. The encoder
 and training keys are checked by the value objects it builds
 (:class:`EncoderConfig`, and :class:`TrainConfig` with its
 :class:`VicWeights`); every other key by the bound in its ``DEFAULTS`` entry.
+Adam's constants are fixed in ``trainer.adam_step`` and the VIC terms sample
+every pooled frame of the batch, so neither has a key.
 """
 
 from __future__ import annotations
@@ -66,16 +68,12 @@ DEFAULTS: dict[str, tuple[str, Any, Optional[str]]] = {
     "steps": ("int", 3000, None),
     "batch_utterances": ("int", 8, None),
     "learning_rate": ("float", 5e-4, None),
-    "adam_beta1": ("float", 0.9, None),
-    "adam_beta2": ("float", 0.98, None),
-    "adam_eps": ("float", 1e-8, None),
     "snr_low": ("float", 5.0, None),
     "snr_high": ("float", 10.0, None),
     "noise_kinds": ("str", "babble,music,natural", None),
     "use_inv": ("bool", False, None),
     "use_var": ("bool", False, None),
     "use_cov": ("bool", False, None),
-    "vic_exclude_masked": ("bool", False, None),
     "train_seed": ("int", 1, ">= 0"),
     "eval_interval": ("int", 0, ">= 0"),
 }
@@ -129,17 +127,14 @@ class LabConfig:
                 mask_start_prob=v["mask_start_prob"], mask_span=v["mask_span"])
             self.train = TrainConfig(
                 steps=v["steps"], batch_utterances=v["batch_utterances"],
-                learning_rate=v["learning_rate"], adam_beta1=v["adam_beta1"],
-                adam_beta2=v["adam_beta2"], adam_eps=v["adam_eps"],
-                snr_range_db=(v["snr_low"], v["snr_high"]),
+                learning_rate=v["learning_rate"], snr_range_db=(v["snr_low"], v["snr_high"]),
                 noise_kinds=tuple(k.strip() for k in str(v["noise_kinds"]).split(",")
                                   if k.strip()),
                 vic=VicWeights(lam=v["lambda"], mu=v["mu"], nu=v["nu"], gamma=v["gamma"],
                                epsilon=v["epsilon"], alpha=v["alpha"],
                                n_sample=v["n_sample"]),
                 use_inv=v["use_inv"], use_var=v["use_var"], use_cov=v["use_cov"],
-                vic_exclude_masked=v["vic_exclude_masked"], seed=v["train_seed"],
-                eval_interval=v["eval_interval"])
+                seed=v["train_seed"], eval_interval=v["eval_interval"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

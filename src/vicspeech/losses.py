@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,14 +130,12 @@ def sample_frames(
     student_reps: Sequence[Matrix],
     n: int,
     seed: int,
-    exclude: Optional[Sequence[np.ndarray]] = None,
 ) -> SampledPair:
     """Sample `n` (utterance, frame) coordinates uniformly without replacement
-    from the pooled batch; the same coordinates index both branches.
+    from the pool of every frame of the batch, masked or not; the same
+    coordinates index both branches.
 
     If the pool holds fewer than `n` frames, every pooled frame is used once.
-    `exclude` optionally removes per-utterance frame indices (e.g. masked
-    frames) from the pool.
     """
     if len(teacher_reps) != len(student_reps):
         raise ValueError("teacher and student batches differ in length")
@@ -145,8 +143,7 @@ def sample_frames(
     for u, (tr, sr) in enumerate(zip(teacher_reps, student_reps)):
         if tr.shape != sr.shape:
             raise ValueError(f"utterance {u}: teacher/student shapes differ")
-        drop = set() if exclude is None else set(np.asarray(exclude[u]).tolist())
-        coords.extend((u, t) for t in range(tr.shape[0]) if t not in drop)
+        coords.extend((u, t) for t in range(tr.shape[0]))
     if not coords:
         raise ValueError("empty frame pool")
     rng = np.random.default_rng(seed)

@@ -46,6 +46,7 @@ __all__ = [
     "FRAME_LEN",
     "HOP",
     "N_FILTERS",
+    "SNR_LIMIT_DB",
     "Waveform",
     "Utterance",
     "NoisySample",
@@ -73,6 +74,10 @@ HOP = 160        # 10 ms
 N_FILTERS = 40
 
 NOISE_KINDS = ("babble", "music", "natural")
+
+# the largest |SNR| a mix may have: past it the weaker signal's amplitude,
+# under 1e-15 of the stronger's, is lost in float64 rounding
+SNR_LIMIT_DB = 300.0
 
 _SEGMENT_MIN_S = 0.08
 _SEGMENT_MAX_S = 0.20
@@ -368,7 +373,10 @@ def synth_noise(kind: str, seed: int, n_samples: int, sample_rate: int = SAMPLE_
         x = _natural(rng, n_samples, sample_rate)
     else:
         raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
-    x = x * (_PEAK / np.abs(x).max())
+    peak = np.abs(x).max()
+    if peak == 0.0:
+        raise ValueError(f"{kind} noise of {n_samples} samples from seed {seed} is silent")
+    x = x * (_PEAK / peak)
     return Waveform(sample_rate, x)
 
 
@@ -404,7 +412,7 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, noise_kind: str 
     The noise is cropped to the clean length and scaled by
     ``g = sqrt(P_clean / (P_noise * 10^(snr_db/10)))``; the mix is then
     peak-normalized only if it leaves [-1, 1]. ``snr_db = inf`` is the clean
-    passthrough sentinel.
+    passthrough sentinel; any other value must lie within ``SNR_LIMIT_DB``.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rates differ")
@@ -412,6 +420,9 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, noise_kind: str 
         mixed = Waveform(clean.sample_rate, clean.samples.copy())
         return NoisySample(clean=clean, noise_kind=noise_kind, snr_db=snr_db, mixed=mixed,
                            gain=0.0, peak_scale=1.0)
+    if not abs(snr_db) <= SNR_LIMIT_DB:
+        raise ValueError(f"snr_db must be +inf or in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}], "
+                         f"got {snr_db}")
     if len(noise) < len(clean):
         raise ValueError("noise shorter than clean signal")
     n = noise.samples[: len(clean)]

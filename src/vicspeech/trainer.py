@@ -27,8 +27,8 @@ from .losses import LossBreakdown, VicWeights, masked_prediction_loss, sample_fr
 from .losses import covariance, invariance, variance  # noqa: F401
 from .model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, apply_mask, \
     backward, forward, init_encoder, predict_codewords
-from .signal import FRAME_LEN, HOP, N_FILTERS, FeatureSequence, NOISE_KINDS, Utterance, \
-    extract_features, load_corpus, mix_at_snr, synth_noise
+from .signal import FRAME_LEN, HOP, N_FILTERS, FeatureSequence, NOISE_KINDS, SNR_LIMIT_DB, \
+    Utterance, extract_features, load_corpus, mix_at_snr, synth_noise
 
 __all__ = [
     "TrainConfig",
@@ -62,16 +62,12 @@ class TrainConfig:
     steps: int = 3000
     batch_utterances: int = 8
     learning_rate: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
     snr_range_db: tuple[float, float] = (5.0, 10.0)
     noise_kinds: tuple[str, ...] = NOISE_KINDS
     vic: VicWeights = field(default_factory=VicWeights)
     use_inv: bool = True
     use_var: bool = True
     use_cov: bool = True
-    vic_exclude_masked: bool = False
     seed: int = 1
     eval_interval: int = 0
 
@@ -83,19 +79,14 @@ class TrainConfig:
         # zero is allowed: it holds the parameters where they start
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not np.isfinite(self.snr_range_db).all():
-            raise ValueError(f"snr range (snr_low, snr_high) must be finite, "
-                             f"got {self.snr_range_db}")
+        if not all(abs(snr) <= SNR_LIMIT_DB for snr in self.snr_range_db):
+            raise ValueError(f"snr range (snr_low, snr_high) must lie in "
+                             f"[-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}] dB, got {self.snr_range_db}")
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError(f"snr_low must be <= snr_high, got {self.snr_range_db}")
         if not self.noise_kinds or not set(self.noise_kinds) <= set(NOISE_KINDS):
             raise ValueError(f"noise_kinds must be a nonempty subset of {NOISE_KINDS}, "
                              f"got {self.noise_kinds}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
     @property
     def vic_active(self) -> bool:
@@ -335,9 +326,7 @@ def step_objective(
     s = v = c = 0.0
     grad_reps_list = [None] * len(caches)
     if teacher_reps is not None:
-        exclude = [spec.masked_frames for spec in specs] if cfg.vic_exclude_masked else None
-        pair = sample_frames(teacher_reps, reps_list, cfg.vic.n_sample, sample_seed,
-                             exclude=exclude)
+        pair = sample_frames(teacher_reps, reps_list, cfg.vic.n_sample, sample_seed)
         s, v, c, grad_zp = vic_loss(pair, cfg.vic, cfg.use_inv, cfg.use_var, cfg.use_cov)
         for row, (u, t) in enumerate(pair.sources):
             if grad_reps_list[u] is None:
@@ -399,8 +388,7 @@ def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
         raise TrainingDivergedError(f"loss diverged at step {step}")
     run.log.steps.append(breakdown)
 
-    vec, run.adam = adam_step(run.state.to_vector(), grad_vec, run.adam, cfg.learning_rate,
-                              cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    vec, run.adam = adam_step(run.state.to_vector(), grad_vec, run.adam, cfg.learning_rate)
     run.state = EncoderState.from_vector(enc_cfg, vec)
 
     if cfg.eval_interval and eval_hook and (step + 1) % cfg.eval_interval == 0:

@@ -1,7 +1,9 @@
 """Checkpoint container: format, integrity, and round trips."""
 
+import re
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +142,37 @@ class TestEncoderCheckpoints:
         assert data.count(b"|0.08|") == 1
         path.write_bytes(data.replace(b"|0.08|", b"|0.09|"))
         with pytest.raises(CheckpointError, match="CRC"):
+            load_encoder(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(feature_dim=st.integers(1, 6), model_dim=st.integers(2, 6),
+           n_blocks=st.integers(1, 2), mlp_hidden=st.integers(1, 6),
+           k_codewords=st.integers(1, 6), mask_start_prob=st.floats(0.0, 1.0),
+           mask_span=st.integers(1, 20))
+    def test_every_config_field_round_trips(self, **values):
+        """Each field is written with str and read back with its default's
+        type, so every value, and the type of every value, survives."""
+        assert set(values) == {f.name for f in fields(EncoderConfig)}
+        cfg = EncoderConfig(**values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "enc.ckpt"
+            save_encoder(path, init_encoder(cfg, 0))
+            loaded = load_encoder(path).config
+        assert loaded == cfg
+        for f in fields(EncoderConfig):
+            assert type(getattr(loaded, f.name)) is type(f.default), f.name
+
+    @pytest.mark.parametrize("old, new", [("|40|", "|4x|"), ("|0.08|", "|0.08|1|"),
+                                          ("|0.08|", "|")])
+    def test_malformed_config_name_named_with_path(self, tmp_path, old, new):
+        """A config name whose CRC holds but whose values do not parse is a
+        checkpoint error that names the file."""
+        path = tmp_path / "enc.ckpt"
+        save_encoder(path, init_encoder(EncoderConfig(), 0))
+        tensors = {name.replace(old, new, 1): value
+                   for name, value in load_tensors(path).items()}
+        save_tensors(path, tensors)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: malformed encoder")):
             load_encoder(path)
 
     def test_teacher_and_fresh_student_checkpoints_byte_identical(self, tmp_path):

@@ -94,6 +94,8 @@ class TestConfigErrorsBeforeInput:
         (("--snr-low", "nan"), "snr_low"),
         (("--snr-high", "inf"), "snr_high"),
         (("--snr-low", "-inf"), "snr_low"),
+        (("--snr-low", "3500", "--snr-high", "4000"), "snr_high"),
+        (("--snr-low", "-301"), "snr_low"),
     ])
     def test_vic_pretrain(self, missing, capsys, extra, key):
         assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
@@ -124,6 +126,32 @@ class TestConfigErrorsBeforeInput:
         assert run(["analyze-variance", "--encoder", missing, "--manifest", missing,
                     "--out", missing, "--snr-levels", "0,abc"]) == 1
         assert "snr-levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("probe", ("--encoder", "--train-manifest")),
+        ("analyze-variance", ("--encoder", "--manifest")),
+        ("ablate", ("--manifest", "--codebook")),
+    ])
+    @pytest.mark.parametrize("levels", ["-inf", "0,-inf", "-4000", "4000", "5,300.5"])
+    def test_snr_levels_the_mixer_cannot_reach(self, missing, capsys, command, inputs, levels):
+        argv = [command, *(arg for flag in inputs for arg in (flag, missing)),
+                "--out", missing, "--snr-levels", levels]
+        assert run(argv) == 1
+        assert "snr-levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["vic_exclude_masked", "adam_beta1"])
+    def test_removed_key_in_config_file_is_unknown(self, missing, tmp_path, capsys, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"steps = 5\n{key} = 0\n")
+        assert run(self._pretrain(missing, "--config", str(config))) == 1
+        assert f"{config}:2: unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [("--vic-exclude-masked",),
+                                       ("--vic-exclude-masked", "true")])
+    def test_removed_flag_is_usage_error(self, missing, capsys, extra):
+        assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
+                    "--codebook", missing, "--out", missing, *extra]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step", ["0", "nan", "-1e-5"])
     def test_gradcheck_step(self, capsys, step):

@@ -102,12 +102,6 @@ class TestSampleFrames:
             assert np.array_equal(pair.Z[row], teacher[u][t])
             assert np.array_equal(pair.Zp[row], student[u][t])
 
-    def test_exclude_removes_frames_from_pool(self):
-        reps = [np.arange(10.0 * 2).reshape(10, 2)]
-        pair = sample_frames(reps, reps, n=100, seed=0, exclude=[np.array([0, 1, 2])])
-        assert pair.Z.shape[0] == 7
-        assert all(t >= 3 for _, t in pair.sources)
-
     def test_deterministic(self):
         reps = [random_matrix((50, 4), 7)]
         a = sample_frames(reps, reps, 20, seed=3).sources

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vicspeech.signal import (
     MAX_VOCAB_SIZE,
     NOISE_KINDS,
+    SNR_LIMIT_DB,
     FeatureSequence,
     Utterance,
     Waveform,
@@ -103,6 +104,14 @@ class TestSynthNoise:
     def test_exact_length(self):
         for kind in ("babble", "music", "natural"):
             assert len(synth_noise(kind, 1, 16000)) == 16000
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_silent_draw_rejected_by_name(self, seed):
+        """Every babble voice starts on a zero fade sample, so one sample of
+        babble is silent: rejected as such, before any division by its peak."""
+        with pytest.raises(ValueError, match="silent"):
+            synth_noise("babble", seed, 1)
 
     def test_natural_spectral_slope_negative(self):
         """1/f shaping: more energy in a low band than in a high band."""
@@ -310,6 +319,22 @@ class TestMixAtSnr:
         noise = Waveform(SR, 0.1 * np.ones(100))
         with pytest.raises(ValueError):
             mix_at_snr(clean, noise, 5.0)
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan, 4000.0, -4000.0,
+                                        SNR_LIMIT_DB + 0.5, -SNR_LIMIT_DB - 0.5])
+    def test_snr_beyond_limit_rejected(self, snr_db):
+        clean = Waveform(SR, np.full(100, 0.2))
+        noise = Waveform(SR, np.tile([0.1, -0.1], 50))
+        with pytest.raises(ValueError, match="snr_db must be"):
+            mix_at_snr(clean, noise, snr_db)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("snr_db", [-SNR_LIMIT_DB, SNR_LIMIT_DB])
+    def test_snr_at_limit_mixes(self, snr_db):
+        noise = synth_noise("natural", 4, len(_SHORT_CLEAN))
+        ns = mix_at_snr(_SHORT_CLEAN, noise, snr_db)
+        assert 0.0 < ns.gain < math.inf
+        assert np.abs(ns.mixed.samples).max() <= 1.0
 
     def test_mixed_stays_in_range(self):
         clean = synth_utterance(6, n_segments=4, vocab_size=4).wave

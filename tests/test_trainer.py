@@ -324,8 +324,7 @@ def _reference_lm_only_loop(teacher, corpus, cb, cfg):
             l_m += w_j * loss_j
             grad += backward(cache, grad_logits=g_j * w_j)
         losses.append(l_m)
-        vec, adam = adam_step(state.to_vector(), grad, adam, cfg.learning_rate,
-                              cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        vec, adam = adam_step(state.to_vector(), grad, adam, cfg.learning_rate)
         state = EncoderState.from_vector(state.config, vec)
     return losses
 
