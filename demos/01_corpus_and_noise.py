@@ -32,7 +32,7 @@ for sym, start, end in utt.unit_labels:
 print("\nmixing each noise family at 5 dB and measuring the result:")
 for kind in ("babble", "music", "natural"):
     noise = synth_noise(kind, seed=3, n_samples=len(utt.wave))
-    sample = mix_at_snr(utt.wave, noise, 5.0, kind)
+    sample = mix_at_snr(utt.wave, noise, 5.0)
     achieved = measure_snr(utt.wave,
                            sample.mixed.samples * sample.peak_scale - utt.wave.samples)
     print(f"  {kind:>8}: gain {sample.gain:.4f}, measured SNR {achieved:.9f} dB")

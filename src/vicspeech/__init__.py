@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .codebook import Codebook, assign, fit_kmeans
 from .losses import LossBreakdown, SampledPair, VicWeights, covariance, invariance, \
-    masked_prediction_loss, sample_frames, variance, vic_loss
+    masked_prediction_loss, sample_frames, total_loss, variance
 from .model import EncoderConfig, EncoderState, MaskSpec, apply_mask, backward, forward, \
     init_encoder, predict_codewords
 from .numerics import GradCheckReport, grad_check, softmax_xent
@@ -25,7 +25,7 @@ from .trainer import AdamState, Corpus, TrainConfig, TrainLog, adam_step, make_b
 __all__ = [
     "Codebook", "assign", "fit_kmeans",
     "LossBreakdown", "SampledPair", "VicWeights", "covariance", "invariance",
-    "masked_prediction_loss", "sample_frames", "variance", "vic_loss",
+    "masked_prediction_loss", "sample_frames", "total_loss", "variance",
     "EncoderConfig", "EncoderState", "MaskSpec", "apply_mask", "backward", "forward",
     "init_encoder", "predict_codewords",
     "GradCheckReport", "grad_check", "softmax_xent",

@@ -7,7 +7,6 @@ eval excerpts never repeat training noise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ from .numerics import GradCheckReport, Matrix, as_matrix, grad_check, softmax_xe
 # not called here: kept so that the perfbench benchmark can rebind them in this module
 from .signal import extract_features, mix_at_snr, synth_noise  # noqa: F401
 from .trainer import AdamState, Corpus, EvalRow, TrainConfig, TrainLog, adam_step, \
-    derive_seed, pretrain_clean, pretrain_noisy, step_objective
+    derive_seed, pretrain_clean, pretrain_noisy, step_objective, write_csv
 
 __all__ = [
     "VarianceRow",
@@ -92,23 +91,17 @@ class VarianceReport:
     rows: list[VarianceRow] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["model_tag", "noise_kind", "snr_db", "mean_channel_variance"])
-            for r in self.rows:
-                w.writerow([r.model_tag, r.noise_kind, _snr_str(r.snr_db),
-                            repr(float(r.mean_channel_variance))])
+        write_csv(path, ["model_tag", "noise_kind", "snr_db", "mean_channel_variance"],
+                  ([r.model_tag, r.noise_kind, _snr_str(r.snr_db), r.mean_channel_variance]
+                   for r in self.rows))
 
     def write_per_channel_csv(self, path) -> None:
         if not self.rows:
             raise ValueError("empty report")
         d = self.rows[0].per_channel.size
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["model_tag", "noise_kind", "snr_db"] + [f"ch{i}" for i in range(d)])
-            for r in self.rows:
-                w.writerow([r.model_tag, r.noise_kind, _snr_str(r.snr_db)]
-                           + [repr(float(x)) for x in r.per_channel])
+        write_csv(path, ["model_tag", "noise_kind", "snr_db"] + [f"ch{i}" for i in range(d)],
+                  ([r.model_tag, r.noise_kind, _snr_str(r.snr_db), *r.per_channel]
+                   for r in self.rows))
 
     def cell(self, noise_kind: str, snr_db: float) -> VarianceRow:
         for r in self.rows:
@@ -197,20 +190,19 @@ def _probe_counts(probe: LinearProbe, encoded) -> tuple[int, int]:
     return correct, frames
 
 
-def _pooled_clean_reps(enc: EncoderState, corpus: Corpus) -> tuple[Matrix, np.ndarray]:
+def fit_linear_probe(enc: EncoderState, train_corpus: Corpus,
+                     iters: int = 300) -> tuple[LinearProbe, Matrix, np.ndarray]:
+    """Softmax regression from frozen clean representations to unit symbols.
+    Returns the probe and the pooled representations and labels it was fitted
+    on, in corpus order."""
     reps_list, labels_list = [], []
-    for feats, reps in _encode(enc, corpus):
+    for feats, reps in _encode(enc, train_corpus):
         if feats.frame_labels is None:
             raise ValueError("probe corpus lacks ground-truth frame labels")
         reps_list.append(reps)
         labels_list.append(feats.frame_labels)
-    return np.concatenate(reps_list), np.concatenate(labels_list)
-
-
-def fit_linear_probe(enc: EncoderState, train_corpus: Corpus, iters: int = 300) -> LinearProbe:
-    """Softmax regression from frozen clean representations to unit symbols."""
-    x, y = _pooled_clean_reps(enc, train_corpus)
-    return _fit_softmax_regression(x, y, iters, _PROBE_LR)
+    x, y = np.concatenate(reps_list), np.concatenate(labels_list)
+    return _fit_softmax_regression(x, y, iters, _PROBE_LR), x, y
 
 
 def _fit_softmax_regression(x: Matrix, y: np.ndarray, iters: int, lr: float) -> LinearProbe:
@@ -266,7 +258,7 @@ def linear_probe(
     under each (noise kind, SNR) condition. SNR inf rows evaluate on clean
     input and are reported under the kind ``clean``."""
     ev = train_corpus if eval_corpus is None else eval_corpus
-    probe = fit_linear_probe(enc, train_corpus)
+    probe = fit_linear_probe(enc, train_corpus)[0]
     results = []
     seen_clean = False
     for kind, snr in eval_conditions:
@@ -290,26 +282,23 @@ def n_accuracy(results: Sequence[ProbeResult]) -> float:
 
 
 def write_probe_csv(path, results: Sequence[ProbeResult], model_tag: str = "model") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model_tag", "noise_kind", "snr_db", "frame_accuracy", "n_frames"])
-        for r in results:
-            w.writerow([model_tag, r.noise_kind, _snr_str(r.snr_db),
-                        repr(float(r.frame_accuracy)), r.n_frames])
+    write_csv(path, ["model_tag", "noise_kind", "snr_db", "frame_accuracy", "n_frames"],
+              ([model_tag, r.noise_kind, _snr_str(r.snr_db), r.frame_accuracy, r.n_frames]
+               for r in results))
 
 
 def make_train_eval_hook(corpus: Corpus, probe_iters: int = 100):
     """Periodic-eval callback for the trainer: a quick probe on clean
-    representations, the same probe under one fixed noisy condition, and the
-    mean per-channel std of the pooled noisy representations."""
+    representations, scored on the representations it was fitted on, the same
+    probe under one fixed noisy condition, and the mean per-channel std of the
+    pooled noisy representations."""
 
     def hook(step: int, state: EncoderState) -> EvalRow:
-        probe = fit_linear_probe(state, corpus, iters=probe_iters)
-        correct_c, total = _probe_counts(probe, _encode(state, corpus))
+        probe, x, y = fit_linear_probe(state, corpus, iters=probe_iters)
         noisy = list(_encode(state, corpus, *_HOOK_CONDITION, _TAG_EVAL_NOISE))
-        correct_n, _ = _probe_counts(probe, noisy)
+        correct_n, total = _probe_counts(probe, noisy)
         pooled = np.concatenate([reps for _, reps in noisy])
-        return EvalRow(step=step, probe_acc_clean=correct_c / total,
+        return EvalRow(step=step, probe_acc_clean=int((probe.predict(x) == y).sum()) / total,
                        probe_acc_noisy=correct_n / total,
                        mean_channel_std=float(pooled.std(axis=0, ddof=1).mean()))
 
@@ -333,10 +322,9 @@ def mean_sampled_channel_std(
     frames without replacement."""
     reps_list = []
     for i in range(len(corpus)):
-        rng = np.random.default_rng(derive_seed(seed, _TAG_SAMPLE_STD, i, 0))
-        kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
-        snr = float(rng.uniform(*snr_range_db))
-        feats = corpus.condition_features(i, kind, snr, derive_seed(seed, _TAG_SAMPLE_STD, i))
+        _, _, feats = corpus.draw_condition(i, noise_kinds, snr_range_db,
+                                            derive_seed(seed, _TAG_SAMPLE_STD, i, 0),
+                                            derive_seed(seed, _TAG_SAMPLE_STD, i))
         reps, _ = forward(enc, feats, training=False)
         reps_list.append(reps)
     pair = sample_frames(reps_list, reps_list, n, derive_seed(seed, _TAG_SAMPLE_STD + 1))
@@ -375,13 +363,9 @@ class AblationResult:
     probe_results: dict[tuple[str, int], list[ProbeResult]]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["config_tag", "n_accuracy_mean", "n_accuracy_std", "l_m", "s", "v", "c"])
-            for r in self.rows:
-                w.writerow([r.config_tag] + [repr(float(x)) for x in
-                                             (r.n_accuracy_mean, r.n_accuracy_std,
-                                              r.l_m, r.s, r.v, r.c)])
+        write_csv(path, ["config_tag", "n_accuracy_mean", "n_accuracy_std", "l_m", "s", "v", "c"],
+                  ([r.config_tag, r.n_accuracy_mean, r.n_accuracy_std, r.l_m, r.s, r.v, r.c]
+                   for r in self.rows))
 
     def format_table(self) -> str:
         header = f"{'config':<16} {'n-acc mean':>10} {'n-acc std':>10} {'l_m':>8} {'s':>8} {'v':>8} {'c':>8}"

@@ -23,7 +23,7 @@ from .codebook import fit_kmeans
 from .config import ConfigError, LabConfig, load_config
 from .model import TrainingDivergedError
 from .signal import NOISE_KINDS, SNR_LIMIT_DB, build_corpus
-from .trainer import Corpus, pretrain_clean, pretrain_noisy
+from .trainer import Corpus, TrainLog, pretrain_clean, pretrain_noisy
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -138,16 +138,21 @@ def _cmd_kmeans(args, cfg: LabConfig) -> int:
     return 0
 
 
+def _write_log(path, log: TrainLog) -> None:
+    """The loss CSV at `path`, if given, and the eval rows, if any, beside it."""
+    if path:
+        log.write_loss_csv(path)
+        if log.eval_rows:
+            log.write_eval_csv(str(path) + ".eval.csv")
+
+
 def _cmd_pretrain(args, cfg: LabConfig) -> int:
     corpus = _load_corpus(args.manifest, cfg)
     cb = load_codebook(args.codebook)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
     teacher, log = pretrain_clean(corpus, cb, cfg.train, enc_cfg=cfg.encoder, eval_hook=hook)
     save_encoder(args.out, teacher)
-    if args.log:
-        log.write_loss_csv(args.log)
-        if log.eval_rows:
-            log.write_eval_csv(str(args.log) + ".eval.csv")
+    _write_log(args.log, log)
     print(f"step 0 loss {log.steps[0].l_tot:.4f} -> final {log.steps[-1].l_tot:.4f}")
     print(f"wrote {args.out}")
     return 0
@@ -163,10 +168,7 @@ def _cmd_vic_pretrain(args, cfg: LabConfig) -> int:
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
     [(student, log)] = pretrain_noisy(teacher, corpus, cb, [cfg.train], eval_hook=hook)
     save_encoder(args.out, student)
-    if args.log:
-        log.write_loss_csv(args.log)
-        if log.eval_rows:
-            log.write_eval_csv(str(args.log) + ".eval.csv")
+    _write_log(args.log, log)
     b = log.steps[-1]
     print(f"final l_m {b.l_m:.4f} s {b.s:.4f} v {b.v:.4f} c {b.c:.4f} l_tot {b.l_tot:.4f}")
     print(f"wrote {args.out}")

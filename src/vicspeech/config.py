@@ -32,50 +32,51 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (type tag, default, bound). A bound checks a key that no value
-# object checks, except mask_start_prob's, which adds a rule of training's.
-DEFAULTS: dict[str, tuple[str, Any, Optional[str]]] = {
+# key -> (default, bound); a value parses to its default's type. A bound
+# checks a key that no value object checks, except mask_start_prob's, which
+# adds a rule of training's.
+DEFAULTS: dict[str, tuple[Any, Optional[str]]] = {
     # corpus synthesis
-    "sample_rate": ("int", 16000, ">= 1"),
-    "n_utterances": ("int", 40, ">= 1"),
-    "vocab_size": ("int", 16, f">= 2 and <= {MAX_VOCAB_SIZE}"),
-    "n_segments": ("int", 12, ">= 1"),
-    "corpus_seed": ("int", 100, ">= 0"),
+    "sample_rate": (16000, ">= 1"),
+    "n_utterances": (40, ">= 1"),
+    "vocab_size": (16, f">= 2 and <= {MAX_VOCAB_SIZE}"),
+    "n_segments": (12, ">= 1"),
+    "corpus_seed": (100, ">= 0"),
     # features; a Hann window shorter than 3 samples is all zeros
-    "frame_len": ("int", 400, ">= 3"),
-    "hop": ("int", 160, ">= 1"),
-    "n_filters": ("int", 40, ">= 1"),
+    "frame_len": (400, ">= 3"),
+    "hop": (160, ">= 1"),
+    "n_filters": (40, ">= 1"),
     # codebook
-    "k": ("int", 16, ">= 1"),
-    "kmeans_max_iters": ("int", 50, ">= 0"),
-    "kmeans_seed": ("int", 7, ">= 0"),
+    "k": (16, ">= 1"),
+    "kmeans_max_iters": (50, ">= 0"),
+    "kmeans_seed": (7, ">= 0"),
     # encoder
-    "model_dim": ("int", 64, None),
-    "n_blocks": ("int", 2, None),
-    "mlp_hidden": ("int", 128, None),
+    "model_dim": (64, None),
+    "n_blocks": (2, None),
+    "mlp_hidden": (128, None),
     # training draws masks until one is nonempty, which never happens at 0
-    "mask_start_prob": ("float", 0.08, "> 0"),
-    "mask_span": ("int", 10, None),
+    "mask_start_prob": (0.08, "> 0"),
+    "mask_span": (10, None),
     # regularizer weights
-    "lambda": ("float", 5.0, None),
-    "mu": ("float", 1.0, None),
-    "nu": ("float", 1.0, None),
-    "gamma": ("float", 1.0, None),
-    "epsilon": ("float", 1e-4, None),
-    "alpha": ("float", 1.0, None),
-    "n_sample": ("int", 256, None),
+    "lambda": (5.0, None),
+    "mu": (1.0, None),
+    "nu": (1.0, None),
+    "gamma": (1.0, None),
+    "epsilon": (1e-4, None),
+    "alpha": (1.0, None),
+    "n_sample": (256, None),
     # trainer; the VIC terms are off unless a flag or the file turns them on
-    "steps": ("int", 3000, None),
-    "batch_utterances": ("int", 8, None),
-    "learning_rate": ("float", 5e-4, None),
-    "snr_low": ("float", 5.0, None),
-    "snr_high": ("float", 10.0, None),
-    "noise_kinds": ("str", "babble,music,natural", None),
-    "use_inv": ("bool", False, None),
-    "use_var": ("bool", False, None),
-    "use_cov": ("bool", False, None),
-    "train_seed": ("int", 1, ">= 0"),
-    "eval_interval": ("int", 0, ">= 0"),
+    "steps": (3000, None),
+    "batch_utterances": (8, None),
+    "learning_rate": (5e-4, None),
+    "snr_low": (5.0, None),
+    "snr_high": (10.0, None),
+    "noise_kinds": ("babble,music,natural", None),
+    "use_inv": (False, None),
+    "use_var": (False, None),
+    "use_cov": (False, None),
+    "train_seed": (1, ">= 0"),
+    "eval_interval": (0, ">= 0"),
 }
 
 _COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
@@ -86,24 +87,16 @@ def _within(value, bound: str) -> bool:
     return all(_COMPARE[op](value, float(limit)) for op, limit in clauses)
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_value(key: str, raw: str, where: str):
-    kind = DEFAULTS[key][0]
+    kind = type(DEFAULTS[key][0])
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"{where}: invalid {kind} value for {key!r}: {raw!r}") from None
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: invalid {kind.__name__} value for {key!r}: {raw!r}") from None
 
 
 @dataclass
@@ -115,9 +108,9 @@ class LabConfig:
     train: TrainConfig = field(init=False)
 
     def __post_init__(self):
-        self.values = {**{k: default for k, (_, default, _) in DEFAULTS.items()}, **self.values}
+        self.values = {**{k: default for k, (default, _) in DEFAULTS.items()}, **self.values}
         v = self.values
-        for key, (_, _, bound) in DEFAULTS.items():
+        for key, (_, bound) in DEFAULTS.items():
             if bound is not None and not _within(v[key], bound):
                 raise ConfigError(f"{key} must be {bound}, got {v[key]!r}")
         try:  # the value objects name the key in every rejection

@@ -13,15 +13,16 @@ as rows:
               c = (1/d) sum_{i != j} C_ij^2   (both orderings counted)
 
 The combination is l_vic = lambda*s + mu*v + nu*c and the total objective is
-l_m + alpha*l_vic. Variance and covariance regularize the student branch
-only; no gradient ever flows to the teacher.
+l_m + alpha*l_vic; `total_loss` is the one place that weighs the terms, for
+both the value and the gradient. Variance and covariance regularize the
+student branch only; no gradient ever flows to the teacher.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ __all__ = [
     "invariance",
     "variance",
     "covariance",
-    "vic_loss",
+    "total_loss",
 ]
 
 
@@ -89,12 +90,6 @@ class LossBreakdown:
     c: float
     l_vic: float
     l_tot: float
-
-    @classmethod
-    def build(cls, l_m: float, s: float, v: float, c: float, w: VicWeights) -> "LossBreakdown":
-        l_vic = w.lam * s + w.mu * v + w.nu * c
-        return cls(l_m=float(l_m), s=float(s), v=float(v), c=float(c),
-                   l_vic=float(l_vic), l_tot=float(l_m + w.alpha * l_vic))
 
 
 def masked_prediction_loss(
@@ -207,28 +202,36 @@ def covariance(Zp) -> tuple[float, Matrix]:
     return c, grad
 
 
-def vic_loss(
-    pair: SampledPair,
+def total_loss(
+    l_m: float,
+    pair: Optional[SampledPair],
     w: VicWeights,
-    use_inv: bool = True,
-    use_var: bool = True,
-    use_cov: bool = True,
-) -> tuple[float, float, float, Matrix]:
-    """The enabled terms (s, v, c) and their weighted student-side gradient.
+    use_inv: bool,
+    use_var: bool,
+    use_cov: bool,
+) -> tuple[LossBreakdown, Optional[Matrix]]:
+    """The objective l_tot = l_m + alpha*(lambda*s + mu*v + nu*c) and its
+    gradient with respect to ``pair.Zp``.
 
-    A disabled term is reported as exactly 0.0 and adds no gradient. The
-    gradient starts from zeros and adds lambda*g_s, mu*g_v, nu*g_c in that
-    order; `LossBreakdown.build` forms l_vic and l_tot from the terms.
+    A disabled term, and every term when `pair` is None (no teacher), is
+    exactly 0.0 and adds no gradient; with no pair the gradient is None. The
+    gradient starts from zeros, adds lambda*g_s, mu*g_v, nu*g_c in that
+    order, and is then scaled by alpha.
     """
     s = v = c = 0.0
-    grad = np.zeros_like(pair.Zp)
-    if use_inv:
-        s, g = invariance(pair.Z, pair.Zp)
-        grad += w.lam * g
-    if use_var:
-        v, g = variance(pair.Zp, w.gamma, w.epsilon)
-        grad += w.mu * g
-    if use_cov:
-        c, g = covariance(pair.Zp)
-        grad += w.nu * g
-    return s, v, c, grad
+    grad = None
+    if pair is not None:
+        grad = np.zeros_like(pair.Zp)
+        if use_inv:
+            s, g = invariance(pair.Z, pair.Zp)
+            grad += w.lam * g
+        if use_var:
+            v, g = variance(pair.Zp, w.gamma, w.epsilon)
+            grad += w.mu * g
+        if use_cov:
+            c, g = covariance(pair.Zp)
+            grad += w.nu * g
+        grad = w.alpha * grad
+    l_vic = w.lam * s + w.mu * v + w.nu * c
+    return LossBreakdown(l_m=float(l_m), s=s, v=v, c=c, l_vic=float(l_vic),
+                         l_tot=float(l_m + w.alpha * l_vic)), grad

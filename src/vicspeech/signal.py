@@ -127,18 +127,16 @@ class Utterance:
 
 @dataclass
 class NoisySample:
-    """A clean/noisy pair mixed at an exact SNR.
+    """A mix of clean speech and noise at an exact SNR.
 
-    ``mixed * peak_scale`` restores the pre-normalization mix, so
-    ``measure_snr(clean, mixed * peak_scale - clean)`` recovers ``snr_db``.
+    ``gain`` is the factor the noise was scaled by (0.0 for the clean
+    passthrough). ``mixed * peak_scale`` restores the pre-normalization mix,
+    so ``measure_snr(clean, mixed * peak_scale - clean)`` recovers the SNR.
     """
 
-    clean: Waveform
-    noise_kind: str
-    snr_db: float
     mixed: Waveform
-    gain: float = 0.0
-    peak_scale: float = 1.0
+    gain: float
+    peak_scale: float
 
 
 @dataclass
@@ -406,7 +404,7 @@ def measure_snr(clean, noise_component) -> float:
     return 10.0 * math.log10(p_clean / p_noise)
 
 
-def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, noise_kind: str = "") -> NoisySample:
+def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> NoisySample:
     """Mix `noise` into `clean` at exactly `snr_db`.
 
     The noise is cropped to the clean length and scaled by
@@ -417,9 +415,7 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, noise_kind: str 
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rates differ")
     if math.isinf(snr_db) and snr_db > 0:
-        mixed = Waveform(clean.sample_rate, clean.samples.copy())
-        return NoisySample(clean=clean, noise_kind=noise_kind, snr_db=snr_db, mixed=mixed,
-                           gain=0.0, peak_scale=1.0)
+        return NoisySample(Waveform(clean.sample_rate, clean.samples.copy()), 0.0, 1.0)
     if not abs(snr_db) <= SNR_LIMIT_DB:
         raise ValueError(f"snr_db must be +inf or in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}], "
                          f"got {snr_db}")
@@ -433,9 +429,7 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, noise_kind: str 
     mixed_pre = clean.samples + gain * n
     peak = float(np.abs(mixed_pre).max())
     scale = peak if peak > 1.0 else 1.0
-    mixed = Waveform(clean.sample_rate, mixed_pre / scale)
-    return NoisySample(clean=clean, noise_kind=noise_kind, snr_db=float(snr_db), mixed=mixed,
-                       gain=gain, peak_scale=scale)
+    return NoisySample(Waveform(clean.sample_rate, mixed_pre / scale), gain, scale)
 
 
 # ----------------------------------------------------------------------

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import codebook as cb_mod
-from .losses import LossBreakdown, VicWeights, masked_prediction_loss, sample_frames, vic_loss
+from .losses import LossBreakdown, VicWeights, masked_prediction_loss, sample_frames, total_loss
 # not called here: kept so that the perfbench benchmark can rebind them in this module
 from .losses import covariance, invariance, variance  # noqa: F401
 from .model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, apply_mask, \
@@ -38,6 +38,7 @@ __all__ = [
     "BatchItem",
     "adam_step",
     "derive_seed",
+    "write_csv",
     "batch_indices",
     "make_batch",
     "step_objective",
@@ -127,6 +128,16 @@ def adam_step(
     return new_params, AdamState(m=m, v=v, t=t)
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header` and `rows` to `path` as CSV with "\n" line ends; a float
+    cell is written as ``repr(float(x))``, which reads back bit for bit."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+                    for row in rows)
+
+
 @dataclass
 class EvalRow:
     step: int
@@ -141,19 +152,13 @@ class TrainLog:
     eval_rows: list[EvalRow] = field(default_factory=list)
 
     def write_loss_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["step", "l_m", "s", "v", "c", "l_vic", "l_tot"])
-            for i, b in enumerate(self.steps):
-                w.writerow([i] + [repr(float(x)) for x in (b.l_m, b.s, b.v, b.c, b.l_vic, b.l_tot)])
+        write_csv(path, ["step", "l_m", "s", "v", "c", "l_vic", "l_tot"],
+                  ([i, b.l_m, b.s, b.v, b.c, b.l_vic, b.l_tot] for i, b in enumerate(self.steps)))
 
     def write_eval_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["step", "probe_acc_clean", "probe_acc_noisy", "mean_channel_std"])
-            for r in self.eval_rows:
-                w.writerow([r.step] + [repr(float(x)) for x in
-                                       (r.probe_acc_clean, r.probe_acc_noisy, r.mean_channel_std)])
+        write_csv(path, ["step", "probe_acc_clean", "probe_acc_noisy", "mean_channel_std"],
+                  ([r.step, r.probe_acc_clean, r.probe_acc_noisy, r.mean_channel_std]
+                   for r in self.eval_rows))
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +203,21 @@ class Corpus:
             return self.clean_features(i)
         utt = self.utterances[i]
         noise = synth_noise(kind, noise_seed, len(utt.wave), utt.wave.sample_rate)
-        mixed = mix_at_snr(utt.wave, noise, snr_db, kind)
+        mixed = mix_at_snr(utt.wave, noise, snr_db)
         return extract_features(mixed.mixed, frame_len=self.frame_len, hop=self.hop,
                                 n_filters=self.n_filters, segments=utt.unit_labels,
                                 utterance_id=utt.id)
+
+    def draw_condition(self, i: int, noise_kinds: Sequence[str],
+                       snr_range_db: tuple[float, float], draw_seed: int,
+                       noise_seed: int) -> tuple[str, float, FeatureSequence]:
+        """A noise kind from `noise_kinds` and an SNR uniform in
+        `snr_range_db`, both drawn from `draw_seed`, and the features of
+        utterance `i` under them with the noise drawn from `noise_seed`."""
+        rng = np.random.default_rng(draw_seed)
+        kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
+        snr_db = float(rng.uniform(*snr_range_db))
+        return kind, snr_db, self.condition_features(i, kind, snr_db, noise_seed)
 
 
 def _read_only(feats: FeatureSequence) -> FeatureSequence:
@@ -268,11 +284,9 @@ def make_batch(
         if not noise_kinds:
             items.append(BatchItem(utt_index=utt_index, clean=clean))
             continue
-        rng = np.random.default_rng(derive_seed(seed, _TAG_NOISE, step, j, 0))
-        kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
-        snr_db = float(rng.uniform(*snr_range_db))
-        noisy = corpus.condition_features(utt_index, kind, snr_db,
-                                          derive_seed(seed, _TAG_NOISE, step, j, 1))
+        kind, snr_db, noisy = corpus.draw_condition(
+            utt_index, noise_kinds, snr_range_db, derive_seed(seed, _TAG_NOISE, step, j, 0),
+            derive_seed(seed, _TAG_NOISE, step, j, 1))
         items.append(BatchItem(utt_index=utt_index, clean=clean, noisy=_read_only(noisy),
                                noise_kind=kind, snr_db=snr_db))
     corpus._last_batch = (key, tuple(items))
@@ -308,8 +322,9 @@ def step_objective(
     `labels` their codeword targets. Masked prediction weights each
     utterance by its share of the batch's masked frames. With `teacher_reps`
     given, the enabled VIC terms act on `cfg.vic.n_sample` frames drawn from
-    the pooled batch by `sample_seed`, and alpha times their gradient flows
-    back to the sampled rows; with None the VIC terms are 0.0.
+    the pooled batch by `sample_seed`, and `losses.total_loss` weighs them and
+    their gradient, which flows back to the sampled rows; with None the VIC
+    terms are 0.0.
     """
     total_masked = sum(len(spec) for spec in specs)
     l_m = 0.0
@@ -323,20 +338,20 @@ def step_objective(
         caches.append(cache)
         grad_logits_list.append(grad_logits_j * w_j)
 
-    s = v = c = 0.0
+    pair = None if teacher_reps is None else \
+        sample_frames(teacher_reps, reps_list, cfg.vic.n_sample, sample_seed)
+    breakdown, grad_zp = total_loss(l_m, pair, cfg.vic, cfg.use_inv, cfg.use_var, cfg.use_cov)
     grad_reps_list = [None] * len(caches)
-    if teacher_reps is not None:
-        pair = sample_frames(teacher_reps, reps_list, cfg.vic.n_sample, sample_seed)
-        s, v, c, grad_zp = vic_loss(pair, cfg.vic, cfg.use_inv, cfg.use_var, cfg.use_cov)
+    if pair is not None:
         for row, (u, t) in enumerate(pair.sources):
             if grad_reps_list[u] is None:
                 grad_reps_list[u] = np.zeros_like(reps_list[u])
-            grad_reps_list[u][t] += cfg.vic.alpha * grad_zp[row]
+            grad_reps_list[u][t] += grad_zp[row]
 
     grad = np.zeros(state.n_params())
     for cache, grad_reps, grad_logits in zip(caches, grad_reps_list, grad_logits_list):
         grad += backward(cache, grad_reps=grad_reps, grad_logits=grad_logits)
-    return LossBreakdown.build(l_m, s, v, c, cfg.vic), grad
+    return breakdown, grad
 
 
 @dataclass

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vicspeech import analysis
-from vicspeech.model import init_encoder
-from vicspeech.trainer import AdamState, TrainConfig, adam_step, pretrain_clean
+from vicspeech.losses import sample_frames
+from vicspeech.model import forward, init_encoder
+from vicspeech.trainer import AdamState, Corpus, EvalRow, TrainConfig, adam_step, derive_seed, \
+    pretrain_clean
 
 
 @pytest.fixture(scope="module")
@@ -204,9 +206,13 @@ class TestSoftmaxRegression:
         assert got.bias.tobytes() == want_b.tobytes()
 
     def test_fit_linear_probe_matches_plain_loop(self, trained_encoder, mini_corpus):
-        x, y = analysis._pooled_clean_reps(trained_encoder, mini_corpus)
+        got, x, y = analysis.fit_linear_probe(trained_encoder, mini_corpus)
+        assert x.tobytes() == np.concatenate(
+            [forward(trained_encoder, mini_corpus.clean_features(i))[0]
+             for i in range(len(mini_corpus))]).tobytes()
+        assert np.array_equal(y, np.concatenate([mini_corpus.clean_features(i).frame_labels
+                                                 for i in range(len(mini_corpus))]))
         want_w, want_b = _reference_softmax_regression(x, y, 300, 0.05)
-        got = analysis.fit_linear_probe(trained_encoder, mini_corpus)
         assert got.weight.tobytes() == want_w.tobytes()
         assert got.bias.tobytes() == want_b.tobytes()
 
@@ -219,6 +225,72 @@ class TestSoftmaxRegression:
         y = rng.integers(3, size=50)
         with pytest.raises(RuntimeError, match="linear probe diverged"):
             analysis._fit_softmax_regression(x, y, 5, 1e10)
+
+
+def _reference_mean_sampled_channel_std(enc, corpus, noise_kinds, snr_range_db, n, seed):
+    """`analysis.mean_sampled_channel_std` before the condition draw moved
+    into `Corpus.draw_condition`, kept verbatim as the reference."""
+    reps_list = []
+    for i in range(len(corpus)):
+        rng = np.random.default_rng(derive_seed(seed, analysis._TAG_SAMPLE_STD, i, 0))
+        kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
+        snr = float(rng.uniform(*snr_range_db))
+        feats = corpus.condition_features(i, kind, snr,
+                                          derive_seed(seed, analysis._TAG_SAMPLE_STD, i))
+        reps, _ = forward(enc, feats, training=False)
+        reps_list.append(reps)
+    pair = sample_frames(reps_list, reps_list, n, derive_seed(seed, analysis._TAG_SAMPLE_STD + 1))
+    return float(pair.Zp.std(axis=0, ddof=1).mean())
+
+
+def _reference_train_eval_hook(corpus, probe_iters):
+    """`make_train_eval_hook` before it scored the clean condition on the
+    fit's pooled representations: it encoded the clean utterances again.
+    Kept verbatim as the reference, but for taking the probe out of the
+    tuple `fit_linear_probe` now returns."""
+
+    def hook(step, state):
+        probe = analysis.fit_linear_probe(state, corpus, iters=probe_iters)[0]
+        correct_c, total = analysis._probe_counts(probe, analysis._encode(state, corpus))
+        noisy = list(analysis._encode(state, corpus, *analysis._HOOK_CONDITION,
+                                      analysis._TAG_EVAL_NOISE))
+        correct_n, _ = analysis._probe_counts(probe, noisy)
+        pooled = np.concatenate([reps for _, reps in noisy])
+        return EvalRow(step=step, probe_acc_clean=correct_c / total,
+                       probe_acc_noisy=correct_n / total,
+                       mean_channel_std=float(pooled.std(axis=0, ddof=1).mean()))
+
+    return hook
+
+
+class TestMergedPathsAreBitwise:
+    @pytest.mark.parametrize("seed,kinds", [(5, ("music", "natural")),
+                                            (0, ("babble", "music", "natural"))])
+    def test_mean_sampled_channel_std_equals_reference(self, trained_encoder, mini_corpus,
+                                                       seed, kinds):
+        got = analysis.mean_sampled_channel_std(trained_encoder, mini_corpus, kinds,
+                                                (5.0, 10.0), 64, seed=seed)
+        want = _reference_mean_sampled_channel_std(trained_encoder, mini_corpus, kinds,
+                                                   (5.0, 10.0), 64, seed)
+        assert got == want
+
+    def test_eval_hook_equals_reference_with_two_thirds_of_the_forwards(
+            self, trained_encoder, mini_corpus, monkeypatch):
+        corpus = Corpus(mini_corpus.utterances[:4])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "forward", counted)
+        rows, counts = [], []
+        for make in (analysis.make_train_eval_hook, _reference_train_eval_hook):
+            calls.clear()
+            rows.append(make(corpus, probe_iters=20)(3, trained_encoder))
+            counts.append(len(calls))
+        assert rows[0] == rows[1]
+        assert counts == [8, 12]
 
 
 class TestAblationRun:

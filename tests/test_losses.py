@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vicspeech.losses import (
-    LossBreakdown,
     VicWeights,
     covariance,
     invariance,
     masked_prediction_loss,
     sample_frames,
+    total_loss,
     variance,
-    vic_loss,
     SampledPair,
 )
 from vicspeech.model import MaskSpec
@@ -251,49 +250,59 @@ def _pair(z, zp):
     return SampledPair(Z=z, Zp=zp, sources=[(0, i) for i in range(z.shape[0])])
 
 
+# a pair whose terms are exact: s = 2, and with gamma = 2 and epsilon = 1.75
+# both columns have std sqrt(0.5 + 1.75) = 1.5, so v = 0.5; the off-diagonal
+# covariance is 0.5, so c = 0.25
+_HAND_Z = np.array([[-1.5, 0.5], [-0.5, -0.5]])
+_HAND_ZP = np.array([[0.5, 0.5], [-0.5, -0.5]])
+_HAND_W = VicWeights(gamma=2.0, epsilon=1.75, n_sample=2)
+
+_ALL = (True, True, True)
+
+
 class TestVicCombination:
     def test_weighted_sum_value(self):
         """s=2, v=0.5, c=0.25, weights (5,1,1) -> 10.75."""
         assert 5.0 * 2.0 + 1.0 * 0.5 + 1.0 * 0.25 == pytest.approx(10.75)
         # through the API on constructed matrices:
-        w = VicWeights(lam=5.0, mu=1.0, nu=1.0, gamma=1.0, epsilon=1e-4, n_sample=2)
-        z = np.zeros((2, 2))
-        zp = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        s_, v_, c_, _ = vic_loss(_pair(z, zp), w)
+        w = _HAND_W
+        z, zp = _HAND_Z, _HAND_ZP
+        b, _ = total_loss(0.0, _pair(z, zp), w, *_ALL)
         s, _ = invariance(z, zp)
-        v, _ = variance(zp, 1.0, 1e-4)
+        v, _ = variance(zp, w.gamma, w.epsilon)
         c, _ = covariance(zp)
-        assert (s_, v_, c_) == (s, v, c)
-        l_vic = LossBreakdown.build(0.0, s_, v_, c_, w).l_vic
-        assert l_vic == pytest.approx(5 * s + v + c, rel=1e-12)
+        assert (b.s, b.v, b.c) == (s, v, c) == (2.0, 0.5, 0.25)
+        assert b.l_vic == pytest.approx(5 * s + v + c, rel=1e-12)
+        assert b.l_vic == pytest.approx(10.75)
 
     def test_zero_weights_zero_loss_and_gradient(self):
         w = VicWeights(lam=0.0, mu=0.0, nu=0.0, n_sample=2)
         rng = np.random.default_rng(1)
         z, zp = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        s, v, c, grad = vic_loss(_pair(z, zp), w)
-        assert LossBreakdown.build(0.0, s, v, c, w).l_vic == 0.0
+        b, grad = total_loss(0.0, _pair(z, zp), w, *_ALL)
+        assert b.l_vic == 0.0
         assert np.all(grad == 0.0)
 
     def test_gradient_is_weighted_sum_of_term_gradients(self):
-        w = VicWeights(lam=5.0, mu=1.0, nu=1.0, n_sample=2)
+        w = VicWeights(lam=5.0, mu=1.0, nu=1.0, alpha=0.5, n_sample=2)
         rng = np.random.default_rng(2)
         z, zp = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
-        _, _, _, grad = vic_loss(_pair(z, zp), w)
+        _, grad = total_loss(0.0, _pair(z, zp), w, *_ALL)
         _, gs = invariance(z, zp)
         _, gv = variance(zp, w.gamma, w.epsilon)
         _, gc = covariance(zp)
-        assert np.allclose(grad, 5 * gs + gv + gc, atol=1e-15)
+        assert np.allclose(grad, 0.5 * (5 * gs + gv + gc), atol=1e-15)
 
     @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
     def test_flags_select_terms_bitwise(self, flags):
         """A disabled term is exactly 0.0 and adds no gradient; the enabled
-        weighted gradients are added to zeros in lambda, mu, nu order."""
+        weighted gradients are added to zeros in lambda, mu, nu order, and
+        the sum is scaled by alpha."""
         use_inv, use_var, use_cov = flags
-        w = VicWeights(lam=5.0, mu=0.7, nu=1.3, gamma=2.0, n_sample=2)
+        w = VicWeights(lam=5.0, mu=0.7, nu=1.3, gamma=2.0, alpha=0.3, n_sample=2)
         rng = np.random.default_rng(3)
         z, zp = rng.standard_normal((7, 4)), rng.standard_normal((7, 4))
-        s, v, c, grad = vic_loss(_pair(z, zp), w, use_inv, use_var, use_cov)
+        b, grad = total_loss(0.0, _pair(z, zp), w, use_inv, use_var, use_cov)
         want = np.zeros_like(zp)
         terms = []
         for on, weight, (value, g) in ((use_inv, w.lam, invariance(z, zp)),
@@ -302,29 +311,37 @@ class TestVicCombination:
             terms.append(value if on else 0.0)
             if on:
                 want += weight * g
-        assert [s, v, c] == terms
-        assert np.array_equal(grad, want)
+        assert [b.s, b.v, b.c] == terms
+        assert np.array_equal(grad, w.alpha * want)
 
 
 class TestTotalLoss:
-    """l_tot is formed by `LossBreakdown.build` only."""
+    """l_tot is formed by `total_loss` only."""
 
     def test_alpha_zero_reduces_to_masked_loss(self):
-        b = LossBreakdown.build(2.0, s=24.6, v=0.0, c=0.0, w=VicWeights(alpha=0.0))
+        # s = (11^2 + 1 + 1) / 5 = 24.6
+        z, zp = np.zeros((5, 1)), np.array([[11.0], [1.0], [1.0], [0.0], [0.0]])
+        b, _ = total_loss(2.0, _pair(z, zp), VicWeights(alpha=0.0), True, False, False)
+        assert b.s == 24.6
         assert b.l_vic == 123.0
         assert b.l_tot == 2.0
 
     def test_paper_weights_arithmetic(self):
-        b = LossBreakdown.build(2.0, s=2.0, v=0.5, c=0.25, w=VicWeights())
+        b, _ = total_loss(2.0, _pair(_HAND_Z, _HAND_ZP), _HAND_W, *_ALL)
         assert b.l_vic == pytest.approx(10.75, abs=1e-15)
         assert b.l_tot == pytest.approx(12.75, abs=1e-15)
 
     def test_zero_vic_identity(self):
-        assert LossBreakdown.build(1.7, s=0.0, v=0.0, c=0.0, w=VicWeights()).l_tot == 1.7
+        """Without a teacher (no pair) the terms are 0.0, there is no
+        gradient, and l_tot is l_m exactly."""
+        b, grad = total_loss(1.7, None, VicWeights(), *_ALL)
+        assert (b.s, b.v, b.c, b.l_vic) == (0.0, 0.0, 0.0, 0.0)
+        assert grad is None
+        assert b.l_tot == 1.7
 
     def test_breakdown_invariants(self):
-        w = VicWeights()
-        b = LossBreakdown.build(l_m=2.0, s=2.0, v=0.5, c=0.25, w=w)
+        w = _HAND_W
+        b, _ = total_loss(2.0, _pair(_HAND_Z, _HAND_ZP), w, *_ALL)
         assert b.l_vic == pytest.approx(w.lam * 2.0 + w.mu * 0.5 + w.nu * 0.25, abs=1e-15)
         assert b.l_tot == pytest.approx(b.l_m + w.alpha * b.l_vic, abs=1e-15)
 

@@ -354,7 +354,7 @@ class TestMixAtSnrProperty:
            target=st.floats(-10.0, 20.0))
     def test_measured_snr_is_exact_and_mix_in_range(self, kind, noise_seed, target):
         noise = synth_noise(kind, noise_seed, len(_SHORT_CLEAN))
-        ns = mix_at_snr(_SHORT_CLEAN, noise, target, kind)
+        ns = mix_at_snr(_SHORT_CLEAN, noise, target)
         noise_part = ns.mixed.samples * ns.peak_scale - _SHORT_CLEAN.samples
         assert abs(measure_snr(_SHORT_CLEAN, noise_part) - target) <= 1e-6
         assert np.abs(ns.mixed.samples).max() <= 1.0

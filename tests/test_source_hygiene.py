@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+package module reaches into another's private (``_``-prefixed) names.
 
-An import whose statement carries ``# noqa: F401`` is exempt: those keep a
-function bound in a module that does not call it, so that the benchmark in
-perfbench/ can rebind it there. A name listed in ``__all__`` counts as used.
+An import whose statement carries ``# noqa: F401`` is exempt from the first
+check: those keep a function bound in a module that does not call it, so that
+the benchmark in perfbench/ can rebind it there. A name listed in ``__all__``
+counts as used.
 """
 
 import ast
@@ -48,3 +50,50 @@ def test_an_unused_import_is_found():
               "def f(x: Sequence) -> None:\n"
               "    return np.asarray(x)\n")
     assert _unused_imports(source) == ["line 1: Optional"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(source: str) -> list[str]:
+    """Private names imported from a package module, or read as
+    ``module._name`` off a package module the source imports."""
+    tree = ast.parse(source)
+    modules: set[str] = set()  # local names bound to package modules
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("vicspeech."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "vicspeech"):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module is None or node.module == "vicspeech":  # `from . import m`
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_of_another_module_is_read(path):
+    assert _private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_private_read_is_found():
+    source = ("from . import codebook as cb_mod, signal\n"
+              "from .model import _layer_norm, forward\n"
+              "from numpy import _core\n"
+              "import vicspeech.losses as losses_mod\n"
+              "from . import __version__\n"
+              "x = cb_mod._grid + signal.NOISE_KINDS + forward.__name__\n"
+              "y = losses_mod._private(self._cache)\n"
+              "def _local():\n"
+              "    return signal._PEAK\n")
+    assert _private_reads(source) == ["line 2: _layer_norm", "line 6: cb_mod._grid",
+                                      "line 7: losses_mod._private", "line 9: signal._PEAK"]

@@ -1,5 +1,6 @@
 """Adam, batching, the two-stage loops, and their determinism contracts."""
 
+import itertools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -11,9 +12,10 @@ import pytest
 
 from vicspeech.analysis import ABLATION_CONFIGS
 from vicspeech.codebook import assign
-from vicspeech.losses import masked_prediction_loss
-from vicspeech.model import EncoderState, TrainingDivergedError, apply_mask, backward, \
-    forward, predict_codewords
+from vicspeech.losses import VicWeights, covariance, invariance, masked_prediction_loss, \
+    sample_frames, variance
+from vicspeech.model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, \
+    apply_mask, backward, forward, init_encoder, predict_codewords
 from vicspeech.signal import extract_features, mix_at_snr, synth_noise
 from vicspeech.trainer import (
     AdamState,
@@ -25,6 +27,7 @@ from vicspeech.trainer import (
     make_batch,
     pretrain_clean,
     pretrain_noisy,
+    step_objective,
     _TAG_MASK,
     _TAG_NOISE,
 )
@@ -152,7 +155,7 @@ class TestConditionFeatures:
         utt = mini_corpus.utterances[2]
         got = mini_corpus.condition_features(2, kind, 7.5, 1234)
         noise = synth_noise(kind, 1234, len(utt.wave), utt.wave.sample_rate)
-        mixed = mix_at_snr(utt.wave, noise, 7.5, kind)
+        mixed = mix_at_snr(utt.wave, noise, 7.5)
         want = extract_features(mixed.mixed, frame_len=mini_corpus.frame_len,
                                 hop=mini_corpus.hop, n_filters=mini_corpus.n_filters,
                                 segments=utt.unit_labels, utterance_id=utt.id)
@@ -172,6 +175,132 @@ class TestConditionFeatures:
                                                   derive_seed(9, _TAG_NOISE, 3, j, 1))
             assert np.array_equal(item.noisy.frames, want.frames)
             assert np.array_equal(item.noisy.frame_labels, want.frame_labels)
+
+
+def _reference_noisy_batch(corpus, batch_utterances, step, seed, noise_kinds, snr_range_db):
+    """(utterance, kind, SNR, noisy features) per item, drawn as `make_batch`
+    drew them before the draw moved into `Corpus.draw_condition`; the old
+    loop body, kept verbatim as the reference."""
+    out = []
+    for j, utt_index in enumerate(batch_indices(len(corpus), batch_utterances, step, seed)):
+        rng = np.random.default_rng(derive_seed(seed, _TAG_NOISE, step, j, 0))
+        kind = str(noise_kinds[int(rng.integers(len(noise_kinds)))])
+        snr_db = float(rng.uniform(*snr_range_db))
+        noisy = corpus.condition_features(utt_index, kind, snr_db,
+                                          derive_seed(seed, _TAG_NOISE, step, j, 1))
+        out.append((utt_index, kind, snr_db, noisy))
+    return out
+
+
+class TestDrawCondition:
+    @pytest.mark.parametrize("step,seed,kinds", [
+        (0, 9, ("music", "natural")), (3, 1, ("babble", "music", "natural")), (7, 4, ("music",)),
+    ])
+    def test_make_batch_equals_reference(self, mini_corpus, step, seed, kinds):
+        items = make_batch(Corpus(mini_corpus.utterances), 4, step, seed, noise_kinds=kinds,
+                           snr_range_db=(0.0, 15.0))
+        want = _reference_noisy_batch(mini_corpus, 4, step, seed, kinds, (0.0, 15.0))
+        assert len(items) == len(want)
+        for item, (utt_index, kind, snr_db, noisy) in zip(items, want):
+            assert (item.utt_index, item.noise_kind, item.snr_db) == (utt_index, kind, snr_db)
+            assert item.noisy.frames.tobytes() == noisy.frames.tobytes()
+            assert np.array_equal(item.noisy.frame_labels, noisy.frame_labels)
+
+    def test_returns_the_drawn_condition_and_its_features(self, mini_corpus):
+        kind, snr_db, feats = mini_corpus.draw_condition(3, ("music", "natural"), (5.0, 10.0),
+                                                         11, 12)
+        rng = np.random.default_rng(11)
+        assert kind == ("music", "natural")[int(rng.integers(2))]
+        assert snr_db == float(rng.uniform(5.0, 10.0))
+        want = mini_corpus.condition_features(3, kind, snr_db, 12)
+        assert feats.frames.tobytes() == want.frames.tobytes()
+
+
+def _reference_vic_loss(pair, w, use_inv, use_var, use_cov):
+    """`losses.vic_loss` before the VIC weights moved into `losses.total_loss`,
+    kept verbatim as the reference."""
+    s = v = c = 0.0
+    grad = np.zeros_like(pair.Zp)
+    if use_inv:
+        s, g = invariance(pair.Z, pair.Zp)
+        grad += w.lam * g
+    if use_var:
+        v, g = variance(pair.Zp, w.gamma, w.epsilon)
+        grad += w.mu * g
+    if use_cov:
+        c, g = covariance(pair.Zp)
+        grad += w.nu * g
+    return s, v, c, grad
+
+
+def _reference_step_objective(state, inputs, specs, labels, teacher_reps, cfg, sample_seed):
+    """`step_objective` before `losses.total_loss`, kept verbatim as the
+    reference; the breakdown is the old `LossBreakdown.build`, as a tuple."""
+    total_masked = sum(len(spec) for spec in specs)
+    l_m = 0.0
+    reps_list, caches, grad_logits_list = [], [], []
+    for x, spec, y in zip(inputs, specs, labels):
+        reps, cache = forward(state, x, training=True, mask=spec)
+        loss_j, grad_logits_j = masked_prediction_loss(predict_codewords(state, reps), y, spec)
+        w_j = len(spec) / total_masked
+        l_m += w_j * loss_j
+        reps_list.append(reps)
+        caches.append(cache)
+        grad_logits_list.append(grad_logits_j * w_j)
+
+    s = v = c = 0.0
+    grad_reps_list = [None] * len(caches)
+    if teacher_reps is not None:
+        pair = sample_frames(teacher_reps, reps_list, cfg.vic.n_sample, sample_seed)
+        s, v, c, grad_zp = _reference_vic_loss(pair, cfg.vic, cfg.use_inv, cfg.use_var,
+                                               cfg.use_cov)
+        for row, (u, t) in enumerate(pair.sources):
+            if grad_reps_list[u] is None:
+                grad_reps_list[u] = np.zeros_like(reps_list[u])
+            grad_reps_list[u][t] += cfg.vic.alpha * grad_zp[row]
+
+    grad = np.zeros(state.n_params())
+    for cache, grad_reps, grad_logits in zip(caches, grad_reps_list, grad_logits_list):
+        grad += backward(cache, grad_reps=grad_reps, grad_logits=grad_logits)
+    w = cfg.vic
+    l_vic = w.lam * s + w.mu * v + w.nu * c
+    return (float(l_m), float(s), float(v), float(c), float(l_vic),
+            float(l_m + w.alpha * l_vic)), grad
+
+
+class TestStepObjectiveIsBitwise:
+    """`step_objective` through `losses.total_loss` gives the breakdown and
+    gradient of the code it replaced, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        enc_cfg = EncoderConfig(feature_dim=10, model_dim=16, n_blocks=2, mlp_hidden=24,
+                                k_codewords=8, mask_start_prob=0.25, mask_span=3)
+        rng = np.random.default_rng(0)
+        inputs = [rng.standard_normal((n, enc_cfg.feature_dim)) for n in (14, 9, 11)]
+        labels = [rng.integers(enc_cfg.k_codewords, size=len(x)) for x in inputs]
+        specs = [MaskSpec(np.array([1, 2, 5, 6, 9])), MaskSpec(np.array([0, 3, 4, 7])),
+                 MaskSpec(np.array([2, 3, 10]))]
+        teacher = init_encoder(enc_cfg, 1)
+        teacher_reps = [forward(teacher, x)[0] for x in inputs]
+        return init_encoder(enc_cfg, 2), inputs, specs, labels, teacher_reps
+
+    @pytest.mark.parametrize("flags", [*itertools.product((False, True), repeat=3), None],
+                             ids=lambda f: "no-teacher" if f is None else
+                             "".join("ivc"[i] if on else "-" for i, on in enumerate(f)))
+    def test_equals_reference(self, batch, flags):
+        state, inputs, specs, labels, teacher_reps = batch
+        cfg = TrainConfig(vic=VicWeights(lam=5.0, mu=0.7, nu=1.3, gamma=2.0, alpha=0.3,
+                                         n_sample=20))
+        if flags is None:
+            teacher_reps = None
+        else:
+            cfg = replace(cfg, use_inv=flags[0], use_var=flags[1], use_cov=flags[2])
+        got, got_grad = step_objective(state, inputs, specs, labels, teacher_reps, cfg, 7)
+        want, want_grad = _reference_step_objective(state, inputs, specs, labels,
+                                                     teacher_reps, cfg, 7)
+        assert (got.l_m, got.s, got.v, got.c, got.l_vic, got.l_tot) == want
+        assert got_grad.tobytes() == want_grad.tobytes()
 
 
 class TestPretrainClean:
