@@ -18,9 +18,6 @@ from vicspeech import (
 )
 from vicspeech.trainer import Corpus
 
-workdir = Path(tempfile.mkdtemp(prefix="vicspeech_demo_"))
-print(f"working under {workdir}\n")
-
 # --- one utterance -----------------------------------------------------
 utt = synth_utterance(seed=7, n_segments=8, vocab_size=8)
 print(f"utterance {utt.id}: {len(utt.wave)} samples "
@@ -38,15 +35,16 @@ for kind in ("babble", "music", "natural"):
     print(f"  {kind:>8}: gain {sample.gain:.4f}, measured SNR {achieved:.9f} dB")
 
 # --- log-mel features ----------------------------------------------------
-feats = extract_features(utt)
+feats = extract_features(utt.wave, segments=utt.unit_labels)
 print(f"\nlog-mel features: {feats.frames.shape[0]} frames x {feats.frames.shape[1]} filters")
 print(f"frame labels (first 20): {feats.frame_labels[:20].tolist()}")
 
-# --- a corpus on disk ----------------------------------------------------
-manifest = build_corpus(workdir / "corpus", n_utterances=6, corpus_seed=100,
-                        vocab_size=8, n_segments=8)
-corpus = Corpus.load(manifest)
-print(f"\ncorpus written: {manifest}")
+# --- a corpus on disk, read into memory, then removed ----------------------
+with tempfile.TemporaryDirectory(prefix="vicspeech_demo_") as workdir:
+    manifest = build_corpus(Path(workdir) / "corpus", n_utterances=6, corpus_seed=100,
+                            vocab_size=8, n_segments=8)
+    corpus = Corpus.load(manifest)
+    print(f"\ncorpus written: {manifest}")
 print(f"{len(corpus)} utterances, first id {corpus.utterances[0].id}")
 
 # same-symbol segments sit closer in feature space than cross-symbol ones

@@ -17,12 +17,12 @@ from vicspeech.analysis import channel_variance_report, linear_probe, n_accuracy
 from vicspeech.model import EncoderConfig
 from vicspeech.trainer import Corpus, TrainConfig, pretrain_clean, pretrain_noisy
 
-workdir = Path(tempfile.mkdtemp(prefix="vicspeech_demo_"))
-
-train = Corpus.load(build_corpus(workdir / "train", n_utterances=16, corpus_seed=100,
-                                 vocab_size=8, n_segments=8))
-ev = Corpus.load(build_corpus(workdir / "eval", n_utterances=6, corpus_seed=200,
-                              vocab_size=8, n_segments=8))
+# the corpora are read into memory, so their files go when the block ends
+with tempfile.TemporaryDirectory(prefix="vicspeech_demo_") as workdir:
+    train = Corpus.load(build_corpus(Path(workdir) / "train", n_utterances=16,
+                                     corpus_seed=100, vocab_size=8, n_segments=8))
+    ev = Corpus.load(build_corpus(Path(workdir) / "eval", n_utterances=6, corpus_seed=200,
+                                  vocab_size=8, n_segments=8))
 frames = np.concatenate([train.clean_features(i).frames for i in range(len(train))])
 cb = fit_kmeans(frames, k=10, max_iters=50, seed=7)
 print(f"codebook: k={cb.k}, inertia {cb.inertia:.1f}")

@@ -61,7 +61,7 @@ def _encode(enc: EncoderState, corpus: Corpus, kind: str = "clean", snr_db: floa
     (the default) reads the clean features."""
     for i in range(len(corpus)):
         feats = corpus.condition_features(i, kind, snr_db, derive_seed(seed, tag, i))
-        reps, _ = forward(enc, feats, training=False)
+        reps, _ = forward(enc, feats.frames, training=False)
         yield feats, reps
 
 
@@ -325,7 +325,7 @@ def mean_sampled_channel_std(
         _, _, feats = corpus.draw_condition(i, noise_kinds, snr_range_db,
                                             derive_seed(seed, _TAG_SAMPLE_STD, i, 0),
                                             derive_seed(seed, _TAG_SAMPLE_STD, i))
-        reps, _ = forward(enc, feats, training=False)
+        reps, _ = forward(enc, feats.frames, training=False)
         reps_list.append(reps)
     pair = sample_frames(reps_list, reps_list, n, derive_seed(seed, _TAG_SAMPLE_STD + 1))
     return float(pair.Zp.std(axis=0, ddof=1).mean())

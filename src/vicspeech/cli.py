@@ -93,6 +93,13 @@ def _snr_levels(raw: str) -> list[float]:
     return levels
 
 
+def _noisy_snr_levels(raw: str) -> list[float]:
+    levels = _snr_levels(raw)
+    if not any(np.isfinite(levels)):
+        raise argparse.ArgumentTypeError(f"n-accuracy needs a finite level, got {raw!r}")
+    return levels
+
+
 def _noise_kinds(raw: str) -> list[str]:
     kinds = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not kinds or not set(kinds) <= set(NOISE_KINDS):
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--snr-levels", type=_snr_levels, default="0,5,10,15,inf")
+    p.add_argument("--snr-levels", type=_noisy_snr_levels, default="0,5,10,15,inf")
     p.add_argument("--noise-kinds", type=_noise_kinds, default="babble,music,natural")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-tag", default="model")
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", type=_seed_list, default="1,2,3")
-    p.add_argument("--snr-levels", type=_snr_levels, default="0,5,10,15,inf",
+    p.add_argument("--snr-levels", type=_noisy_snr_levels, default="0,5,10,15,inf",
                    help="probe SNR grid")
     p.add_argument("--eval-noise-kinds", type=_noise_kinds, default="babble,music,natural",
                    help="noise kinds for probe conditions")

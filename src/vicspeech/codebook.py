@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import Matrix, as_matrix
-from .signal import FeatureSequence
 
-__all__ = ["Codebook", "fit_kmeans", "assign", "assign_frames"]
+__all__ = ["Codebook", "fit_kmeans", "assign"]
 
 
 @dataclass
@@ -100,8 +99,9 @@ def fit_kmeans(frames, k: int, max_iters: int = 50, seed: int = 0) -> Codebook:
     return Codebook(centroids=centroids, inertia=inertia, inertia_history=history)
 
 
-def assign_frames(cb: Codebook, frames) -> np.ndarray:
-    """Nearest-centroid label per row; ties go to the lowest centroid index.
+def assign(cb: Codebook, frames) -> np.ndarray:
+    """Codeword id per row of `frames`: the nearest centroid, with ties going
+    to the lowest centroid index.
 
     Distances are literal squared differences (not the expanded form), so
     exactly equidistant frames tie exactly and argmin resolves them low-first.
@@ -111,8 +111,3 @@ def assign_frames(cb: Codebook, frames) -> np.ndarray:
         raise ValueError(f"feature dim {frames.shape[1]} != codebook dim {cb.feature_dim}")
     diff = frames[:, None, :] - cb.centroids[None, :, :]
     return (diff * diff).sum(axis=2).argmin(axis=1).astype(np.int64)
-
-
-def assign(cb: Codebook, feats: FeatureSequence) -> np.ndarray:
-    """Codeword id per frame of a feature sequence."""
-    return assign_frames(cb, feats.frames)

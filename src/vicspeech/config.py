@@ -157,5 +157,5 @@ def load_config(path=None, overrides: Optional[dict[str, Any]] = None) -> LabCon
         for key, val in overrides.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"override: unknown key {key!r}")
-            values[key] = _parse_value(key, str(val), "override") if isinstance(val, str) else val
+            values[key] = _parse_value(key, str(val), "override")
     return LabConfig(values)

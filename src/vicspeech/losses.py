@@ -105,7 +105,7 @@ def masked_prediction_loss(
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.size != logits.shape[0]:
         raise ValueError("labels length must match logits rows")
-    m = mask.masked_frames if isinstance(mask, MaskSpec) else np.asarray(mask, dtype=np.int64)
+    m = mask.masked_frames
     if m.size == 0:
         raise ValueError("empty mask: resample before computing the loss")
     sub = logits[m]

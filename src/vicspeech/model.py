@@ -8,22 +8,21 @@ head (``grad_logits``) and from regularizers acting on the final
 representations (``grad_reps``); backprop is linear in its upstream, so the
 two paths are additive.
 
-Masking replaces whole feature rows with a learned embedding. ``forward``
-takes the already-substituted features plus the mask; it only needs the
-masked row indices so the input gradient of those rows can be routed into
-the mask-embedding gradient.
+Masking replaces whole rows of a frames matrix with a learned embedding.
+``forward`` takes the already-substituted frames matrix plus the mask; it
+only needs the masked row indices so the input gradient of those rows can be
+routed into the mask-embedding gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .numerics import Matrix, as_matrix
-from .signal import FeatureSequence
 
 __all__ = [
     "EncoderConfig",
@@ -206,17 +205,16 @@ def sample_mask(n_frames: int, cfg: EncoderConfig, seed: int) -> MaskSpec:
 
 
 def apply_mask(
-    feats: FeatureSequence,
+    frames: Matrix,
     cfg: EncoderConfig,
     seed: int,
     mask_embedding: np.ndarray,
-) -> tuple[FeatureSequence, MaskSpec]:
-    """Replace masked feature rows with the learned mask embedding."""
-    spec = sample_mask(feats.n_frames, cfg, seed)
-    frames = feats.frames.copy()
-    frames[spec.masked_frames] = np.asarray(mask_embedding, dtype=np.float64)
-    masked = FeatureSequence(frames=frames, frame_labels=feats.frame_labels,
-                             utterance_id=feats.utterance_id)
+) -> tuple[Matrix, MaskSpec]:
+    """A copy of `frames` with the masked rows replaced by the learned mask
+    embedding, and the mask."""
+    spec = sample_mask(frames.shape[0], cfg, seed)
+    masked = np.array(frames, dtype=np.float64)
+    masked[spec.masked_frames] = np.asarray(mask_embedding, dtype=np.float64)
     return masked, spec
 
 
@@ -253,19 +251,20 @@ def _softmax_rows(x: Matrix) -> Matrix:
 
 def forward(
     state: EncoderState,
-    feats: Union[FeatureSequence, Matrix],
+    x: Matrix,
     training: bool = False,
     mask: Optional[MaskSpec] = None,
 ) -> tuple[Matrix, dict]:
-    """Input projection + positional encoding, then pre-norm attention/MLP
-    blocks with residuals. Returns (reps, cache); the cache feeds `backward`.
+    """Input projection of the T x F frames `x` + positional encoding, then
+    pre-norm attention/MLP blocks with residuals. Returns (reps, cache); the
+    cache holds what `backward` reads.
 
     Teacher mode is simply ``training=False`` with no mask: there is no
-    dropout anywhere, so evaluation is deterministic either way. `mask` marks
-    rows whose content is the mask embedding, which routes their input
+    dropout anywhere, so `training` changes nothing in the result. `mask`
+    marks rows whose content is the mask embedding, which routes their input
     gradient into the embedding's gradient.
     """
-    x_in = feats.frames if isinstance(feats, FeatureSequence) else as_matrix(feats, "feats")
+    x_in = as_matrix(x, "frames")
     cfg = state.config
     if x_in.shape[1] != cfg.feature_dim:
         raise ValueError(f"feature dim {x_in.shape[1]} != config {cfg.feature_dim}")
@@ -288,14 +287,14 @@ def forward(
         m_in, xhat2, inv_std2 = _layer_norm(x_mid, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         h_act = np.tanh(m_in @ p[pre + "mlp.w1"] + p[pre + "mlp.b1"])
         x_out = x_mid + h_act @ p[pre + "mlp.w2"] + p[pre + "mlp.b2"]
-        blocks.append(dict(x=x, xhat1=xhat1, inv_std1=inv_std1, a_in=a_in, q=q, k=k, v=v,
-                           attn=attn, att_out=att_out, x_mid=x_mid, xhat2=xhat2,
-                           inv_std2=inv_std2, m_in=m_in, h_act=h_act))
+        blocks.append(dict(xhat1=xhat1, inv_std1=inv_std1, a_in=a_in, q=q, k=k, v=v,
+                           attn=attn, att_out=att_out, xhat2=xhat2, inv_std2=inv_std2,
+                           m_in=m_in, h_act=h_act))
         x = x_out
     if not np.isfinite(x).all():
         raise TrainingDivergedError("non-finite activations in encoder forward")
     cache = dict(state=state, x_in=x_in, blocks=blocks, reps=x,
-                 mask=None if mask is None else mask.masked_frames, training=training)
+                 mask=None if mask is None else mask.masked_frames)
     return x, cache
 
 

@@ -33,7 +33,7 @@ import wave as _wavfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -129,9 +129,9 @@ class Utterance:
 class NoisySample:
     """A mix of clean speech and noise at an exact SNR.
 
-    ``gain`` is the factor the noise was scaled by (0.0 for the clean
-    passthrough). ``mixed * peak_scale`` restores the pre-normalization mix,
-    so ``measure_snr(clean, mixed * peak_scale - clean)`` recovers the SNR.
+    ``gain`` is the factor the noise was scaled by. ``mixed * peak_scale``
+    restores the pre-normalization mix, so
+    ``measure_snr(clean, mixed * peak_scale - clean)`` recovers the SNR.
     """
 
     mixed: Waveform
@@ -145,7 +145,6 @@ class FeatureSequence:
 
     frames: Matrix
     frame_labels: Optional[np.ndarray] = None
-    utterance_id: str = ""
 
     def __post_init__(self):
         self.frames = as_matrix(self.frames, "frames")
@@ -409,16 +408,13 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> NoisySample:
 
     The noise is cropped to the clean length and scaled by
     ``g = sqrt(P_clean / (P_noise * 10^(snr_db/10)))``; the mix is then
-    peak-normalized only if it leaves [-1, 1]. ``snr_db = inf`` is the clean
-    passthrough sentinel; any other value must lie within ``SNR_LIMIT_DB``.
+    peak-normalized only if it leaves [-1, 1]. `snr_db` must be finite and
+    within ``SNR_LIMIT_DB``.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rates differ")
-    if math.isinf(snr_db) and snr_db > 0:
-        return NoisySample(Waveform(clean.sample_rate, clean.samples.copy()), 0.0, 1.0)
     if not abs(snr_db) <= SNR_LIMIT_DB:
-        raise ValueError(f"snr_db must be +inf or in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}], "
-                         f"got {snr_db}")
+        raise ValueError(f"snr_db must be in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}], got {snr_db}")
     if len(noise) < len(clean):
         raise ValueError("noise shorter than clean signal")
     n = noise.samples[: len(clean)]
@@ -445,7 +441,9 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def _mel_filterbank_cached(n_filters: int, nfft: int, sample_rate: int) -> Matrix:
+def mel_filterbank(n_filters: int, nfft: int, sample_rate: int) -> Matrix:
+    """Triangular mel-spaced filters over the rfft bins, shape
+    (n_filters, nfft//2+1), cached and read-only."""
     nyquist = sample_rate / 2.0
     points = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(nyquist)), n_filters + 2))
     freqs = np.linspace(0.0, nyquist, nfft // 2 + 1)
@@ -459,11 +457,6 @@ def _mel_filterbank_cached(n_filters: int, nfft: int, sample_rate: int) -> Matri
     return fb
 
 
-def mel_filterbank(n_filters: int, nfft: int, sample_rate: int) -> Matrix:
-    """Triangular mel-spaced filters over the rfft bins, shape (n_filters, nfft//2+1)."""
-    return _mel_filterbank_cached(int(n_filters), int(nfft), int(sample_rate))
-
-
 def _frame_label_lookup(segments: Sequence[tuple[int, int, int]], centers: np.ndarray) -> np.ndarray:
     starts = np.array([s[1] for s in segments])
     symbols = np.array([s[0] for s in segments], dtype=np.int64)
@@ -472,26 +465,19 @@ def _frame_label_lookup(segments: Sequence[tuple[int, int, int]], centers: np.nd
 
 
 def extract_features(
-    source: Union[Waveform, Utterance],
+    wav: Waveform,
     frame_len: int = FRAME_LEN,
     hop: int = HOP,
     n_filters: int = N_FILTERS,
     segments: Optional[Sequence[tuple[int, int, int]]] = None,
-    utterance_id: str = "",
 ) -> FeatureSequence:
-    """Log mel-filterbank features: Hann window, power spectrum, triangular
-    mel filters, then ``log(x + 1e-10)``.
+    """Log mel-filterbank features of `wav`: Hann window, power spectrum,
+    triangular mel filters, then ``log(x + 1e-10)``.
 
-    Frame count is ``1 + (len - frame_len) // hop``. When `source` is an
-    :class:`Utterance` (or `segments` is given), each frame is labelled by
-    the segment covering its center sample.
+    Frame count is ``1 + (len - frame_len) // hop``. With `segments` (an
+    utterance's ``unit_labels``), each frame is labelled by the segment
+    covering its center sample.
     """
-    if isinstance(source, Utterance):
-        wav = source.wave
-        segments = source.unit_labels if segments is None else segments
-        utterance_id = utterance_id or source.id
-    else:
-        wav = source
     if n_filters < 1:
         raise ValueError("n_filters must be >= 1")
     samples = wav.samples
@@ -508,7 +494,7 @@ def extract_features(
     if segments:
         centers = np.arange(n_frames) * hop + frame_len // 2
         labels = _frame_label_lookup(segments, centers)
-    return FeatureSequence(frames=frames, frame_labels=labels, utterance_id=utterance_id)
+    return FeatureSequence(frames=frames, frame_labels=labels)
 
 
 # ----------------------------------------------------------------------
@@ -526,11 +512,14 @@ def write_wav(path, wav: Waveform) -> None:
 
 
 def read_wav(path) -> Waveform:
-    with _wavfile.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit mono PCM")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
+    try:
+        with _wavfile.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit mono PCM")
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    except (_wavfile.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a WAV file: {str(exc) or 'it ends early'}") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return Waveform(rate, np.clip(samples, -1.0, 1.0))
 
@@ -542,11 +531,14 @@ def write_labels(path, unit_labels: Sequence[tuple[int, int, int]]) -> None:
 
 def load_labels(path) -> list[tuple[int, int, int]]:
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        sym, start, end = line.split()
-        out.append((int(sym), int(start), int(end)))
+        try:
+            sym, start, end = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: expected three integers, got {line!r}") from None
+        out.append((sym, start, end))
     return out
 
 
@@ -574,7 +566,11 @@ def load_manifest(path) -> list[ManifestEntry]:
         parts = line.split("\t")
         if len(parts) != 4:
             raise ValueError(f"{path}:{ln}: expected 4 tab-separated fields")
-        entries.append(ManifestEntry(parts[0], parts[1], int(parts[2]), parts[3]))
+        try:
+            n_samples = int(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: n_samples {parts[2]!r} is not an integer") from None
+        entries.append(ManifestEntry(parts[0], parts[1], n_samples, parts[3]))
     return entries
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -190,9 +190,10 @@ class Corpus:
     def clean_features(self, i: int) -> FeatureSequence:
         """Features of clean utterance `i`, computed once and read-only."""
         if i not in self._clean:
+            utt = self.utterances[i]
             self._clean[i] = _read_only(extract_features(
-                self.utterances[i], frame_len=self.frame_len, hop=self.hop,
-                n_filters=self.n_filters))
+                utt.wave, frame_len=self.frame_len, hop=self.hop, n_filters=self.n_filters,
+                segments=utt.unit_labels))
         return self._clean[i]
 
     def condition_features(self, i: int, kind: str, snr_db: float,
@@ -205,8 +206,7 @@ class Corpus:
         noise = synth_noise(kind, noise_seed, len(utt.wave), utt.wave.sample_rate)
         mixed = mix_at_snr(utt.wave, noise, snr_db)
         return extract_features(mixed.mixed, frame_len=self.frame_len, hop=self.hop,
-                                n_filters=self.n_filters, segments=utt.unit_labels,
-                                utterance_id=utt.id)
+                                n_filters=self.n_filters, segments=utt.unit_labels)
 
     def draw_condition(self, i: int, noise_kinds: Sequence[str],
                        snr_range_db: tuple[float, float], draw_seed: int,
@@ -293,10 +293,10 @@ def make_batch(
     return corpus._last_batch[1]
 
 
-def _nonempty_mask(feats: FeatureSequence, enc_cfg: EncoderConfig, seed: int, step: int,
+def _nonempty_mask(frames: np.ndarray, enc_cfg: EncoderConfig, seed: int, step: int,
                    slot: int, mask_embedding: np.ndarray):
     for attempt in range(10000):
-        masked, spec = apply_mask(feats, enc_cfg, derive_seed(seed, _TAG_MASK, step, slot, attempt),
+        masked, spec = apply_mask(frames, enc_cfg, derive_seed(seed, _TAG_MASK, step, slot, attempt),
                                   mask_embedding)
         if len(spec):
             return masked, spec
@@ -309,7 +309,7 @@ def _nonempty_mask(feats: FeatureSequence, enc_cfg: EncoderConfig, seed: int, st
 
 def step_objective(
     state: EncoderState,
-    inputs: Sequence[Union[FeatureSequence, np.ndarray]],
+    inputs: Sequence[np.ndarray],
     specs: Sequence[MaskSpec],
     labels: Sequence[np.ndarray],
     teacher_reps: Optional[Sequence[np.ndarray]],
@@ -383,9 +383,10 @@ def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
     inputs, specs, labels = [], [], []
     for j, item in enumerate(items):
         if item.utt_index not in run.codewords:
-            run.codewords[item.utt_index] = cb_mod.assign(cb, item.clean)
-        masked, spec = _nonempty_mask(item.noisy if noisy_inputs else item.clean, enc_cfg,
-                                      cfg.seed, step, j, run.state.params["mask_embedding"])
+            run.codewords[item.utt_index] = cb_mod.assign(cb, item.clean.frames)
+        masked, spec = _nonempty_mask((item.noisy if noisy_inputs else item.clean).frames,
+                                      enc_cfg, cfg.seed, step, j,
+                                      run.state.params["mask_embedding"])
         inputs.append(masked)
         specs.append(spec)
         labels.append(run.codewords[item.utt_index])
@@ -394,7 +395,7 @@ def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
     if run.teacher is not None:
         for item in items:
             if item.utt_index not in run.teacher_reps:
-                run.teacher_reps[item.utt_index], _ = forward(run.teacher, item.clean)
+                run.teacher_reps[item.utt_index], _ = forward(run.teacher, item.clean.frames)
         teacher_reps = [run.teacher_reps[item.utt_index] for item in items]
 
     breakdown, grad_vec = step_objective(run.state, inputs, specs, labels, teacher_reps, cfg,

@@ -45,7 +45,7 @@ class TestChannelVarianceReport:
 
         report = analysis.channel_variance_report(
             trained_encoder, mini_corpus, ["music"], [float("inf")], seed=4)
-        clean_reps = [forward(trained_encoder, mini_corpus.clean_features(i))[0]
+        clean_reps = [forward(trained_encoder, mini_corpus.clean_features(i).frames)[0]
                       for i in range(len(mini_corpus))]
         expected = analysis.pooled_channel_variance(clean_reps)
         row = report.cell("music", float("inf"))
@@ -208,7 +208,7 @@ class TestSoftmaxRegression:
     def test_fit_linear_probe_matches_plain_loop(self, trained_encoder, mini_corpus):
         got, x, y = analysis.fit_linear_probe(trained_encoder, mini_corpus)
         assert x.tobytes() == np.concatenate(
-            [forward(trained_encoder, mini_corpus.clean_features(i))[0]
+            [forward(trained_encoder, mini_corpus.clean_features(i).frames)[0]
              for i in range(len(mini_corpus))]).tobytes()
         assert np.array_equal(y, np.concatenate([mini_corpus.clean_features(i).frame_labels
                                                  for i in range(len(mini_corpus))]))
@@ -237,7 +237,7 @@ def _reference_mean_sampled_channel_std(enc, corpus, noise_kinds, snr_range_db, 
         snr = float(rng.uniform(*snr_range_db))
         feats = corpus.condition_features(i, kind, snr,
                                           derive_seed(seed, analysis._TAG_SAMPLE_STD, i))
-        reps, _ = forward(enc, feats, training=False)
+        reps, _ = forward(enc, feats.frames, training=False)
         reps_list.append(reps)
     pair = sample_frames(reps_list, reps_list, n, derive_seed(seed, analysis._TAG_SAMPLE_STD + 1))
     return float(pair.Zp.std(axis=0, ddof=1).mean())

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import itertools
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -200,6 +202,8 @@ class TestConfigErrorsBeforeRealInputs:
             "features": ["--manifest", manifest],
             "kmeans": ["--manifest", manifest],
             "pretrain": ["--manifest", manifest, "--codebook", codebook],
+            "probe": ["--encoder", str(pipeline_dir / "teacher.ckpt"),
+                      "--train-manifest", manifest],
             "ablate": ["--manifest", manifest, "--codebook", codebook,
                        "--teacher", str(pipeline_dir / "teacher.ckpt")],
         }[command]
@@ -217,12 +221,19 @@ class TestConfigErrorsBeforeRealInputs:
         ("kmeans", ("--kmeans-seed", "-1"), "kmeans_seed must be"),
         ("ablate", ("--seeds", "-1"), "--seeds"),
         ("pretrain", ("--eval-interval", "-1"), "eval_interval must be"),
+        ("probe", ("--snr-levels", "inf"), "--snr-levels"),
+        ("ablate", ("--snr-levels", "inf"), "--snr-levels"),
     ])
     def test_rejected(self, pipeline_dir, tmp_path, capsys, no_reads, command, extra, named):
         out = tmp_path / "out"
         assert run(self._argv(command, pipeline_dir, out) + list(extra)) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_analyze_variance_takes_the_clean_level_alone(self):
+        args = build_parser().parse_args(["analyze-variance", "--encoder", "e", "--manifest", "m",
+                                          "--out", "o", "--snr-levels", "inf"])
+        assert args.snr_levels == [math.inf]
 
 
 def _value_flags():
@@ -327,6 +338,32 @@ class TestFeatures:
         assert "frames" in tensors and "frame_labels" in tensors
         assert tensors["frames"].shape[1] == 40
         assert tensors["frames"].shape[0] == tensors["frame_labels"].shape[0]
+
+    @pytest.mark.parametrize("case", ["wav", "labels", "manifest"])
+    def test_malformed_input_file_is_named(self, pipeline_dir, tmp_path, capsys, case):
+        """A 7-byte WAV, a label line with two fields and a manifest length that
+        is not an integer each exit 2 naming the file (and line), and write
+        nothing."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline_dir / "corpus", corpus)
+        manifest = corpus / "manifest.tsv"
+        if case == "wav":
+            bad = corpus / "wav" / "utt0001.wav"
+            bad.write_bytes(b"garbage")
+            named = str(bad)
+        elif case == "labels":
+            bad = corpus / "labels" / "utt0001.lab"
+            bad.write_text("3 0\n")
+            named = f"{bad}:1"
+        else:
+            rows = [line.split("\t") for line in manifest.read_text().splitlines()]
+            rows[1][2] = "12.5"
+            manifest.write_text("".join("\t".join(row) + "\n" for row in rows))
+            named = f"{manifest}:2"
+        out = tmp_path / "feats"
+        assert run(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestKmeansAndPretrain:
@@ -468,7 +505,7 @@ class TestProbeAndVariance:
         code = run(["probe", "--encoder", str(pipeline_dir / "teacher.ckpt"),
                     "--train-manifest", manifest, "--codebook", cb20,
                     "--out", str(tmp_path / "probe.csv"),
-                    "--snr-levels", "inf", "--noise-kinds", "natural"])
+                    "--snr-levels", "5", "--noise-kinds", "natural"])
         assert code == 2
         assert "codebook feature dim" in capsys.readouterr().err
         assert not (tmp_path / "probe.csv").exists()

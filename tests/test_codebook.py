@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from vicspeech.codebook import Codebook, assign, assign_frames, fit_kmeans
+from vicspeech.codebook import Codebook, assign, fit_kmeans
 
 
 def brute_force_two_clusters(points):
@@ -69,7 +69,7 @@ class TestFitKmeans:
         frames = np.repeat(base, 4, axis=0)
         cb = fit_kmeans(frames, k=3, max_iters=50, seed=0)
         assert cb.inertia == pytest.approx(0.0, abs=1e-20)
-        labels = assign_frames(cb, frames)
+        labels = assign(cb, frames)
         assert len(set(labels.tolist())) == 3
 
 
@@ -77,18 +77,18 @@ class TestAssign:
     def test_exact_centroid_match(self):
         cb = Codebook(centroids=np.arange(10.0).reshape(5, 2))
         frame = cb.centroids[3][None, :]
-        assert assign_frames(cb, frame)[0] == 3
+        assert assign(cb, frame)[0] == 3
 
     def test_tie_breaks_to_lowest_index(self):
         # frame at 1.0 is exactly equidistant from centroids 1 (at 0) and 4 (at 2)
         cb = Codebook(centroids=np.array([[9.0], [0.0], [9.5], [9.9], [2.0]]))
-        assert assign_frames(cb, np.array([[1.0]]))[0] == 1
+        assert assign(cb, np.array([[1.0]]))[0] == 1
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(6)
         cb = Codebook(centroids=rng.standard_normal((9, 4)))
         frames = rng.standard_normal((50, 4))
-        got = assign_frames(cb, frames)
+        got = assign(cb, frames)
         for i, frame in enumerate(frames):
             dists = [((frame - c) ** 2).sum() for c in cb.centroids]
             assert got[i] == int(np.argmin(dists))
@@ -96,11 +96,11 @@ class TestAssign:
     def test_dimension_mismatch_rejected(self):
         cb = Codebook(centroids=np.zeros((3, 4)) + np.arange(3)[:, None])
         with pytest.raises(ValueError):
-            assign_frames(cb, np.zeros((2, 5)))
+            assign(cb, np.zeros((2, 5)))
 
     def test_assign_on_feature_sequence(self, mini_corpus, mini_codebook):
         feats = mini_corpus.clean_features(0)
-        labels = assign(mini_codebook, feats)
+        labels = assign(mini_codebook, feats.frames)
         assert labels.shape == (feats.n_frames,)
         assert labels.max() < mini_codebook.k
 
@@ -114,7 +114,7 @@ class TestCorpusAgreement:
                                 for i in range(len(mini_corpus))])
         vocab = int(units.max()) + 1
         cb = fit_kmeans(frames, k=vocab, max_iters=50, seed=11)
-        codes = assign_frames(cb, frames)
+        codes = assign(cb, frames)
         correct = 0
         for j in range(vocab):
             members = units[codes == j]

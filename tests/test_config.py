@@ -44,6 +44,11 @@ class TestParsing:
         cfg = load_config(path, overrides={"lambda": "2"})
         assert cfg["lambda"] == 2.0
 
+    @pytest.mark.parametrize("key, value", [("model_dim", 2.5), ("steps", True)])
+    def test_override_of_wrong_type_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"override: invalid int value for {key!r}"):
+            load_config(overrides={key: value})
+
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("steps = 5\nwibble = 3\n")

@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, and no
-package module reaches into another's private (``_``-prefixed) names.
+"""Every name a package module imports is used in that module, no package
+module reaches into another's private (``_``-prefixed) names, and the math
+layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
+package modules below them.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -97,3 +99,56 @@ def test_a_private_read_is_found():
               "    return signal._PEAK\n")
     assert _private_reads(source) == ["line 2: _layer_norm", "line 6: cb_mod._grid",
                                       "line 7: losses_mod._private", "line 9: signal._PEAK"]
+
+
+# the package modules that each math-layer module may import
+LAYERS = {
+    "numerics": set(),
+    "model": {"numerics"},
+    "losses": {"model", "numerics"},
+    "codebook": {"numerics"},
+}
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def _package_imports(source: str) -> set[str]:
+    """Package modules the source imports, in any of the forms ``from .m
+    import x``, ``from . import m``, ``from vicspeech.m import x``, ``from
+    vicspeech import m`` and ``import vicspeech.m``, at any depth."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "vicspeech"):
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "vicspeech":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found & MODULES
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_math_layers_import_only_the_layers_below(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert _package_imports(source) - LAYERS[module] == set()
+
+
+def test_a_package_import_is_found():
+    source = ("from . import codebook as cb_mod, signal\n"
+              "from .numerics import Matrix\n"
+              "from vicspeech.model import forward\n"
+              "from vicspeech import losses\n"
+              "import vicspeech.trainer as tr\n"
+              "import vicspeech\n"
+              "from . import __version__\n"
+              "import numpy as np\n"
+              "from numpy import signal\n"
+              "def f():\n"
+              "    from .config import load_config\n")
+    assert _package_imports(source) == {"codebook", "signal", "numerics", "model", "losses",
+                                        "trainer", "__init__", "config"}
