@@ -11,6 +11,7 @@ import numpy as np
 from vicspeech import (
     build_corpus,
     extract_features,
+    frame_labels,
     measure_snr,
     mix_at_snr,
     synth_noise,
@@ -30,14 +31,14 @@ print("\nmixing each noise family at 5 dB and measuring the result:")
 for kind in ("babble", "music", "natural"):
     noise = synth_noise(kind, seed=3, n_samples=len(utt.wave))
     sample = mix_at_snr(utt.wave, noise, 5.0)
-    achieved = measure_snr(utt.wave,
+    achieved = measure_snr(utt.wave.samples,
                            sample.mixed.samples * sample.peak_scale - utt.wave.samples)
     print(f"  {kind:>8}: gain {sample.gain:.4f}, measured SNR {achieved:.9f} dB")
 
 # --- log-mel features ----------------------------------------------------
-feats = extract_features(utt.wave, segments=utt.unit_labels)
-print(f"\nlog-mel features: {feats.frames.shape[0]} frames x {feats.frames.shape[1]} filters")
-print(f"frame labels (first 20): {feats.frame_labels[:20].tolist()}")
+feats = extract_features(utt.wave)
+print(f"\nlog-mel features: {feats.shape[0]} frames x {feats.shape[1]} filters")
+print(f"frame labels (first 20): {frame_labels(utt)[:20].tolist()}")
 
 # --- a corpus on disk, read into memory, then removed ----------------------
 with tempfile.TemporaryDirectory(prefix="vicspeech_demo_") as workdir:
@@ -50,10 +51,9 @@ print(f"{len(corpus)} utterances, first id {corpus.utterances[0].id}")
 # same-symbol segments sit closer in feature space than cross-symbol ones
 cents = {}
 for i in range(len(corpus)):
-    fs = corpus.clean_features(i)
-    for sym in np.unique(fs.frame_labels):
-        cents.setdefault(int(sym), []).append(
-            fs.frames[fs.frame_labels == sym].mean(axis=0))
+    fs, labels = corpus.clean_features(i), corpus.frame_labels(i)
+    for sym in np.unique(labels):
+        cents.setdefault(int(sym), []).append(fs[labels == sym].mean(axis=0))
 same, diff = [], []
 keys = sorted(cents)
 for a in keys:

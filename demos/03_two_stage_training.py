@@ -23,7 +23,7 @@ with tempfile.TemporaryDirectory(prefix="vicspeech_demo_") as workdir:
                                      corpus_seed=100, vocab_size=8, n_segments=8))
     ev = Corpus.load(build_corpus(Path(workdir) / "eval", n_utterances=6, corpus_seed=200,
                                   vocab_size=8, n_segments=8))
-frames = np.concatenate([train.clean_features(i).frames for i in range(len(train))])
+frames = np.concatenate([train.clean_features(i) for i in range(len(train))])
 cb = fit_kmeans(frames, k=10, max_iters=50, seed=7)
 print(f"codebook: k={cb.k}, inertia {cb.inertia:.1f}")
 

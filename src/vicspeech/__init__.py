@@ -17,8 +17,8 @@ from .losses import LossBreakdown, SampledPair, VicWeights, covariance, invarian
 from .model import EncoderConfig, EncoderState, MaskSpec, apply_mask, backward, forward, \
     init_encoder, predict_codewords
 from .numerics import GradCheckReport, grad_check, softmax_xent
-from .signal import FeatureSequence, NoisySample, Utterance, Waveform, build_corpus, \
-    extract_features, measure_snr, mix_at_snr, synth_noise, synth_utterance
+from .signal import NoisySample, Utterance, Waveform, build_corpus, extract_features, \
+    frame_labels, measure_snr, mix_at_snr, synth_noise, synth_utterance
 from .trainer import AdamState, Corpus, TrainConfig, TrainLog, adam_step, make_batch, \
     pretrain_clean, pretrain_noisy
 
@@ -29,8 +29,8 @@ __all__ = [
     "EncoderConfig", "EncoderState", "MaskSpec", "apply_mask", "backward", "forward",
     "init_encoder", "predict_codewords",
     "GradCheckReport", "grad_check", "softmax_xent",
-    "FeatureSequence", "NoisySample", "Utterance", "Waveform", "build_corpus",
-    "extract_features", "measure_snr", "mix_at_snr", "synth_noise", "synth_utterance",
+    "NoisySample", "Utterance", "Waveform", "build_corpus", "extract_features",
+    "frame_labels", "measure_snr", "mix_at_snr", "synth_noise", "synth_utterance",
     "AdamState", "Corpus", "TrainConfig", "TrainLog", "adam_step", "make_batch",
     "pretrain_clean", "pretrain_noisy",
 ]

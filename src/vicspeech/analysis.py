@@ -56,13 +56,12 @@ def _snr_str(snr_db: float) -> str:
 
 def _encode(enc: EncoderState, corpus: Corpus, kind: str = "clean", snr_db: float = np.inf,
             seed: int = 0, tag: int = 0):
-    """Yield (features, final-layer reps) per utterance of `corpus`, in order,
-    with utterance i's noise drawn from ``derive_seed(seed, tag, i)``; SNR +inf
-    (the default) reads the clean features."""
+    """Yield the final-layer reps of each utterance of `corpus`, in order, with
+    utterance i's noise drawn from ``derive_seed(seed, tag, i)``; SNR +inf (the
+    default) reads the clean features."""
     for i in range(len(corpus)):
         feats = corpus.condition_features(i, kind, snr_db, derive_seed(seed, tag, i))
-        reps, _ = forward(enc, feats.frames, training=False)
-        yield feats, reps
+        yield forward(enc, feats, training=False)[0]
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +125,7 @@ def channel_variance_report(
     for kind in noise_kinds:
         for snr in snr_levels_db:
             per_channel = pooled_channel_variance(
-                [reps for _, reps in _encode(enc, eval_corpus, kind, snr, seed, _TAG_EVAL_NOISE)])
+                list(_encode(enc, eval_corpus, kind, snr, seed, _TAG_EVAL_NOISE)))
             report.rows.append(VarianceRow(
                 model_tag=model_tag, noise_kind=kind, snr_db=float(snr),
                 mean_channel_variance=float(per_channel.mean()), per_channel=per_channel))
@@ -181,12 +180,20 @@ class LinearProbe:
         return (reps @ self.weight + self.bias).argmax(axis=1)
 
 
-def _probe_counts(probe: LinearProbe, encoded) -> tuple[int, int]:
-    """(frames the probe labels correctly, frames) over `_encode`'s output."""
+def _check_labelled(*corpora: Corpus) -> None:
+    """Raise, naming it, on an utterance of `corpora` without unit labels."""
+    for corpus in corpora:
+        for i in range(len(corpus)):
+            corpus.frame_labels(i)
+
+
+def _probe_counts(probe: LinearProbe, corpus: Corpus, encoded) -> tuple[int, int]:
+    """(frames the probe labels correctly, frames) over `_encode`'s `corpus` output."""
     correct = frames = 0
-    for feats, reps in encoded:
-        correct += int((probe.predict(reps) == feats.frame_labels).sum())
-        frames += feats.n_frames
+    for i, reps in enumerate(encoded):
+        labels = corpus.frame_labels(i)
+        correct += int((probe.predict(reps) == labels).sum())
+        frames += labels.size
     return correct, frames
 
 
@@ -195,13 +202,8 @@ def fit_linear_probe(enc: EncoderState, train_corpus: Corpus,
     """Softmax regression from frozen clean representations to unit symbols.
     Returns the probe and the pooled representations and labels it was fitted
     on, in corpus order."""
-    reps_list, labels_list = [], []
-    for feats, reps in _encode(enc, train_corpus):
-        if feats.frame_labels is None:
-            raise ValueError("probe corpus lacks ground-truth frame labels")
-        reps_list.append(reps)
-        labels_list.append(feats.frame_labels)
-    x, y = np.concatenate(reps_list), np.concatenate(labels_list)
+    y = np.concatenate([train_corpus.frame_labels(i) for i in range(len(train_corpus))])
+    x = np.concatenate(list(_encode(enc, train_corpus)))
     return _fit_softmax_regression(x, y, iters, _PROBE_LR), x, y
 
 
@@ -258,6 +260,7 @@ def linear_probe(
     under each (noise kind, SNR) condition. SNR inf rows evaluate on clean
     input and are reported under the kind ``clean``."""
     ev = train_corpus if eval_corpus is None else eval_corpus
+    _check_labelled(train_corpus, ev)
     probe = fit_linear_probe(enc, train_corpus)[0]
     results = []
     seen_clean = False
@@ -267,7 +270,8 @@ def linear_probe(
                 continue
             seen_clean = True
             kind = "clean"
-        correct, total = _probe_counts(probe, _encode(enc, ev, kind, snr, seed, _TAG_PROBE_NOISE))
+        correct, total = _probe_counts(probe, ev,
+                                       _encode(enc, ev, kind, snr, seed, _TAG_PROBE_NOISE))
         results.append(ProbeResult(noise_kind=kind, snr_db=float(snr),
                                    frame_accuracy=correct / total, n_frames=total))
     return results
@@ -291,13 +295,14 @@ def make_train_eval_hook(corpus: Corpus, probe_iters: int = 100):
     """Periodic-eval callback for the trainer: a quick probe on clean
     representations, scored on the representations it was fitted on, the same
     probe under one fixed noisy condition, and the mean per-channel std of the
-    pooled noisy representations."""
+    pooled noisy representations. `corpus` must carry unit labels."""
+    _check_labelled(corpus)
 
     def hook(step: int, state: EncoderState) -> EvalRow:
         probe, x, y = fit_linear_probe(state, corpus, iters=probe_iters)
         noisy = list(_encode(state, corpus, *_HOOK_CONDITION, _TAG_EVAL_NOISE))
-        correct_n, total = _probe_counts(probe, noisy)
-        pooled = np.concatenate([reps for _, reps in noisy])
+        correct_n, total = _probe_counts(probe, corpus, noisy)
+        pooled = np.concatenate(noisy)
         return EvalRow(step=step, probe_acc_clean=int((probe.predict(x) == y).sum()) / total,
                        probe_acc_noisy=correct_n / total,
                        mean_channel_std=float(pooled.std(axis=0, ddof=1).mean()))
@@ -325,8 +330,7 @@ def mean_sampled_channel_std(
         _, _, feats = corpus.draw_condition(i, noise_kinds, snr_range_db,
                                             derive_seed(seed, _TAG_SAMPLE_STD, i, 0),
                                             derive_seed(seed, _TAG_SAMPLE_STD, i))
-        reps, _ = forward(enc, feats.frames, training=False)
-        reps_list.append(reps)
+        reps_list.append(forward(enc, feats, training=False)[0])
     pair = sample_frames(reps_list, reps_list, n, derive_seed(seed, _TAG_SAMPLE_STD + 1))
     return float(pair.Zp.std(axis=0, ddof=1).mean())
 
@@ -396,6 +400,7 @@ def ablation_run(
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"duplicate seeds in {list(seeds)}")
     ev = train_corpus if eval_corpus is None else eval_corpus
+    _check_labelled(train_corpus, ev)
     if teacher is None:
         teacher, _ = pretrain_clean(train_corpus, cb, base_cfg, enc_cfg=enc_cfg)
     students: dict[tuple[str, int], EncoderState] = {}

@@ -125,10 +125,9 @@ def _cmd_features(args, cfg: LabConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, utt in enumerate(corpus.utterances):
-        feats = corpus.clean_features(i)
-        tensors = {"frames": feats.frames}
-        if feats.frame_labels is not None:
-            tensors["frame_labels"] = feats.frame_labels.astype(np.float64)
+        tensors = {"frames": corpus.clean_features(i)}
+        if utt.unit_labels:
+            tensors["frame_labels"] = corpus.frame_labels(i).astype(np.float64)
         save_tensors(out_dir / f"{utt.id}.feat", tensors)
     print(f"wrote {len(corpus)} feature files to {out_dir}")
     return 0
@@ -136,7 +135,7 @@ def _cmd_features(args, cfg: LabConfig) -> int:
 
 def _cmd_kmeans(args, cfg: LabConfig) -> int:
     corpus = _load_corpus(args.manifest, cfg)
-    frames = np.concatenate([corpus.clean_features(i).frames for i in range(len(corpus))])
+    frames = np.concatenate([corpus.clean_features(i) for i in range(len(corpus))])
     cb = fit_kmeans(frames, k=cfg["k"], max_iters=cfg["kmeans_max_iters"],
                     seed=cfg["kmeans_seed"])
     save_codebook(args.out, cb)

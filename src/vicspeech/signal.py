@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import Matrix, as_matrix
+from .numerics import Matrix
 
 __all__ = [
     "NOISE_KINDS",
@@ -50,13 +50,14 @@ __all__ = [
     "Waveform",
     "Utterance",
     "NoisySample",
-    "FeatureSequence",
     "ManifestEntry",
     "synth_utterance",
     "synth_noise",
     "mix_at_snr",
     "measure_snr",
+    "frame_count",
     "extract_features",
+    "frame_labels",
     "mel_filterbank",
     "read_wav",
     "write_wav",
@@ -117,12 +118,12 @@ class Utterance:
         pos = 0
         for sym, start, end in self.unit_labels:
             if sym < 0:
-                raise ValueError("negative symbol id")
+                raise ValueError(f"negative symbol id in segment {sym} {start} {end}")
             if start != pos or end <= start:
-                raise ValueError("segments must tile the waveform without overlap")
+                raise ValueError(f"segment {sym} {start} {end} breaks the tiling of the waveform")
             pos = end
         if self.unit_labels and pos != len(self.wave):
-            raise ValueError("segments do not cover the waveform")
+            raise ValueError(f"segments end at sample {pos}, the waveform at {len(self.wave)}")
 
 
 @dataclass
@@ -137,25 +138,6 @@ class NoisySample:
     mixed: Waveform
     gain: float
     peak_scale: float
-
-
-@dataclass
-class FeatureSequence:
-    """T x F matrix of log-filterbank frames with optional per-frame labels."""
-
-    frames: Matrix
-    frame_labels: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.frames = as_matrix(self.frames, "frames")
-        if self.frame_labels is not None:
-            self.frame_labels = np.asarray(self.frame_labels, dtype=np.int64).reshape(-1)
-            if self.frame_labels.size != self.frames.shape[0]:
-                raise ValueError("frame_labels length must equal frame count")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -385,19 +367,11 @@ def _power(samples: np.ndarray) -> float:
     return float(np.mean(samples * samples))
 
 
-def _as_samples(x) -> np.ndarray:
-    if isinstance(x, Waveform):
-        return x.samples
-    return np.asarray(x, dtype=np.float64).reshape(-1)
-
-
-def measure_snr(clean, noise_component) -> float:
-    """10 log10 of the clean-to-noise power ratio, in dB."""
-    c = _as_samples(clean)
-    n = _as_samples(noise_component)
-    if c.size != n.size:
+def measure_snr(clean: np.ndarray, noise_component: np.ndarray) -> float:
+    """10 log10 of the clean-to-noise power ratio of two sample arrays, in dB."""
+    if clean.size != noise_component.size:
         raise ValueError("clean and noise lengths differ")
-    p_clean, p_noise = _power(c), _power(n)
+    p_clean, p_noise = _power(clean), _power(noise_component)
     if p_clean == 0.0 or p_noise == 0.0:
         raise ValueError("SNR undefined for silent input")
     return 10.0 * math.log10(p_clean / p_noise)
@@ -457,11 +431,12 @@ def mel_filterbank(n_filters: int, nfft: int, sample_rate: int) -> Matrix:
     return fb
 
 
-def _frame_label_lookup(segments: Sequence[tuple[int, int, int]], centers: np.ndarray) -> np.ndarray:
-    starts = np.array([s[1] for s in segments])
-    symbols = np.array([s[0] for s in segments], dtype=np.int64)
-    idx = np.searchsorted(starts, centers, side="right") - 1
-    return symbols[np.clip(idx, 0, len(segments) - 1)]
+def frame_count(n_samples: int, frame_len: int, hop: int, what: str = "waveform") -> int:
+    """``1 + (n_samples - frame_len) // hop``, the frame count of `n_samples`
+    samples; fewer samples than one frame raise a ValueError naming `what`."""
+    if n_samples < frame_len:
+        raise ValueError(f"{what} of {n_samples} samples is shorter than one frame ({frame_len})")
+    return 1 + (n_samples - frame_len) // hop
 
 
 def extract_features(
@@ -469,32 +444,30 @@ def extract_features(
     frame_len: int = FRAME_LEN,
     hop: int = HOP,
     n_filters: int = N_FILTERS,
-    segments: Optional[Sequence[tuple[int, int, int]]] = None,
-) -> FeatureSequence:
-    """Log mel-filterbank features of `wav`: Hann window, power spectrum,
-    triangular mel filters, then ``log(x + 1e-10)``.
-
-    Frame count is ``1 + (len - frame_len) // hop``. With `segments` (an
-    utterance's ``unit_labels``), each frame is labelled by the segment
-    covering its center sample.
-    """
+) -> Matrix:
+    """The T x F log mel-filterbank features of `wav`: Hann window, power
+    spectrum, triangular mel filters, then ``log(x + 1e-10)``; T is
+    ``frame_count(len(wav), frame_len, hop)``."""
     if n_filters < 1:
         raise ValueError("n_filters must be >= 1")
     samples = wav.samples
-    if samples.size < frame_len:
-        raise ValueError("waveform shorter than one frame")
-    n_frames = 1 + (samples.size - frame_len) // hop
+    n_frames = frame_count(samples.size, frame_len, hop)
     idx = np.arange(n_frames)[:, None] * hop + np.arange(frame_len)[None, :]
     windows = samples[idx] * np.hanning(frame_len)
     nfft = 1 << (frame_len - 1).bit_length()
     power = np.abs(np.fft.rfft(windows, n=nfft, axis=1)) ** 2
     fb = mel_filterbank(n_filters, nfft, wav.sample_rate)
-    frames = np.log(power @ fb.T + _LOG_FLOOR)
-    labels = None
-    if segments:
-        centers = np.arange(n_frames) * hop + frame_len // 2
-        labels = _frame_label_lookup(segments, centers)
-    return FeatureSequence(frames=frames, frame_labels=labels)
+    return np.log(power @ fb.T + _LOG_FLOOR)
+
+
+def frame_labels(utt: Utterance, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
+    """The symbol of the segment covering each frame's center sample."""
+    if not utt.unit_labels:
+        raise ValueError(f"utterance {utt.id} has no unit labels")
+    n_frames = frame_count(len(utt.wave), frame_len, hop, f"utterance {utt.id}")
+    centers = np.arange(n_frames) * hop + frame_len // 2
+    segments = np.array(utt.unit_labels, dtype=np.int64)  # rows (symbol, start, end)
+    return segments[np.searchsorted(segments[:, 1], centers, side="right") - 1, 0]
 
 
 # ----------------------------------------------------------------------
@@ -515,13 +488,15 @@ def read_wav(path) -> Waveform:
     try:
         with _wavfile.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-                raise ValueError(f"{path}: expected 16-bit mono PCM")
+                raise ValueError("expected 16-bit mono PCM")
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
-    except (_wavfile.Error, EOFError) as exc:
-        raise ValueError(f"{path}: not a WAV file: {str(exc) or 'it ends early'}") from None
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-    return Waveform(rate, np.clip(samples, -1.0, 1.0))
+        samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
+        return Waveform(rate, np.clip(samples, -1.0, 1.0))
+    except (_wavfile.Error, EOFError, RuntimeError, ValueError) as exc:
+        # EOFError, and RuntimeError from `wave` seeking past a chunk's end, carry no text
+        raise ValueError(f"{path}: not a 16-bit mono PCM WAV file: "
+                         f"{str(exc) or 'a chunk runs past the end of the file'}") from None
 
 
 def write_labels(path, unit_labels: Sequence[tuple[int, int, int]]) -> None:
@@ -529,11 +504,18 @@ def write_labels(path, unit_labels: Sequence[tuple[int, int, int]]) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    """(line number, line) for each nonblank line of the UTF-8 file `path`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    return [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
 def load_labels(path) -> list[tuple[int, int, int]]:
     out = []
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for ln, line in _numbered_lines(path):
         try:
             sym, start, end = map(int, line.split())
         except ValueError:
@@ -558,11 +540,10 @@ def write_manifest(path, entries: Sequence[ManifestEntry]) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def load_manifest(path) -> list[ManifestEntry]:
+def load_manifest(path) -> list[tuple[int, ManifestEntry]]:
+    """Each entry of the manifest at `path`, with its line number."""
     entries = []
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for ln, line in _numbered_lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ValueError(f"{path}:{ln}: expected 4 tab-separated fields")
@@ -570,7 +551,7 @@ def load_manifest(path) -> list[ManifestEntry]:
             n_samples = int(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{ln}: n_samples {parts[2]!r} is not an integer") from None
-        entries.append(ManifestEntry(parts[0], parts[1], n_samples, parts[3]))
+        entries.append((ln, ManifestEntry(parts[0], parts[1], n_samples, parts[3])))
     return entries
 
 
@@ -606,13 +587,21 @@ def build_corpus(
 
 
 def load_corpus(manifest_path) -> list[Utterance]:
+    """The utterances `manifest_path` lists; an error names its file (and line)."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     utterances = []
-    for entry in load_manifest(manifest_path):
-        wav = read_wav(root / entry.wav_relpath)
+    for ln, entry in load_manifest(manifest_path):
+        wav_path, labels_path = root / entry.wav_relpath, root / entry.labels_relpath
+        wav = read_wav(wav_path)
         if len(wav) != entry.n_samples:
-            raise ValueError(f"{entry.utterance_id}: wav length {len(wav)} != manifest {entry.n_samples}")
-        labels = load_labels(root / entry.labels_relpath)
-        utterances.append(Utterance(id=entry.utterance_id, wave=wav, unit_labels=labels))
+            raise ValueError(f"{manifest_path}:{ln}: {wav_path} has {len(wav)} samples, "
+                             f"not {entry.n_samples}")
+        labels = load_labels(labels_path)
+        try:
+            utterances.append(Utterance(id=entry.utterance_id, wave=wav, unit_labels=labels))
+        except ValueError as exc:
+            raise ValueError(f"{labels_path}: {exc} ({wav_path})") from None
+    if not utterances:
+        raise ValueError(f"{manifest_path}: lists no utterances")
     return utterances

@@ -27,8 +27,9 @@ from .losses import LossBreakdown, VicWeights, masked_prediction_loss, sample_fr
 from .losses import covariance, invariance, variance  # noqa: F401
 from .model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, apply_mask, \
     backward, forward, init_encoder, predict_codewords
-from .signal import FRAME_LEN, HOP, N_FILTERS, FeatureSequence, NOISE_KINDS, SNR_LIMIT_DB, \
-    Utterance, extract_features, load_corpus, mix_at_snr, synth_noise
+from .numerics import Matrix
+from .signal import FRAME_LEN, HOP, N_FILTERS, NOISE_KINDS, SNR_LIMIT_DB, Utterance, \
+    extract_features, frame_count, frame_labels, load_corpus, mix_at_snr, synth_noise
 
 __all__ = [
     "TrainConfig",
@@ -166,17 +167,19 @@ class TrainLog:
 # ----------------------------------------------------------------------
 
 class Corpus:
-    """In-memory corpus with cached clean features."""
+    """In-memory corpus of utterances of at least one frame, with cached clean features."""
 
     def __init__(self, utterances: list[Utterance], frame_len: int = FRAME_LEN,
                  hop: int = HOP, n_filters: int = N_FILTERS):
         if not utterances:
             raise ValueError("empty corpus")
+        for utt in utterances:
+            frame_count(len(utt.wave), frame_len, hop, f"utterance {utt.id}")
         self.utterances = utterances
         self.frame_len = frame_len
         self.hop = hop
         self.n_filters = n_filters
-        self._clean: dict[int, FeatureSequence] = {}
+        self._clean: dict[int, Matrix] = {}
         self._last_batch: Optional[tuple[tuple, tuple["BatchItem", ...]]] = None  # see make_batch
 
     @classmethod
@@ -187,17 +190,20 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.utterances)
 
-    def clean_features(self, i: int) -> FeatureSequence:
+    def clean_features(self, i: int) -> Matrix:
         """Features of clean utterance `i`, computed once and read-only."""
         if i not in self._clean:
-            utt = self.utterances[i]
             self._clean[i] = _read_only(extract_features(
-                utt.wave, frame_len=self.frame_len, hop=self.hop, n_filters=self.n_filters,
-                segments=utt.unit_labels))
+                self.utterances[i].wave, frame_len=self.frame_len, hop=self.hop,
+                n_filters=self.n_filters))
         return self._clean[i]
 
+    def frame_labels(self, i: int) -> np.ndarray:
+        """Utterance `i`'s `signal.frame_labels`, which no noise condition changes."""
+        return frame_labels(self.utterances[i], frame_len=self.frame_len, hop=self.hop)
+
     def condition_features(self, i: int, kind: str, snr_db: float,
-                           noise_seed: int) -> FeatureSequence:
+                           noise_seed: int) -> Matrix:
         """Features of utterance `i` mixed with the `kind` noise drawn from
         `noise_seed` at `snr_db`; SNR +inf returns the cached clean features."""
         if np.isinf(snr_db) and snr_db > 0:
@@ -206,11 +212,11 @@ class Corpus:
         noise = synth_noise(kind, noise_seed, len(utt.wave), utt.wave.sample_rate)
         mixed = mix_at_snr(utt.wave, noise, snr_db)
         return extract_features(mixed.mixed, frame_len=self.frame_len, hop=self.hop,
-                                n_filters=self.n_filters, segments=utt.unit_labels)
+                                n_filters=self.n_filters)
 
     def draw_condition(self, i: int, noise_kinds: Sequence[str],
                        snr_range_db: tuple[float, float], draw_seed: int,
-                       noise_seed: int) -> tuple[str, float, FeatureSequence]:
+                       noise_seed: int) -> tuple[str, float, Matrix]:
         """A noise kind from `noise_kinds` and an SNR uniform in
         `snr_range_db`, both drawn from `draw_seed`, and the features of
         utterance `i` under them with the noise drawn from `noise_seed`."""
@@ -220,21 +226,19 @@ class Corpus:
         return kind, snr_db, self.condition_features(i, kind, snr_db, noise_seed)
 
 
-def _read_only(feats: FeatureSequence) -> FeatureSequence:
-    feats.frames.flags.writeable = False
-    if feats.frame_labels is not None:
-        feats.frame_labels.flags.writeable = False
-    return feats
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class BatchItem:
-    """One utterance of a batch; its feature arrays are read-only, because
+    """One utterance of a batch; its feature matrices are read-only, because
     `make_batch` hands the same items to every run that asks for them."""
 
     utt_index: int
-    clean: FeatureSequence
-    noisy: Optional[FeatureSequence] = None
+    clean: Matrix
+    noisy: Optional[Matrix] = None
     noise_kind: str = ""
     snr_db: float = float("inf")
 
@@ -268,7 +272,7 @@ def make_batch(
 ) -> tuple[BatchItem, ...]:
     """Assemble one batch; with `noise_kinds` given, each utterance gets a
     fresh noise draw at an SNR uniform in `snr_range_db`. Clean and noisy
-    features share frame counts and labels by construction.
+    features share frame counts by construction.
 
     The batch is a pure function of the arguments. `corpus` keeps the last
     batch it built, so a call that repeats the previous call's arguments (the
@@ -383,8 +387,8 @@ def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
     inputs, specs, labels = [], [], []
     for j, item in enumerate(items):
         if item.utt_index not in run.codewords:
-            run.codewords[item.utt_index] = cb_mod.assign(cb, item.clean.frames)
-        masked, spec = _nonempty_mask((item.noisy if noisy_inputs else item.clean).frames,
+            run.codewords[item.utt_index] = cb_mod.assign(cb, item.clean)
+        masked, spec = _nonempty_mask(item.noisy if noisy_inputs else item.clean,
                                       enc_cfg, cfg.seed, step, j,
                                       run.state.params["mask_embedding"])
         inputs.append(masked)
@@ -395,7 +399,7 @@ def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
     if run.teacher is not None:
         for item in items:
             if item.utt_index not in run.teacher_reps:
-                run.teacher_reps[item.utt_index], _ = forward(run.teacher, item.clean.frames)
+                run.teacher_reps[item.utt_index], _ = forward(run.teacher, item.clean)
         teacher_reps = [run.teacher_reps[item.utt_index] for item in items]
 
     breakdown, grad_vec = step_objective(run.state, inputs, specs, labels, teacher_reps, cfg,

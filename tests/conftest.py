@@ -38,8 +38,7 @@ def mini_corpus(mini_corpus_dir):
 
 @pytest.fixture(scope="session")
 def mini_codebook(mini_corpus):
-    frames = np.concatenate([mini_corpus.clean_features(i).frames
-                             for i in range(len(mini_corpus))])
+    frames = np.concatenate([mini_corpus.clean_features(i) for i in range(len(mini_corpus))])
     return fit_kmeans(frames, k=6, max_iters=30, seed=7)
 
 
@@ -61,7 +60,7 @@ def bench(tmp_path_factory):
                                  vocab_size=8, n_segments=10)
     train = Corpus.load(train_manifest)
     ev = Corpus.load(eval_manifest)
-    frames = np.concatenate([train.clean_features(i).frames for i in range(len(train))])
+    frames = np.concatenate([train.clean_features(i) for i in range(len(train))])
     cb = fit_kmeans(frames, k=12, max_iters=50, seed=7)
     enc_cfg = EncoderConfig(feature_dim=40, model_dim=32, n_blocks=2, mlp_hidden=64,
                             k_codewords=12)

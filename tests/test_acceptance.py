@@ -114,7 +114,7 @@ def test_criterion_4_snr_exactness():
         noise = synth_noise(kind, int(rng.integers(2**31)), len(clean))
         target = float(rng.uniform(0.0, 15.0))
         ns = mix_at_snr(clean, noise, target)
-        measured = measure_snr(clean, ns.mixed.samples * ns.peak_scale - clean.samples)
+        measured = measure_snr(clean.samples, ns.mixed.samples * ns.peak_scale - clean.samples)
         worst = max(worst, abs(measured - target))
     _report(4, "SNR exactness over 100 random triples (pre-normalization)",
             worst <= 1e-6, f"worst |error| {worst:.2e} dB")

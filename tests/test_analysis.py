@@ -45,7 +45,7 @@ class TestChannelVarianceReport:
 
         report = analysis.channel_variance_report(
             trained_encoder, mini_corpus, ["music"], [float("inf")], seed=4)
-        clean_reps = [forward(trained_encoder, mini_corpus.clean_features(i).frames)[0]
+        clean_reps = [forward(trained_encoder, mini_corpus.clean_features(i))[0]
                       for i in range(len(mini_corpus))]
         expected = analysis.pooled_channel_variance(clean_reps)
         row = report.cell("music", float("inf"))
@@ -108,8 +108,7 @@ class TestLinearProbe:
     def test_clean_fit_beats_majority_baseline(self, trained_encoder, mini_corpus):
         results = analysis.linear_probe(trained_encoder, mini_corpus,
                                         [("clean", float("inf"))], seed=0)
-        labels = np.concatenate([mini_corpus.clean_features(i).frame_labels
-                                 for i in range(len(mini_corpus))])
+        labels = np.concatenate([mini_corpus.frame_labels(i) for i in range(len(mini_corpus))])
         majority = np.bincount(labels).max() / labels.size
         assert results[0].frame_accuracy >= majority
 
@@ -208,9 +207,9 @@ class TestSoftmaxRegression:
     def test_fit_linear_probe_matches_plain_loop(self, trained_encoder, mini_corpus):
         got, x, y = analysis.fit_linear_probe(trained_encoder, mini_corpus)
         assert x.tobytes() == np.concatenate(
-            [forward(trained_encoder, mini_corpus.clean_features(i).frames)[0]
+            [forward(trained_encoder, mini_corpus.clean_features(i))[0]
              for i in range(len(mini_corpus))]).tobytes()
-        assert np.array_equal(y, np.concatenate([mini_corpus.clean_features(i).frame_labels
+        assert np.array_equal(y, np.concatenate([mini_corpus.frame_labels(i)
                                                  for i in range(len(mini_corpus))]))
         want_w, want_b = _reference_softmax_regression(x, y, 300, 0.05)
         assert got.weight.tobytes() == want_w.tobytes()
@@ -237,7 +236,7 @@ def _reference_mean_sampled_channel_std(enc, corpus, noise_kinds, snr_range_db, 
         snr = float(rng.uniform(*snr_range_db))
         feats = corpus.condition_features(i, kind, snr,
                                           derive_seed(seed, analysis._TAG_SAMPLE_STD, i))
-        reps, _ = forward(enc, feats.frames, training=False)
+        reps, _ = forward(enc, feats, training=False)
         reps_list.append(reps)
     pair = sample_frames(reps_list, reps_list, n, derive_seed(seed, analysis._TAG_SAMPLE_STD + 1))
     return float(pair.Zp.std(axis=0, ddof=1).mean())
@@ -251,11 +250,11 @@ def _reference_train_eval_hook(corpus, probe_iters):
 
     def hook(step, state):
         probe = analysis.fit_linear_probe(state, corpus, iters=probe_iters)[0]
-        correct_c, total = analysis._probe_counts(probe, analysis._encode(state, corpus))
+        correct_c, total = analysis._probe_counts(probe, corpus, analysis._encode(state, corpus))
         noisy = list(analysis._encode(state, corpus, *analysis._HOOK_CONDITION,
                                       analysis._TAG_EVAL_NOISE))
-        correct_n, _ = analysis._probe_counts(probe, noisy)
-        pooled = np.concatenate([reps for _, reps in noisy])
+        correct_n, _ = analysis._probe_counts(probe, corpus, noisy)
+        pooled = np.concatenate(noisy)
         return EvalRow(step=step, probe_acc_clean=correct_c / total,
                        probe_acc_noisy=correct_n / total,
                        mean_channel_std=float(pooled.std(axis=0, ddof=1).mean()))

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vicspeech import cli
+from vicspeech import analysis, cli
 from vicspeech.checkpoint import load_codebook, load_encoder
 from vicspeech.cli import build_parser, run
+from vicspeech.signal import Waveform, build_corpus, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +325,58 @@ class TestSynth:
         assert "NUM_THREADS" not in captured.err
 
 
+def _set_manifest_field(manifest, row, col, value):
+    rows = [line.split("\t") for line in manifest.read_text().splitlines()]
+    rows[row][col] = value
+    manifest.write_text("".join("\t".join(r) + "\n" for r in rows))
+
+
+_SPOILS = ["wav", "wav-chunk-size", "wav-odd-length", "labels", "labels-past-wav",
+           "labels-negative-symbol", "manifest", "manifest-length", "short-utterance"]
+
+
+def _spoil(corpus, case):
+    """Spoil utterance 1 of the corpus copy `corpus` as `case` says; returns
+    the strings its error must name."""
+    manifest = corpus / "manifest.tsv"
+    wav = corpus / "wav" / "utt0001.wav"
+    labels = corpus / "labels" / "utt0001.lab"
+    label_rows = [line.split() for line in labels.read_text().splitlines()]
+    n_samples = int(manifest.read_text().splitlines()[1].split("\t")[2])
+    if case == "wav":
+        wav.write_bytes(b"garbage")
+        return [str(wav)]
+    if case == "wav-chunk-size":  # `wave` raises a RuntimeError with no text
+        data = bytearray(wav.read_bytes())
+        data[16:20] = (10**6).to_bytes(4, "little")  # the fmt chunk's size
+        wav.write_bytes(bytes(data))
+        return [str(wav)]
+    if case == "wav-odd-length":  # numpy: buffer size must be a multiple of element size
+        wav.write_bytes(wav.read_bytes()[:-1])
+        return [str(wav)]
+    if case == "labels":
+        labels.write_text("3 0\n")
+        return [f"{labels}:1"]
+    if case.startswith("labels-"):
+        if case == "labels-past-wav":
+            label_rows[-1][2] = str(int(label_rows[-1][2]) + 500)
+        else:
+            label_rows[0][0] = "-1"
+        labels.write_text("".join(" ".join(row) + "\n" for row in label_rows))
+        return [str(labels), str(wav)]
+    if case == "manifest":
+        _set_manifest_field(manifest, 1, 2, "12.5")
+        return [f"{manifest}:2"]
+    if case == "manifest-length":
+        _set_manifest_field(manifest, 1, 2, str(n_samples + 7))
+        return [f"{manifest}:2", str(wav)]
+    assert case == "short-utterance"  # the files agree, but hold less than one frame
+    write_wav(wav, Waveform(16000, np.zeros(300)))
+    labels.write_text("0 0 300\n")
+    _set_manifest_field(manifest, 1, 2, "300")
+    return ["utt0001"]
+
+
 class TestFeatures:
     def test_dumps_one_container_per_utterance(self, pipeline_dir, tmp_path):
         from vicspeech.checkpoint import load_tensors
@@ -339,31 +392,112 @@ class TestFeatures:
         assert tensors["frames"].shape[1] == 40
         assert tensors["frames"].shape[0] == tensors["frame_labels"].shape[0]
 
-    @pytest.mark.parametrize("case", ["wav", "labels", "manifest"])
+    @pytest.mark.parametrize("case", _SPOILS)
     def test_malformed_input_file_is_named(self, pipeline_dir, tmp_path, capsys, case):
-        """A 7-byte WAV, a label line with two fields and a manifest length that
-        is not an integer each exit 2 naming the file (and line), and write
-        nothing."""
+        """Each spoiled corpus file exits 2 naming the file (and line, and the
+        WAV it describes), and writes nothing; an utterance shorter than one
+        frame is named by its id before anything is written."""
         corpus = tmp_path / "corpus"
         shutil.copytree(pipeline_dir / "corpus", corpus)
-        manifest = corpus / "manifest.tsv"
-        if case == "wav":
-            bad = corpus / "wav" / "utt0001.wav"
-            bad.write_bytes(b"garbage")
-            named = str(bad)
-        elif case == "labels":
-            bad = corpus / "labels" / "utt0001.lab"
-            bad.write_text("3 0\n")
-            named = f"{bad}:1"
-        else:
-            rows = [line.split("\t") for line in manifest.read_text().splitlines()]
-            rows[1][2] = "12.5"
-            manifest.write_text("".join("\t".join(row) + "\n" for row in rows))
-            named = f"{manifest}:2"
+        named = _spoil(corpus, case)
         out = tmp_path / "feats"
-        assert run(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        assert run(["features", "--manifest", str(corpus / "manifest.tsv"),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), (named, err)
         assert not out.exists()
+
+
+def _is_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+_FLIPS = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), min_size=1, max_size=3)
+_NOT_INTEGERS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).filter(
+    lambda text: not _is_integer(text))
+
+
+# (kind, utterance, arguments); each spoils one file of a two-utterance corpus
+_INPUT_SPOILS = st.one_of(
+    st.tuples(st.just("truncate-wav"), st.integers(0, 1), st.integers(0, 20000)),
+    st.tuples(st.just("flip-wav"), st.integers(0, 1), _FLIPS),
+    st.tuples(st.just("manifest-drop"), st.integers(0, 1), st.integers(0, 3)),
+    st.tuples(st.just("manifest-text"), st.integers(0, 1), _NOT_INTEGERS),
+    st.tuples(st.just("labels-drop"), st.integers(0, 1), st.tuples(st.integers(0, 2),
+                                                                  st.integers(0, 2))),
+    st.tuples(st.just("labels-text"), st.integers(0, 1), st.tuples(st.integers(0, 2),
+                                                                  st.integers(0, 2),
+                                                                  _NOT_INTEGERS)),
+    st.tuples(st.just("labels-negative"), st.integers(0, 1), st.tuples(st.integers(0, 2),
+                                                                      st.integers(1, 10**6))),
+    st.tuples(st.just("labels-reversed"), st.integers(0, 1), st.integers(0, 2)),
+)
+
+
+def _apply_input_spoil(corpus, spoil):
+    kind, utt, arg = spoil
+    manifest = corpus / "manifest.tsv"
+    wav = corpus / "wav" / f"utt{utt:04d}.wav"
+    labels = corpus / "labels" / f"utt{utt:04d}.lab"
+    if kind == "truncate-wav":
+        wav.write_bytes(wav.read_bytes()[:arg])
+    elif kind == "flip-wav":
+        data = bytearray(wav.read_bytes())
+        for offset, value in arg:
+            data[offset] = value
+        wav.write_bytes(bytes(data))
+    elif kind.startswith("manifest-"):
+        rows = [line.split("\t") for line in manifest.read_text().splitlines()]
+        if kind == "manifest-drop":
+            del rows[utt][arg]
+        else:
+            rows[utt][2] = arg  # n_samples
+        manifest.write_text("".join("\t".join(row) + "\n" for row in rows))
+    else:
+        rows = [line.split() for line in labels.read_text().splitlines()]
+        if kind == "labels-drop":
+            del rows[arg[0]][arg[1]]
+        elif kind == "labels-text":
+            rows[arg[0]][arg[1]] = arg[2]
+        elif kind == "labels-negative":
+            rows[arg[0]][1:] = [str(-arg[1] - 1), str(-arg[1])]
+        else:
+            rows[arg][1:] = rows[arg][2:0:-1]
+        labels.write_text("".join(" ".join(row) + "\n" for row in rows))
+
+
+class TestInputFileProperty:
+    @pytest.fixture(scope="class")
+    def source(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("input_files")
+        build_corpus(root / "corpus", n_utterances=2, corpus_seed=5, vocab_size=4, n_segments=3)
+        return root
+
+    @settings(max_examples=120, deadline=None)
+    @given(spoil=_INPUT_SPOILS)
+    def test_features_exits_0_or_2_naming_a_corpus_file(self, source, spoil):
+        """Whatever one spoiled file holds, `features` returns 0 or 2 and lets
+        no exception escape; on 2 stderr names a file of the corpus and
+        `--out` does not exist."""
+        work = source / "work"
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(source / "corpus", work / "corpus")
+        _apply_input_spoil(work / "corpus", spoil)
+        files = [p for p in (work / "corpus").rglob("*") if p.is_file()]
+        out = work / "feats"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["features", "--manifest", str(work / "corpus" / "manifest.tsv"),
+                        "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 2), (spoil, code, err)
+        if code == 2:
+            assert any(str(p) in err for p in files), (spoil, err)
+            assert not out.exists()
 
 
 class TestKmeansAndPretrain:
@@ -518,6 +652,48 @@ class TestProbeAndVariance:
                         "--out", str(out), "--snr-levels", "5,inf",
                         "--noise-kinds", "natural", "--seed", "1"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnlabelledProbeCorpus:
+    """`probe` and `ablate` on a corpus with an unlabelled utterance exit 2
+    naming it, before they train or encode anything, and write no CSV."""
+
+    @pytest.fixture
+    def unlabelled(self, pipeline_dir, tmp_path):
+        corpus = tmp_path / "unlabelled"
+        shutil.copytree(pipeline_dir / "corpus", corpus)
+        (corpus / "labels" / "utt0003.lab").write_text("")
+        return str(corpus / "manifest.tsv")
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work began before the labels were checked")
+
+        for name in ("forward", "pretrain_clean", "pretrain_noisy"):
+            monkeypatch.setattr(analysis, name, fail)
+
+    @pytest.mark.parametrize("command", ["probe", "ablate"])
+    @pytest.mark.parametrize("unlabelled_corpus", ["train", "eval"])
+    def test_exit_2_names_the_utterance(self, pipeline_dir, unlabelled, no_work, tmp_path,
+                                        capsys, command, unlabelled_corpus):
+        labelled = str(pipeline_dir / "corpus" / "manifest.tsv")
+        train, ev = (unlabelled, labelled) if unlabelled_corpus == "train" \
+            else (labelled, unlabelled)
+        out = tmp_path / "out.csv"
+        if command == "probe":
+            argv = ["probe", "--encoder", str(pipeline_dir / "teacher.ckpt"),
+                    "--train-manifest", train, "--eval-manifest", ev,
+                    "--snr-levels", "5,inf", "--noise-kinds", "natural"]
+        else:
+            argv = ["ablate", "--manifest", train, "--eval-manifest", ev,
+                    "--codebook", str(pipeline_dir / "cb.ckpt"),
+                    "--teacher", str(pipeline_dir / "teacher.ckpt"), "--seeds", "1",
+                    "--steps", "2", "--batch-utterances", "2", "--noise-kinds", "natural",
+                    "--eval-noise-kinds", "natural", "--snr-levels", "5,inf"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "utt0003" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -100,18 +100,16 @@ class TestAssign:
 
     def test_assign_on_feature_sequence(self, mini_corpus, mini_codebook):
         feats = mini_corpus.clean_features(0)
-        labels = assign(mini_codebook, feats.frames)
-        assert labels.shape == (feats.n_frames,)
+        labels = assign(mini_codebook, feats)
+        assert labels.shape == (feats.shape[0],)
         assert labels.max() < mini_codebook.k
 
 
 class TestCorpusAgreement:
     def test_codeword_purity_beats_chance(self, mini_corpus):
         """With k = vocab size, best-match cluster->unit mapping beats chance."""
-        frames = np.concatenate([mini_corpus.clean_features(i).frames
-                                 for i in range(len(mini_corpus))])
-        units = np.concatenate([mini_corpus.clean_features(i).frame_labels
-                                for i in range(len(mini_corpus))])
+        frames = np.concatenate([mini_corpus.clean_features(i) for i in range(len(mini_corpus))])
+        units = np.concatenate([mini_corpus.frame_labels(i) for i in range(len(mini_corpus))])
         vocab = int(units.max()) + 1
         cb = fit_kmeans(frames, k=vocab, max_iters=50, seed=11)
         codes = assign(cb, frames)

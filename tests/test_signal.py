@@ -11,11 +11,11 @@ from vicspeech.signal import (
     MAX_VOCAB_SIZE,
     NOISE_KINDS,
     SNR_LIMIT_DB,
-    FeatureSequence,
     Utterance,
     Waveform,
     build_corpus,
     extract_features,
+    frame_labels,
     load_corpus,
     load_labels,
     load_manifest,
@@ -65,9 +65,10 @@ class TestSynthUtterance:
         utts = [synth_utterance(100 + i, n_segments=12, vocab_size=4) for i in range(4)]
         centroids = []  # (utt_index, symbol, mean feature vector)
         for ui, utt in enumerate(utts):
-            feats = extract_features(utt.wave, segments=utt.unit_labels)
+            feats = extract_features(utt.wave)
+            labels = frame_labels(utt)
             for sym in set(s for s, _, _ in utt.unit_labels):
-                rows = feats.frames[feats.frame_labels == sym]
+                rows = feats[labels == sym]
                 if rows.shape[0]:
                     centroids.append((ui, sym, rows.mean(axis=0)))
         same, diff = [], []
@@ -298,7 +299,7 @@ class TestMixAtSnr:
         for target in (0.0, 7.3, 15.0):
             ns = mix_at_snr(clean, noise, target)
             noise_part = ns.mixed.samples * ns.peak_scale - clean.samples
-            assert measure_snr(clean, noise_part) == pytest.approx(target, abs=1e-6)
+            assert measure_snr(clean.samples, noise_part) == pytest.approx(target, abs=1e-6)
 
     def test_silent_inputs_rejected(self):
         silent = Waveform(SR, np.zeros(100))
@@ -350,14 +351,14 @@ class TestMixAtSnrProperty:
         noise = synth_noise(kind, noise_seed, len(_SHORT_CLEAN))
         ns = mix_at_snr(_SHORT_CLEAN, noise, target)
         noise_part = ns.mixed.samples * ns.peak_scale - _SHORT_CLEAN.samples
-        assert abs(measure_snr(_SHORT_CLEAN, noise_part) - target) <= 1e-6
+        assert abs(measure_snr(_SHORT_CLEAN.samples, noise_part) - target) <= 1e-6
         assert np.abs(ns.mixed.samples).max() <= 1.0
 
 
 class TestMeasureSnr:
     def test_equal_power_is_zero_db(self):
-        a = Waveform(SR, 0.3 * np.ones(100))
-        b = Waveform(SR, -0.3 * np.ones(100))
+        a = 0.3 * np.ones(100)
+        b = -0.3 * np.ones(100)
         assert measure_snr(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_ten_to_one_power_is_ten_db(self):
@@ -374,12 +375,12 @@ class TestExtractFeatures:
     def test_frame_count(self):
         wav = Waveform(SR, 0.1 * np.sin(np.arange(16000) * 0.1))
         feats = extract_features(wav, frame_len=400, hop=160, n_filters=40)
-        assert feats.frames.shape == (98, 40)
+        assert feats.shape == (98, 40)
 
     def test_silence_hits_log_floor(self):
         wav = Waveform(SR, np.zeros(1600))
         feats = extract_features(wav)
-        assert np.allclose(feats.frames, math.log(1e-10))
+        assert np.allclose(feats, math.log(1e-10))
 
     def test_amplitude_doubling_shifts_by_log4(self):
         """Power quadruples when amplitude doubles: high-energy bins shift by
@@ -388,19 +389,46 @@ class TestExtractFeatures:
         tone = 0.25 * np.sin(2 * math.pi * 440.0 * t)
         f1 = extract_features(Waveform(SR, tone))
         f2 = extract_features(Waveform(SR, 2.0 * tone))
-        hot = f1.frames > f1.frames.max() - 2.0
-        shift = (f2.frames - f1.frames)[hot]
+        hot = f1 > f1.max() - 2.0
+        shift = (f2 - f1)[hot]
         assert np.allclose(shift, math.log(4.0), atol=1e-3)
 
     def test_frame_labels_from_segment_centers(self):
         utt = synth_utterance(13, n_segments=5, vocab_size=4)
-        feats = extract_features(utt.wave, segments=utt.unit_labels)
-        assert feats.frame_labels is not None
-        assert feats.frame_labels.size == feats.frames.shape[0]
-        centers = np.arange(feats.frames.shape[0]) * 160 + 200
+        labels = frame_labels(utt)
+        assert labels.size == extract_features(utt.wave).shape[0]
+        centers = np.arange(labels.size) * 160 + 200
         for t, center in enumerate(centers):
             expected = next(sym for sym, s, e in utt.unit_labels if s <= center < e)
-            assert feats.frame_labels[t] == expected
+            assert labels[t] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_samples=st.integers(1, 3000), frame_len=st.integers(1, 600),
+           hop=st.integers(1, 400), data=st.data())
+    def test_one_label_per_feature_row(self, n_samples, frame_len, hop, data):
+        """`frame_labels` gives exactly one label per row of `extract_features`
+        at every length, frame length and hop, and both reject a waveform
+        shorter than one frame."""
+        cuts = sorted(data.draw(st.sets(st.integers(1, n_samples - 1), max_size=6))
+                      if n_samples > 1 else [])
+        bounds = [0, *cuts, n_samples]
+        segments = [(k % 3, a, b) for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+        rng = np.random.default_rng(n_samples)
+        utt = Utterance("u", Waveform(SR, rng.uniform(-0.5, 0.5, n_samples)), segments)
+        if n_samples < frame_len:
+            for call in (lambda: extract_features(utt.wave, frame_len, hop),
+                         lambda: frame_labels(utt, frame_len, hop)):
+                with pytest.raises(ValueError, match="shorter than one frame"):
+                    call()
+            return
+        labels = frame_labels(utt, frame_len, hop)
+        assert labels.shape == (extract_features(utt.wave, frame_len, hop).shape[0],)
+        assert labels.dtype == np.int64
+
+    def test_frame_labels_of_unlabelled_utterance_name_it(self):
+        utt = Utterance("utt0007", Waveform(SR, np.zeros(800)), [])
+        with pytest.raises(ValueError, match="utt0007"):
+            frame_labels(utt)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -432,7 +460,7 @@ class TestCorpus:
     def test_build_and_load_round_trip(self, tmp_path):
         manifest = build_corpus(tmp_path, n_utterances=3, corpus_seed=50,
                                 vocab_size=4, n_segments=4)
-        entries = load_manifest(manifest)
+        entries = [entry for _, entry in load_manifest(manifest)]
         assert len(entries) == 3
         utts = load_corpus(manifest)
         assert [u.id for u in utts] == ["utt0000", "utt0001", "utt0002"]
@@ -480,7 +508,3 @@ class TestTypes:
         wav = Waveform(SR, np.zeros(100))
         with pytest.raises(ValueError):
             Utterance("u", wav, [(0, 0, 50), (1, 60, 100)])  # gap
-
-    def test_feature_sequence_label_length_checked(self):
-        with pytest.raises(ValueError):
-            FeatureSequence(frames=np.zeros((4, 3)), frame_labels=np.zeros(3))

@@ -16,7 +16,7 @@ from vicspeech.losses import VicWeights, covariance, invariance, masked_predicti
     sample_frames, variance
 from vicspeech.model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, \
     apply_mask, backward, forward, init_encoder, predict_codewords
-from vicspeech.signal import extract_features, mix_at_snr, synth_noise
+from vicspeech.signal import extract_features, frame_labels, mix_at_snr, synth_noise
 from vicspeech.trainer import (
     AdamState,
     Corpus,
@@ -94,8 +94,7 @@ class TestBatching:
                            noise_kinds=("music",), snr_range_db=(5.0, 10.0))
         for item in items:
             assert item.noisy is not None
-            assert item.noisy.n_frames == item.clean.n_frames
-            assert np.array_equal(item.noisy.frame_labels, item.clean.frame_labels)
+            assert item.noisy.shape == item.clean.shape
             assert 5.0 <= item.snr_db <= 10.0
 
     def test_same_seed_same_batch(self, mini_corpus):
@@ -105,7 +104,7 @@ class TestBatching:
                        snr_range_db=(5.0, 10.0))
         assert [i.utt_index for i in a] == [i.utt_index for i in b]
         for x, y in zip(a, b):
-            assert np.array_equal(x.noisy.frames, y.noisy.frames)
+            assert np.array_equal(x.noisy, y.noisy)
 
 
 _BATCH_ARGS = dict(batch_utterances=3, step=4, seed=9, noise_kinds=("music", "natural"),
@@ -116,7 +115,7 @@ def _assert_same_batch(got, want):
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert (x.utt_index, x.noise_kind, x.snr_db) == (y.utt_index, y.noise_kind, y.snr_db)
-        assert np.array_equal(x.noisy.frames, y.noisy.frames)
+        assert np.array_equal(x.noisy, y.noisy)
 
 
 class TestBatchMemo:
@@ -142,8 +141,7 @@ class TestBatchMemo:
 
     def test_items_are_read_only(self, mini_corpus):
         for item in make_batch(mini_corpus, **_BATCH_ARGS):
-            for arr in (item.clean.frames, item.clean.frame_labels, item.noisy.frames,
-                        item.noisy.frame_labels):
+            for arr in (item.clean, item.noisy):
                 assert not arr.flags.writeable
             with pytest.raises(AttributeError):
                 item.noisy = item.clean
@@ -157,10 +155,8 @@ class TestConditionFeatures:
         noise = synth_noise(kind, 1234, len(utt.wave), utt.wave.sample_rate)
         mixed = mix_at_snr(utt.wave, noise, 7.5)
         want = extract_features(mixed.mixed, frame_len=mini_corpus.frame_len,
-                                hop=mini_corpus.hop, n_filters=mini_corpus.n_filters,
-                                segments=utt.unit_labels)
-        assert np.array_equal(got.frames, want.frames)
-        assert np.array_equal(got.frame_labels, want.frame_labels)
+                                hop=mini_corpus.hop, n_filters=mini_corpus.n_filters)
+        assert np.array_equal(got, want)
 
     def test_infinite_snr_returns_cached_clean(self, mini_corpus):
         got = mini_corpus.condition_features(1, "babble", float("inf"), 1234)
@@ -172,8 +168,16 @@ class TestConditionFeatures:
         for j, item in enumerate(items):
             want = mini_corpus.condition_features(item.utt_index, item.noise_kind, item.snr_db,
                                                   derive_seed(9, _TAG_NOISE, 3, j, 1))
-            assert np.array_equal(item.noisy.frames, want.frames)
-            assert np.array_equal(item.noisy.frame_labels, want.frame_labels)
+            assert np.array_equal(item.noisy, want)
+
+
+class TestCorpusLabels:
+    def test_frame_labels_are_the_utterance_labels_at_the_corpus_framing(self, mini_corpus):
+        corpus = Corpus(mini_corpus.utterances, frame_len=320, hop=100)
+        for i, utt in enumerate(corpus.utterances):
+            labels = corpus.frame_labels(i)
+            assert np.array_equal(labels, frame_labels(utt, 320, 100))
+            assert labels.size == corpus.clean_features(i).shape[0]
 
 
 def _reference_noisy_batch(corpus, batch_utterances, step, seed, noise_kinds, snr_range_db):
@@ -202,8 +206,7 @@ class TestDrawCondition:
         assert len(items) == len(want)
         for item, (utt_index, kind, snr_db, noisy) in zip(items, want):
             assert (item.utt_index, item.noise_kind, item.snr_db) == (utt_index, kind, snr_db)
-            assert item.noisy.frames.tobytes() == noisy.frames.tobytes()
-            assert np.array_equal(item.noisy.frame_labels, noisy.frame_labels)
+            assert item.noisy.tobytes() == noisy.tobytes()
 
     def test_returns_the_drawn_condition_and_its_features(self, mini_corpus):
         kind, snr_db, feats = mini_corpus.draw_condition(3, ("music", "natural"), (5.0, 10.0),
@@ -212,7 +215,7 @@ class TestDrawCondition:
         assert kind == ("music", "natural")[int(rng.integers(2))]
         assert snr_db == float(rng.uniform(5.0, 10.0))
         want = mini_corpus.condition_features(3, kind, snr_db, 12)
-        assert feats.frames.tobytes() == want.frames.tobytes()
+        assert feats.tobytes() == want.tobytes()
 
 
 def _reference_vic_loss(pair, w, use_inv, use_var, use_cov):
@@ -402,17 +405,15 @@ class TestPretrainNoisy:
         cfg = replace(tiny_cfg, steps=1)
         items = make_batch(mini_corpus, cfg.batch_utterances, 0, cfg.seed,
                            noise_kinds=cfg.noise_kinds, snr_range_db=cfg.snr_range_db)
-        before = [(i.clean.frames.copy(), i.noisy.frames.copy(), i.noisy.frame_labels.copy())
-                  for i in items]
+        before = [(i.clean.copy(), i.noisy.copy()) for i in items]
         pretrain_noisy(teacher, mini_corpus, mini_codebook,
                        [cfg, replace(cfg, use_inv=False, use_var=False, use_cov=False)])
         # both runs trained on this very batch: the memo still holds it
         assert make_batch(mini_corpus, cfg.batch_utterances, 0, cfg.seed,
                           noise_kinds=cfg.noise_kinds, snr_range_db=cfg.snr_range_db) is items
-        for item, (clean, noisy, labels) in zip(items, before):
-            assert np.array_equal(item.clean.frames, clean)
-            assert np.array_equal(item.noisy.frames, noisy)
-            assert np.array_equal(item.noisy.frame_labels, labels)
+        for item, (clean, noisy) in zip(items, before):
+            assert np.array_equal(item.clean, clean)
+            assert np.array_equal(item.noisy, noisy)
 
     def test_no_configs_rejected(self, teacher, mini_corpus, mini_codebook):
         with pytest.raises(ValueError):
@@ -433,10 +434,10 @@ def _reference_lm_only_loop(teacher, corpus, cb, cfg):
         total_masked = 0
         for j, item in enumerate(items):
             if item.utt_index not in codewords:
-                codewords[item.utt_index] = assign(cb, item.clean.frames)
+                codewords[item.utt_index] = assign(cb, item.clean)
             for attempt in range(10000):
                 seed = derive_seed(cfg.seed, _TAG_MASK, step, j, attempt)
-                masked, spec = apply_mask(item.noisy.frames, state.config, seed,
+                masked, spec = apply_mask(item.noisy, state.config, seed,
                                           state.params["mask_embedding"])
                 if len(spec):
                     break
