@@ -33,7 +33,16 @@ def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]) -> None:
         p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None)
 
 
+# a run that starts from a --teacher checkpoint takes its encoder from it
+_ENCODER_KEYS = ("model_dim", "n_blocks", "mlp_hidden", "k", "mask_start_prob", "mask_span")
+
+
 def _resolve(args) -> LabConfig:
+    if getattr(args, "teacher", None):
+        for key in _ENCODER_KEYS:
+            if getattr(args, f"cfg_{key}", None) is not None:
+                raise ConfigError(f"--{key.replace('_', '-')} cannot be given with --teacher: "
+                                  f"the student takes its encoder from the teacher")
     overrides = {}
     for name, value in vars(args).items():
         if name.startswith("cfg_") and value is not None:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Optional
 
 from .losses import VicWeights
 from .model import EncoderConfig
-from .signal import MAX_VOCAB_SIZE
+from .signal import MAX_VOCAB_SIZE, numbered_lines
 from .trainer import TrainConfig
 
 __all__ = ["ConfigError", "LabConfig", "load_config", "DEFAULTS"]
@@ -143,7 +142,13 @@ def load_config(path=None, overrides: Optional[dict[str, Any]] = None) -> LabCon
     """Defaults, then file values, then overrides (e.g. command-line flags)."""
     values: dict[str, Any] = {}
     if path is not None:
-        for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        try:
+            lines = numbered_lines(path)
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        for ln, line in lines:
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

@@ -67,19 +67,20 @@ class VicWeights:
 
 @dataclass
 class SampledPair:
-    """Teacher/student rows sharing (utterance, frame) source coordinates."""
+    """Teacher/student rows taken at the same `rows` of the pooled batch,
+    the utterances' frames concatenated in batch order."""
 
     Z: Matrix
     Zp: Matrix
-    sources: list[tuple[int, int]]
+    rows: np.ndarray
 
     def __post_init__(self):
         self.Z = as_matrix(self.Z, "Z")
         self.Zp = as_matrix(self.Zp, "Zp")
         if self.Z.shape != self.Zp.shape:
             raise ValueError("Z and Zp shapes differ")
-        if len(self.sources) != self.Z.shape[0]:
-            raise ValueError("sources length must match sample count")
+        if len(self.rows) != self.Z.shape[0]:
+            raise ValueError("rows length must match sample count")
 
 
 @dataclass
@@ -126,28 +127,22 @@ def sample_frames(
     n: int,
     seed: int,
 ) -> SampledPair:
-    """Sample `n` (utterance, frame) coordinates uniformly without replacement
-    from the pool of every frame of the batch, masked or not; the same
-    coordinates index both branches.
+    """Sample `n` rows uniformly without replacement from the pool of every
+    frame of the batch, masked or not; the same rows index both branches.
 
     If the pool holds fewer than `n` frames, every pooled frame is used once.
     """
     if len(teacher_reps) != len(student_reps):
         raise ValueError("teacher and student batches differ in length")
-    coords: list[tuple[int, int]] = []
     for u, (tr, sr) in enumerate(zip(teacher_reps, student_reps)):
         if tr.shape != sr.shape:
             raise ValueError(f"utterance {u}: teacher/student shapes differ")
-        coords.extend((u, t) for t in range(tr.shape[0]))
-    if not coords:
+    n_pool = sum(tr.shape[0] for tr in teacher_reps)
+    if n_pool == 0:
         raise ValueError("empty frame pool")
-    rng = np.random.default_rng(seed)
-    n_eff = min(n, len(coords))
-    picked = rng.choice(len(coords), size=n_eff, replace=False)
-    sources = [coords[i] for i in picked]
-    z = np.stack([teacher_reps[u][t] for u, t in sources])
-    zp = np.stack([student_reps[u][t] for u, t in sources])
-    return SampledPair(Z=z, Zp=zp, sources=sources)
+    rows = np.random.default_rng(seed).choice(n_pool, size=min(n, n_pool), replace=False)
+    return SampledPair(Z=np.concatenate(teacher_reps)[rows],
+                       Zp=np.concatenate(student_reps)[rows], rows=rows)
 
 
 def invariance(Z, Zp) -> tuple[float, Matrix]:

@@ -198,10 +198,8 @@ def sample_mask(n_frames: int, cfg: EncoderConfig, seed: int) -> MaskSpec:
     frames (truncated at the end) are unioned into M."""
     rng = np.random.default_rng(seed)
     starts = np.flatnonzero(rng.random(n_frames) < cfg.mask_start_prob)
-    masked = []
-    for s in starts:
-        masked.extend(range(s, min(s + cfg.mask_span, n_frames)))
-    return MaskSpec(np.array(masked, dtype=np.int64))
+    masked = (starts[:, None] + np.arange(cfg.mask_span)).ravel()
+    return MaskSpec(masked[masked < n_frames])
 
 
 def apply_mask(

@@ -62,6 +62,7 @@ __all__ = [
     "read_wav",
     "write_wav",
     "write_labels",
+    "numbered_lines",
     "load_labels",
     "write_manifest",
     "load_manifest",
@@ -504,7 +505,7 @@ def write_labels(path, unit_labels: Sequence[tuple[int, int, int]]) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def _numbered_lines(path) -> list[tuple[int, str]]:
+def numbered_lines(path) -> list[tuple[int, str]]:
     """(line number, line) for each nonblank line of the UTF-8 file `path`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -515,7 +516,7 @@ def _numbered_lines(path) -> list[tuple[int, str]]:
 
 def load_labels(path) -> list[tuple[int, int, int]]:
     out = []
-    for ln, line in _numbered_lines(path):
+    for ln, line in numbered_lines(path):
         try:
             sym, start, end = map(int, line.split())
         except ValueError:
@@ -543,7 +544,7 @@ def write_manifest(path, entries: Sequence[ManifestEntry]) -> None:
 def load_manifest(path) -> list[tuple[int, ManifestEntry]]:
     """Each entry of the manifest at `path`, with its line number."""
     entries = []
-    for ln, line in _numbered_lines(path):
+    for ln, line in numbered_lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ValueError(f"{path}:{ln}: expected 4 tab-separated fields")
@@ -587,16 +588,29 @@ def build_corpus(
 
 
 def load_corpus(manifest_path) -> list[Utterance]:
-    """The utterances `manifest_path` lists; an error names its file (and line)."""
+    """The utterances `manifest_path` lists; an error names its file (and line).
+
+    Ids are unique plain file names, because `<id>.feat` names an
+    utterance's feature file, and every WAV has the first WAV's sample rate."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     utterances = []
+    id_lines: dict[str, int] = {}
     for ln, entry in load_manifest(manifest_path):
+        uid, where = entry.utterance_id, f"{manifest_path}:{ln}"
+        if uid in ("", ".", "..") or "/" in uid or "\\" in uid:
+            raise ValueError(f"{where}: utterance id {uid!r} is not a plain file name")
+        if uid in id_lines:
+            raise ValueError(f"{where}: utterance id {uid!r} repeats line {id_lines[uid]}")
+        id_lines[uid] = ln
         wav_path, labels_path = root / entry.wav_relpath, root / entry.labels_relpath
         wav = read_wav(wav_path)
         if len(wav) != entry.n_samples:
-            raise ValueError(f"{manifest_path}:{ln}: {wav_path} has {len(wav)} samples, "
+            raise ValueError(f"{where}: {wav_path} has {len(wav)} samples, "
                              f"not {entry.n_samples}")
+        if utterances and wav.sample_rate != utterances[0].wave.sample_rate:
+            raise ValueError(f"{where}: {wav_path} is sampled at {wav.sample_rate} Hz, "
+                             f"the first WAV at {utterances[0].wave.sample_rate} Hz")
         labels = load_labels(labels_path)
         try:
             utterances.append(Utterance(id=entry.utterance_id, wave=wav, unit_labels=labels))

@@ -5,7 +5,7 @@ prediction only, producing the teacher. Stage 1 starts the student from a
 copy of the teacher and trains it on noise-augmented inputs: the frozen
 teacher runs on clean, unmasked features; the student sees masked noisy
 features; the masked-prediction loss meets the regularization terms computed
-on frames sampled at shared (utterance, frame) coordinates.
+on frames sampled at shared rows of the pooled batch.
 
 Every stochastic choice (epoch order, mask, noise draw, frame sampling) is a
 pure function of (config seed, purpose tag, step, slot), so runs are
@@ -347,10 +347,10 @@ def step_objective(
     breakdown, grad_zp = total_loss(l_m, pair, cfg.vic, cfg.use_inv, cfg.use_var, cfg.use_cov)
     grad_reps_list = [None] * len(caches)
     if pair is not None:
-        for row, (u, t) in enumerate(pair.sources):
-            if grad_reps_list[u] is None:
-                grad_reps_list[u] = np.zeros_like(reps_list[u])
-            grad_reps_list[u][t] += grad_zp[row]
+        ends = np.cumsum([len(reps) for reps in reps_list])
+        grad_pool = np.zeros((ends[-1], grad_zp.shape[1]))
+        grad_pool[pair.rows] = grad_zp
+        grad_reps_list = np.split(grad_pool, ends[:-1])
 
     grad = np.zeros(state.n_params())
     for cache, grad_reps, grad_logits in zip(caches, grad_reps_list, grad_logits_list):

@@ -1,11 +1,14 @@
-"""Shared fixtures: a small synthetic corpus for unit tests and the training
-benchmark used by the slow/acceptance tests, with its teacher and its
-ablation students."""
+"""Shared fixtures: the benchmark's binding table, a small synthetic corpus
+for unit tests and the training benchmark used by the slow/acceptance tests,
+with its teacher and its ablation students."""
 
+import importlib.util
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 
 # One BLAS thread, set before numpy loads, as perfbench/run.py does. Output
 # bytes depend on the BLAS thread count, so this makes the suite's numbers the
@@ -22,6 +25,21 @@ from vicspeech.losses import VicWeights
 from vicspeech.model import EncoderConfig
 from vicspeech.signal import build_corpus
 from vicspeech.trainer import Corpus, TrainConfig
+
+
+@pytest.fixture(scope="session")
+def spans():
+    """perfbench/spans.py, whose `FUNCTIONS` table names each package
+    function the benchmark rebinds and the modules it rebinds it in."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,27 +1,9 @@
 """The benchmark in perfbench/ wraps package functions by rebinding them in
 the globals of every module that calls them. Its binding table must match
-the package, or the benchmark refuses to start."""
+the package, or the benchmark refuses to start. The `spans` fixture (see
+conftest.py) loads that table."""
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
-
-import pytest
-
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def _module(name):

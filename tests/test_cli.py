@@ -224,11 +224,27 @@ class TestConfigErrorsBeforeRealInputs:
         ("pretrain", ("--eval-interval", "-1"), "eval_interval must be"),
         ("probe", ("--snr-levels", "inf"), "--snr-levels"),
         ("ablate", ("--snr-levels", "inf"), "--snr-levels"),
+        ("ablate", ("--model-dim", "64"), "--model-dim cannot be given with --teacher"),
+        ("ablate", ("--n-blocks", "1"), "--n-blocks cannot be given with --teacher"),
+        ("ablate", ("--mlp-hidden", "8"), "--mlp-hidden cannot be given with --teacher"),
+        ("ablate", ("--k", "5"), "--k cannot be given with --teacher"),
+        ("ablate", ("--mask-start-prob", "0.5"),
+         "--mask-start-prob cannot be given with --teacher"),
+        ("ablate", ("--mask-span", "3"), "--mask-span cannot be given with --teacher"),
     ])
     def test_rejected(self, pipeline_dir, tmp_path, capsys, no_reads, command, extra, named):
         out = tmp_path / "out"
         assert run(self._argv(command, pipeline_dir, out) + list(extra)) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config_file(self, pipeline_dir, tmp_path, capsys, no_reads):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"steps = 5\n\xff\n")
+        out = tmp_path / "out"
+        argv = self._argv("pretrain", pipeline_dir, out) + ["--config", str(config)]
+        assert run(argv) == 1
+        assert f"config error: {config}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_variance_takes_the_clean_level_alone(self):
@@ -332,7 +348,13 @@ def _set_manifest_field(manifest, row, col, value):
 
 
 _SPOILS = ["wav", "wav-chunk-size", "wav-odd-length", "labels", "labels-past-wav",
-           "labels-negative-symbol", "manifest", "manifest-length", "short-utterance"]
+           "labels-negative-symbol", "manifest", "manifest-length", "short-utterance",
+           "id-repeated", "id-empty", "id-dot", "id-dotdot", "id-escaping", "id-backslash",
+           "sample-rate"]
+
+# utterance ids that are not unique plain file names
+_BAD_IDS = {"id-repeated": "utt0000", "id-empty": "", "id-dot": ".", "id-dotdot": "..",
+            "id-escaping": "../escaped", "id-backslash": "a\\b"}
 
 
 def _spoil(corpus, case):
@@ -370,6 +392,14 @@ def _spoil(corpus, case):
     if case == "manifest-length":
         _set_manifest_field(manifest, 1, 2, str(n_samples + 7))
         return [f"{manifest}:2", str(wav)]
+    if case in _BAD_IDS:
+        _set_manifest_field(manifest, 1, 0, _BAD_IDS[case])
+        return [f"{manifest}:2", repr(_BAD_IDS[case])]
+    if case == "sample-rate":  # the fmt chunk's rate field
+        data = bytearray(wav.read_bytes())
+        data[24:28] = (8000).to_bytes(4, "little")
+        wav.write_bytes(bytes(data))
+        return [f"{manifest}:2", str(wav), "8000 Hz", "16000 Hz"]
     assert case == "short-utterance"  # the files agree, but hold less than one frame
     write_wav(wav, Waveform(16000, np.zeros(300)))
     labels.write_text("0 0 300\n")

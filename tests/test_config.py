@@ -1,5 +1,7 @@
 """Flat key/value configuration: defaults, precedence, validation."""
 
+import re
+
 import pytest
 
 from vicspeech.config import ConfigError, load_config
@@ -85,3 +87,22 @@ class TestParsing:
             key, val = line.split(" = ", 1)
             reparsed[key] = val
         assert reparsed["lambda"] == "5.0"
+
+
+class TestUnreadableFile:
+    """A config file that cannot be read as text is a config error naming it."""
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "g.cfg"
+        path.write_bytes(b"steps = 5\n\xff\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_config(path)
+
+    def test_missing(self, tmp_path):
+        path = tmp_path / "missing.cfg"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: cannot read config file"):
+            load_config(path)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path))}: cannot read config file"):
+            load_config(tmp_path)

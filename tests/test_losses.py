@@ -72,12 +72,41 @@ class TestMaskedPredictionLoss:
             assert loss >= 0.0
 
 
+def _reference_sample_frames(teacher_reps, student_reps, n, seed):
+    """`sample_frames` before frames became rows of the pooled batch, kept
+    verbatim as the reference but for returning (Z, Z', sources) instead of
+    the old `SampledPair`."""
+    if len(teacher_reps) != len(student_reps):
+        raise ValueError("teacher and student batches differ in length")
+    coords: list[tuple[int, int]] = []
+    for u, (tr, sr) in enumerate(zip(teacher_reps, student_reps)):
+        if tr.shape != sr.shape:
+            raise ValueError(f"utterance {u}: teacher/student shapes differ")
+        coords.extend((u, t) for t in range(tr.shape[0]))
+    if not coords:
+        raise ValueError("empty frame pool")
+    rng = np.random.default_rng(seed)
+    n_eff = min(n, len(coords))
+    picked = rng.choice(len(coords), size=n_eff, replace=False)
+    sources = [coords[i] for i in picked]
+    z = np.stack([teacher_reps[u][t] for u, t in sources])
+    zp = np.stack([student_reps[u][t] for u, t in sources])
+    return z, zp, sources
+
+
+def _coordinates(rows, reps):
+    """The (utterance, frame) coordinate of each pooled-batch row."""
+    starts = np.cumsum([0] + [len(r) for r in reps[:-1]])
+    utts = np.searchsorted(starts, rows, side="right") - 1
+    return [(int(u), int(t)) for u, t in zip(utts, rows - starts[utts])]
+
+
 class TestSampleFrames:
     def test_pool_exhaustion_uses_every_frame_once(self):
         reps = [np.arange(300.0 * 4).reshape(300, 4)]
         pair = sample_frames(reps, reps, n=512, seed=0)
         assert pair.Z.shape[0] == 300
-        assert len(set(pair.sources)) == 300
+        assert sorted(pair.rows) == list(range(300))
 
     def test_identical_branches_give_identical_rows(self):
         rng = np.random.default_rng(1)
@@ -90,22 +119,22 @@ class TestSampleFrames:
         reps = [rng.standard_normal((250, 2)) for _ in range(4)]
         pair = sample_frames(reps, reps, n=256, seed=9)
         assert pair.Z.shape[0] == 256
-        assert len(set(pair.sources)) == 256
+        assert len(set(pair.rows)) == 256
 
     def test_rows_match_source_coordinates(self):
         rng = np.random.default_rng(3)
         teacher = [rng.standard_normal((20, 3)) for _ in range(3)]
         student = [rng.standard_normal((20, 3)) for _ in range(3)]
         pair = sample_frames(teacher, student, n=15, seed=2)
-        for row, (u, t) in enumerate(pair.sources):
+        for row, (u, t) in enumerate(_coordinates(pair.rows, teacher)):
             assert np.array_equal(pair.Z[row], teacher[u][t])
             assert np.array_equal(pair.Zp[row], student[u][t])
 
     def test_deterministic(self):
         reps = [random_matrix((50, 4), 7)]
-        a = sample_frames(reps, reps, 20, seed=3).sources
-        b = sample_frames(reps, reps, 20, seed=3).sources
-        assert a == b
+        a = sample_frames(reps, reps, 20, seed=3).rows
+        b = sample_frames(reps, reps, 20, seed=3).rows
+        assert np.array_equal(a, b)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +143,26 @@ class TestSampleFrames:
     def test_misaligned_batches_rejected(self):
         with pytest.raises(ValueError):
             sample_frames([np.zeros((4, 2))], [np.zeros((5, 2))], 3, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+           d=st.integers(1, 4), n=st.integers(1, 260), seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference(self, lengths, d, n, seed):
+        """The same frames as the coordinate sampler, bit for bit and in the
+        same order, with `n` past the pool included."""
+        rng = np.random.default_rng(seed)
+        teacher = [rng.standard_normal((length, d)) for length in lengths]
+        student = [rng.standard_normal((length, d)) for length in lengths]
+        if sum(lengths) == 0:
+            for sampler in (sample_frames, _reference_sample_frames):
+                with pytest.raises(ValueError, match="empty frame pool"):
+                    sampler(teacher, student, n, seed)
+            return
+        pair = sample_frames(teacher, student, n, seed)
+        z, zp, sources = _reference_sample_frames(teacher, student, n, seed)
+        assert pair.Z.tobytes() == z.tobytes()
+        assert pair.Zp.tobytes() == zp.tobytes()
+        assert _coordinates(pair.rows, teacher) == sources
 
 
 class TestInvariance:
@@ -247,7 +296,7 @@ class TestCovariance:
 
 
 def _pair(z, zp):
-    return SampledPair(Z=z, Zp=zp, sources=[(0, i) for i in range(z.shape[0])])
+    return SampledPair(Z=z, Zp=zp, rows=np.arange(z.shape[0]))
 
 
 # a pair whose terms are exact: s = 2, and with gamma = 2 and epsilon = 1.75

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vicspeech import model
 from vicspeech.losses import masked_prediction_loss
@@ -81,6 +83,17 @@ class TestInit:
             assert np.array_equal(back.params[name], small_state.params[name])
 
 
+def _reference_sample_mask(n_frames, cfg, seed):
+    """`sample_mask` before its spans became one array, kept verbatim as the
+    reference."""
+    rng = np.random.default_rng(seed)
+    starts = np.flatnonzero(rng.random(n_frames) < cfg.mask_start_prob)
+    masked = []
+    for s in starts:
+        masked.extend(range(s, min(s + cfg.mask_span, n_frames)))
+    return MaskSpec(np.array(masked, dtype=np.int64))
+
+
 class TestMasking:
     def test_zero_prob_masks_nothing(self, small_cfg):
         cfg = EncoderConfig(**{**small_cfg.__dict__, "mask_start_prob": 0.0})
@@ -116,6 +129,17 @@ class TestMasking:
         a = sample_mask(50, small_cfg, seed=4).masked_frames
         b = sample_mask(50, small_cfg, seed=4).masked_frames
         assert np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_frames=st.integers(0, 200),
+           prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           span=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference(self, n_frames, prob, span, seed):
+        cfg = EncoderConfig(mask_start_prob=prob, mask_span=span)
+        got = sample_mask(n_frames, cfg, seed).masked_frames
+        want = _reference_sample_mask(n_frames, cfg, seed).masked_frames
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestForward:

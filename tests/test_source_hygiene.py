@@ -5,8 +5,9 @@ package modules below them.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
-the benchmark in perfbench/ can rebind it there. A name listed in ``__all__``
-counts as used.
+the benchmark in perfbench/ can rebind it there, and each name on such a line
+must be one that the benchmark's binding table rebinds in that module. A name
+listed in ``__all__`` counts as used.
 """
 
 import ast
@@ -17,6 +18,10 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vicspeech"
 
 
+def _is_exempt(node: ast.stmt, lines: list[str]) -> bool:
+    return any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1))
+
+
 def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     lines = source.splitlines()
@@ -25,8 +30,7 @@ def _unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any("# noqa: F401" in lines[i - 1]
-                   for i in range(node.lineno, node.end_lineno + 1)):
+            if _is_exempt(node, lines):
                 continue
             for alias in node.names:  # `import a.b` binds `a`
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -52,6 +56,39 @@ def test_an_unused_import_is_found():
               "def f(x: Sequence) -> None:\n"
               "    return np.asarray(x)\n")
     assert _unused_imports(source) == ["line 1: Optional"]
+
+
+def _unbound_exemptions(source: str, module: str, functions) -> list[str]:
+    """Names imported by a ``# noqa: F401`` statement of package module
+    `module` that the binding table `functions` (perfbench/spans.py's
+    ``FUNCTIONS``) does not rebind in `module`, from the module it is
+    imported from."""
+    bound = {(site, mod, attr) for _, mod, attr, sites in functions for site in sites}
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _is_exempt(node, lines):
+            origin = getattr(node, "module", None) or ""
+            for alias in node.names:
+                if (module, origin.removeprefix("vicspeech."), alias.name) not in bound:
+                    found.append(f"line {node.lineno}: {alias.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exempt_import_is_rebound_by_the_benchmark(path, spans):
+    assert _unbound_exemptions(path.read_text(encoding="utf-8"), path.stem,
+                               spans.FUNCTIONS) == []
+
+
+def test_an_unbound_exemption_is_found(spans):
+    source = ("from .losses import covariance, invariance, variance  # noqa: F401\n"
+              "from .losses import total_loss  # noqa: F401\n"
+              "from .signal import synth_noise  # noqa: F401\n"
+              "import os  # noqa: F401\n"
+              "from .model import forward\n")
+    assert _unbound_exemptions(source, "trainer", spans.FUNCTIONS) == [
+        "line 2: total_loss", "line 4: os"]
 
 
 def _is_private(name: str) -> bool:

@@ -237,7 +237,9 @@ def _reference_vic_loss(pair, w, use_inv, use_var, use_cov):
 
 def _reference_step_objective(state, inputs, specs, labels, teacher_reps, cfg, sample_seed):
     """`step_objective` before `losses.total_loss`, kept verbatim as the
-    reference; the breakdown is the old `LossBreakdown.build`, as a tuple."""
+    reference but for mapping the sampled pooled-batch rows back to
+    (utterance, frame) coordinates; the breakdown is the old
+    `LossBreakdown.build`, as a tuple."""
     total_masked = sum(len(spec) for spec in specs)
     l_m = 0.0
     reps_list, caches, grad_logits_list = [], [], []
@@ -256,7 +258,9 @@ def _reference_step_objective(state, inputs, specs, labels, teacher_reps, cfg, s
         pair = sample_frames(teacher_reps, reps_list, cfg.vic.n_sample, sample_seed)
         s, v, c, grad_zp = _reference_vic_loss(pair, cfg.vic, cfg.use_inv, cfg.use_var,
                                                cfg.use_cov)
-        for row, (u, t) in enumerate(pair.sources):
+        starts = np.cumsum([0] + [len(reps) for reps in reps_list[:-1]])
+        utts = np.searchsorted(starts, pair.rows, side="right") - 1
+        for row, (u, t) in enumerate(zip(utts, pair.rows - starts[utts])):
             if grad_reps_list[u] is None:
                 grad_reps_list[u] = np.zeros_like(reps_list[u])
             grad_reps_list[u][t] += cfg.vic.alpha * grad_zp[row]
@@ -291,18 +295,20 @@ class TestStepObjectiveIsBitwise:
                              ids=lambda f: "no-teacher" if f is None else
                              "".join("ivc"[i] if on else "-" for i, on in enumerate(f)))
     def test_equals_reference(self, batch, flags):
+        """At sample sizes below and past the batch's 34-frame pool."""
         state, inputs, specs, labels, teacher_reps = batch
-        cfg = TrainConfig(vic=VicWeights(lam=5.0, mu=0.7, nu=1.3, gamma=2.0, alpha=0.3,
-                                         n_sample=20))
-        if flags is None:
-            teacher_reps = None
-        else:
-            cfg = replace(cfg, use_inv=flags[0], use_var=flags[1], use_cov=flags[2])
-        got, got_grad = step_objective(state, inputs, specs, labels, teacher_reps, cfg, 7)
-        want, want_grad = _reference_step_objective(state, inputs, specs, labels,
-                                                     teacher_reps, cfg, 7)
-        assert (got.l_m, got.s, got.v, got.c, got.l_vic, got.l_tot) == want
-        assert got_grad.tobytes() == want_grad.tobytes()
+        for n_sample in (5, 20, 40, 500):
+            cfg = TrainConfig(vic=VicWeights(lam=5.0, mu=0.7, nu=1.3, gamma=2.0, alpha=0.3,
+                                             n_sample=n_sample))
+            if flags is None:
+                teacher_reps = None
+            else:
+                cfg = replace(cfg, use_inv=flags[0], use_var=flags[1], use_cov=flags[2])
+            got, got_grad = step_objective(state, inputs, specs, labels, teacher_reps, cfg, 7)
+            want, want_grad = _reference_step_objective(state, inputs, specs, labels,
+                                                         teacher_reps, cfg, 7)
+            assert (got.l_m, got.s, got.v, got.c, got.l_vic, got.l_tot) == want, n_sample
+            assert got_grad.tobytes() == want_grad.tobytes(), n_sample
 
 
 class TestPretrainClean:
