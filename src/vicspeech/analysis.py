@@ -32,7 +32,6 @@ __all__ = [
     "AblationResult",
     "pooled_channel_variance",
     "channel_variance_report",
-    "covariance_offdiag_stat",
     "fit_linear_probe",
     "linear_probe",
     "n_accuracy",
@@ -130,33 +129,6 @@ def channel_variance_report(
                 model_tag=model_tag, noise_kind=kind, snr_db=float(snr),
                 mean_channel_variance=float(per_channel.mean()), per_channel=per_channel))
     return report
-
-
-def covariance_offdiag_stat(reps, return_excluded: bool = False):
-    """Mean absolute off-diagonal entry of the correlation matrix.
-
-    Channels with zero variance cannot be normalized; their pairs are
-    excluded and counted (pass ``return_excluded=True`` to get the count).
-    """
-    x = as_matrix(reps, "reps")
-    n, d = x.shape
-    if n < 2:
-        raise ValueError("need at least two rows")
-    dev = x - x.mean(axis=0, keepdims=True)
-    std = dev.std(axis=0, ddof=1)
-    keep = std > 0.0
-    excluded = int((~keep).sum())
-    dev = dev[:, keep] / std[keep]
-    m = int(keep.sum())
-    if m < 2:
-        stat = 0.0
-    else:
-        corr = dev.T @ dev / (n - 1)
-        off = np.abs(corr - np.diag(np.diag(corr)))
-        stat = float(off.sum() / (m * (m - 1)))
-    if return_excluded:
-        return stat, excluded
-    return stat
 
 
 # ----------------------------------------------------------------------

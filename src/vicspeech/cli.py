@@ -22,7 +22,7 @@ from .checkpoint import CheckpointError, load_codebook, load_encoder, save_codeb
 from .codebook import fit_kmeans
 from .config import ConfigError, LabConfig, load_config
 from .model import TrainingDivergedError
-from .signal import NOISE_KINDS, SNR_LIMIT_DB, build_corpus
+from .signal import N_FILTERS, NOISE_KINDS, SNR_LIMIT_DB, build_corpus
 from .trainer import Corpus, TrainLog, pretrain_clean, pretrain_noisy
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -33,16 +33,17 @@ def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]) -> None:
         p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None)
 
 
-# a run that starts from a --teacher checkpoint takes its encoder from it
-_ENCODER_KEYS = ("model_dim", "n_blocks", "mlp_hidden", "k", "mask_start_prob", "mask_span")
+# keys that only set the teacher ablate trains, which it skips when given --teacher
+_TEACHER_ONLY_KEYS = ("model_dim", "n_blocks", "mlp_hidden", "k", "mask_start_prob",
+                      "mask_span", "train_seed")
 
 
 def _resolve(args) -> LabConfig:
-    if getattr(args, "teacher", None):
-        for key in _ENCODER_KEYS:
+    if args.command == "ablate" and args.teacher:
+        for key in _TEACHER_ONLY_KEYS:
             if getattr(args, f"cfg_{key}", None) is not None:
                 raise ConfigError(f"--{key.replace('_', '-')} cannot be given with --teacher: "
-                                  f"the student takes its encoder from the teacher")
+                                  f"it only sets the teacher that ablate would train")
     overrides = {}
     for name, value in vars(args).items():
         if name.startswith("cfg_") and value is not None:
@@ -57,11 +58,6 @@ def _echo(cfg: LabConfig) -> None:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         print(f"# {var} = {os.environ.get(var, 'unset')}")
     print(cfg.echo())
-
-
-def _load_corpus(path, cfg: LabConfig) -> Corpus:
-    return Corpus.load(path, frame_len=cfg["frame_len"], hop=cfg["hop"],
-                       n_filters=cfg["n_filters"])
 
 
 # argparse `type=` functions for the flags that are not config keys
@@ -124,13 +120,13 @@ def _noise_kinds(raw: str) -> list[str]:
 def _cmd_synth(args, cfg: LabConfig) -> int:
     manifest = build_corpus(args.out, n_utterances=cfg["n_utterances"],
                             corpus_seed=cfg["corpus_seed"], vocab_size=cfg["vocab_size"],
-                            n_segments=cfg["n_segments"], sample_rate=cfg["sample_rate"])
+                            n_segments=cfg["n_segments"])
     print(f"wrote {manifest}")
     return 0
 
 
 def _cmd_features(args, cfg: LabConfig) -> int:
-    corpus = _load_corpus(args.manifest, cfg)
+    corpus = Corpus.load(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, utt in enumerate(corpus.utterances):
@@ -143,7 +139,7 @@ def _cmd_features(args, cfg: LabConfig) -> int:
 
 
 def _cmd_kmeans(args, cfg: LabConfig) -> int:
-    corpus = _load_corpus(args.manifest, cfg)
+    corpus = Corpus.load(args.manifest)
     frames = np.concatenate([corpus.clean_features(i) for i in range(len(corpus))])
     cb = fit_kmeans(frames, k=cfg["k"], max_iters=cfg["kmeans_max_iters"],
                     seed=cfg["kmeans_seed"])
@@ -162,7 +158,7 @@ def _write_log(path, log: TrainLog) -> None:
 
 
 def _cmd_pretrain(args, cfg: LabConfig) -> int:
-    corpus = _load_corpus(args.manifest, cfg)
+    corpus = Corpus.load(args.manifest)
     cb = load_codebook(args.codebook)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
     teacher, log = pretrain_clean(corpus, cb, cfg.train, enc_cfg=cfg.encoder, eval_hook=hook)
@@ -177,7 +173,7 @@ def _cmd_vic_pretrain(args, cfg: LabConfig) -> int:
     if not cfg.train.vic_active:
         print("warning: no --inv/--var/--cov given; run reduces to the noisy "
               "masked-prediction baseline", file=sys.stderr)
-    corpus = _load_corpus(args.manifest, cfg)
+    corpus = Corpus.load(args.manifest)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher)
     hook = analysis.make_train_eval_hook(corpus) if cfg["eval_interval"] else None
@@ -196,9 +192,9 @@ def _conditions(kinds: list[str], levels: list[float]) -> list[tuple[str, float]
 
 def _cmd_probe(args, cfg: LabConfig) -> int:
     enc = load_encoder(args.encoder)
-    train = _load_corpus(args.train_manifest, cfg)
-    ev = train if args.eval_manifest is None else _load_corpus(args.eval_manifest, cfg)
-    if args.codebook and load_codebook(args.codebook).feature_dim != train.n_filters:
+    train = Corpus.load(args.train_manifest)
+    ev = train if args.eval_manifest is None else Corpus.load(args.eval_manifest)
+    if args.codebook and load_codebook(args.codebook).feature_dim != N_FILTERS:
         raise ValueError("codebook feature dim does not match corpus features")
     conds = _conditions(args.noise_kinds, args.snr_levels)
     results = analysis.linear_probe(enc, train, conds, seed=args.seed, eval_corpus=ev)
@@ -213,7 +209,7 @@ def _cmd_probe(args, cfg: LabConfig) -> int:
 
 def _cmd_analyze_variance(args, cfg: LabConfig) -> int:
     enc = load_encoder(args.encoder)
-    corpus = _load_corpus(args.manifest, cfg)
+    corpus = Corpus.load(args.manifest)
     report = analysis.channel_variance_report(enc, corpus, args.noise_kinds, args.snr_levels,
                                               seed=args.seed, model_tag=args.model_tag)
     report.write_csv(args.out)
@@ -227,8 +223,8 @@ def _cmd_analyze_variance(args, cfg: LabConfig) -> int:
 
 
 def _cmd_ablate(args, cfg: LabConfig) -> int:
-    corpus = _load_corpus(args.manifest, cfg)
-    ev = corpus if args.eval_manifest is None else _load_corpus(args.eval_manifest, cfg)
+    corpus = Corpus.load(args.manifest)
+    ev = corpus if args.eval_manifest is None else Corpus.load(args.eval_manifest)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher) if args.teacher else None
     conds = _conditions(args.eval_noise_kinds, args.snr_levels)
@@ -265,23 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a corpus and manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    _add_config_flags(p, ["n_utterances", "corpus_seed", "vocab_size", "n_segments",
-                          "sample_rate"])
+    _add_config_flags(p, ["n_utterances", "corpus_seed", "vocab_size", "n_segments"])
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("features", help="dump per-utterance feature files")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    _add_config_flags(p, ["frame_len", "hop", "n_filters"])
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("kmeans", help="fit the codeword codebook on clean features")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    _add_config_flags(p, ["k", "kmeans_max_iters", "kmeans_seed", "frame_len", "hop",
-                          "n_filters"])
+    _add_config_flags(p, ["k", "kmeans_max_iters", "kmeans_seed"])
     p.set_defaults(func=_cmd_kmeans)
 
     p = sub.add_parser("pretrain", help="stage 0: clean masked-prediction pre-training")
@@ -292,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     _add_config_flags(p, ["steps", "batch_utterances", "learning_rate", "train_seed",
                           "model_dim", "n_blocks", "mlp_hidden", "mask_start_prob",
-                          "mask_span", "frame_len", "hop", "n_filters", "k",
-                          "eval_interval"])
+                          "mask_span", "k", "eval_interval"])
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("vic-pretrain", help="stage 1: noise-robust pre-training "
@@ -309,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"enable the {term} term (else the config file's use_{flag})")
     _add_config_flags(p, ["steps", "batch_utterances", "learning_rate", "train_seed",
                           "lambda", "mu", "nu", "alpha", "gamma", "epsilon", "n_sample",
-                          "snr_low", "snr_high", "noise_kinds", "frame_len", "hop",
-                          "n_filters", "eval_interval"])
+                          "snr_low", "snr_high", "noise_kinds", "eval_interval"])
     p.set_defaults(func=_cmd_vic_pretrain)
 
     p = sub.add_parser("probe", help="frozen-encoder linear probe over noise conditions")
@@ -324,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-kinds", type=_noise_kinds, default="babble,music,natural")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-tag", default="model")
-    _add_config_flags(p, ["frame_len", "hop", "n_filters"])
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("analyze-variance", help="channel variance vs SNR report")
@@ -337,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-kinds", type=_noise_kinds, default="babble,music")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-tag", default="model")
-    _add_config_flags(p, ["frame_len", "hop", "n_filters"])
     p.set_defaults(func=_cmd_analyze_variance)
 
     p = sub.add_parser("ablate", help="four cumulative regularizer configurations")
@@ -357,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "lambda", "mu", "nu", "alpha", "gamma", "epsilon", "n_sample",
                           "snr_low", "snr_high", "noise_kinds",
                           "model_dim", "n_blocks", "mlp_hidden", "k",
-                          "mask_start_prob", "mask_span",
-                          "frame_len", "hop", "n_filters", "train_seed"])
+                          "mask_start_prob", "mask_span", "train_seed"])
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every "

@@ -9,8 +9,9 @@ A :class:`LabConfig` checks every value once, when it is built. The encoder
 and training keys are checked by the value objects it builds
 (:class:`EncoderConfig`, and :class:`TrainConfig` with its
 :class:`VicWeights`); every other key by the bound in its ``DEFAULTS`` entry.
-Adam's constants are fixed in ``trainer.adam_step`` and the VIC terms sample
-every pooled frame of the batch, so neither has a key.
+Adam's constants are fixed in ``trainer.adam_step``, the VIC terms sample
+every pooled frame of the batch, and the signal format (16 kHz audio, frames
+and mel filters) is fixed in ``signal``, so none of them has a key.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Optional
 
 from .losses import VicWeights
 from .model import EncoderConfig
-from .signal import MAX_VOCAB_SIZE, numbered_lines
+from .signal import MAX_VOCAB_SIZE, N_FILTERS, numbered_lines
 from .trainer import TrainConfig
 
 __all__ = ["ConfigError", "LabConfig", "load_config", "DEFAULTS"]
@@ -36,17 +37,12 @@ class ConfigError(ValueError):
 # adds a rule of training's.
 DEFAULTS: dict[str, tuple[Any, Optional[str]]] = {
     # corpus synthesis
-    "sample_rate": (16000, ">= 1"),
     "n_utterances": (40, ">= 1"),
     "vocab_size": (16, f">= 2 and <= {MAX_VOCAB_SIZE}"),
     "n_segments": (12, ">= 1"),
     "corpus_seed": (100, ">= 0"),
-    # features; a Hann window shorter than 3 samples is all zeros
-    "frame_len": (400, ">= 3"),
-    "hop": (160, ">= 1"),
-    "n_filters": (40, ">= 1"),
     # codebook
-    "k": (16, ">= 1"),
+    "k": (16, ">= 2"),
     "kmeans_max_iters": (50, ">= 0"),
     "kmeans_seed": (7, ">= 0"),
     # encoder
@@ -114,7 +110,7 @@ class LabConfig:
                 raise ConfigError(f"{key} must be {bound}, got {v[key]!r}")
         try:  # the value objects name the key in every rejection
             self.encoder = EncoderConfig(
-                feature_dim=v["n_filters"], model_dim=v["model_dim"], n_blocks=v["n_blocks"],
+                feature_dim=N_FILTERS, model_dim=v["model_dim"], n_blocks=v["n_blocks"],
                 mlp_hidden=v["mlp_hidden"], k_codewords=v["k"],
                 mask_start_prob=v["mask_start_prob"], mask_span=v["mask_span"])
             self.train = TrainConfig(

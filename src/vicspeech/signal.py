@@ -20,8 +20,8 @@ of f0, so the sum over h of a_h h bounds the slope in psi, and the fades
 and the gain only shrink a segment: the normalizing peak, and so every
 output sample, is the same as rendering the whole utterance.
 
-On-disk formats: WAV is PCM 16-bit signed little-endian mono; the corpus
-manifest is a UTF-8 TSV with rows
+On-disk formats: WAV is PCM 16-bit signed little-endian mono at 16 kHz
+(``SAMPLE_RATE``); the corpus manifest is a UTF-8 TSV with rows
 ``utterance_id<TAB>wav_relpath<TAB>n_samples<TAB>labels_relpath`` and label
 files hold one ``symbol_id start_sample end_sample`` line per segment.
 """
@@ -562,7 +562,6 @@ def build_corpus(
     corpus_seed: int,
     vocab_size: int = 16,
     n_segments: int = 12,
-    sample_rate: int = SAMPLE_RATE,
 ) -> Path:
     """Synthesize a corpus under `out_dir` and return the manifest path.
 
@@ -574,8 +573,7 @@ def build_corpus(
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(n_utterances):
-        utt = synth_utterance(corpus_seed ^ i, n_segments=n_segments,
-                              vocab_size=vocab_size, sample_rate=sample_rate)
+        utt = synth_utterance(corpus_seed ^ i, n_segments=n_segments, vocab_size=vocab_size)
         utt.id = f"utt{i:04d}"
         wav_rel = f"wav/{utt.id}.wav"
         lab_rel = f"labels/{utt.id}.lab"
@@ -591,7 +589,7 @@ def load_corpus(manifest_path) -> list[Utterance]:
     """The utterances `manifest_path` lists; an error names its file (and line).
 
     Ids are unique plain file names, because `<id>.feat` names an
-    utterance's feature file, and every WAV has the first WAV's sample rate."""
+    utterance's feature file, and every WAV is sampled at `SAMPLE_RATE`."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     utterances = []
@@ -608,9 +606,9 @@ def load_corpus(manifest_path) -> list[Utterance]:
         if len(wav) != entry.n_samples:
             raise ValueError(f"{where}: {wav_path} has {len(wav)} samples, "
                              f"not {entry.n_samples}")
-        if utterances and wav.sample_rate != utterances[0].wave.sample_rate:
+        if wav.sample_rate != SAMPLE_RATE:
             raise ValueError(f"{where}: {wav_path} is sampled at {wav.sample_rate} Hz, "
-                             f"the first WAV at {utterances[0].wave.sample_rate} Hz")
+                             f"not {SAMPLE_RATE} Hz")
         labels = load_labels(labels_path)
         try:
             utterances.append(Utterance(id=entry.utterance_id, wave=wav, unit_labels=labels))

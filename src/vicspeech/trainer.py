@@ -28,7 +28,7 @@ from .losses import covariance, invariance, variance  # noqa: F401
 from .model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, apply_mask, \
     backward, forward, init_encoder, predict_codewords
 from .numerics import Matrix
-from .signal import FRAME_LEN, HOP, N_FILTERS, NOISE_KINDS, SNR_LIMIT_DB, Utterance, \
+from .signal import FRAME_LEN, HOP, NOISE_KINDS, SNR_LIMIT_DB, Utterance, \
     extract_features, frame_count, frame_labels, load_corpus, mix_at_snr, synth_noise
 
 __all__ = [
@@ -167,25 +167,21 @@ class TrainLog:
 # ----------------------------------------------------------------------
 
 class Corpus:
-    """In-memory corpus of utterances of at least one frame, with cached clean features."""
+    """In-memory corpus of utterances of at least one frame, with cached clean
+    features; features and frame labels use `signal`'s one framing."""
 
-    def __init__(self, utterances: list[Utterance], frame_len: int = FRAME_LEN,
-                 hop: int = HOP, n_filters: int = N_FILTERS):
+    def __init__(self, utterances: list[Utterance]):
         if not utterances:
             raise ValueError("empty corpus")
         for utt in utterances:
-            frame_count(len(utt.wave), frame_len, hop, f"utterance {utt.id}")
+            frame_count(len(utt.wave), FRAME_LEN, HOP, f"utterance {utt.id}")
         self.utterances = utterances
-        self.frame_len = frame_len
-        self.hop = hop
-        self.n_filters = n_filters
         self._clean: dict[int, Matrix] = {}
         self._last_batch: Optional[tuple[tuple, tuple["BatchItem", ...]]] = None  # see make_batch
 
     @classmethod
-    def load(cls, manifest_path, frame_len: int = FRAME_LEN, hop: int = HOP,
-             n_filters: int = N_FILTERS) -> "Corpus":
-        return cls(load_corpus(manifest_path), frame_len=frame_len, hop=hop, n_filters=n_filters)
+    def load(cls, manifest_path) -> "Corpus":
+        return cls(load_corpus(manifest_path))
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -193,14 +189,12 @@ class Corpus:
     def clean_features(self, i: int) -> Matrix:
         """Features of clean utterance `i`, computed once and read-only."""
         if i not in self._clean:
-            self._clean[i] = _read_only(extract_features(
-                self.utterances[i].wave, frame_len=self.frame_len, hop=self.hop,
-                n_filters=self.n_filters))
+            self._clean[i] = _read_only(extract_features(self.utterances[i].wave))
         return self._clean[i]
 
     def frame_labels(self, i: int) -> np.ndarray:
         """Utterance `i`'s `signal.frame_labels`, which no noise condition changes."""
-        return frame_labels(self.utterances[i], frame_len=self.frame_len, hop=self.hop)
+        return frame_labels(self.utterances[i])
 
     def condition_features(self, i: int, kind: str, snr_db: float,
                            noise_seed: int) -> Matrix:
@@ -211,8 +205,7 @@ class Corpus:
         utt = self.utterances[i]
         noise = synth_noise(kind, noise_seed, len(utt.wave), utt.wave.sample_rate)
         mixed = mix_at_snr(utt.wave, noise, snr_db)
-        return extract_features(mixed.mixed, frame_len=self.frame_len, hop=self.hop,
-                                n_filters=self.n_filters)
+        return extract_features(mixed.mixed)
 
     def draw_condition(self, i: int, noise_kinds: Sequence[str],
                        snr_range_db: tuple[float, float], draw_seed: int,

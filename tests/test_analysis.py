@@ -75,35 +75,6 @@ class TestChannelVarianceReport:
         assert a.rows[0].mean_channel_variance == b.rows[0].mean_channel_variance
 
 
-class TestCovarianceOffdiagStat:
-    def test_duplicated_channel_pair_is_one(self):
-        rng = np.random.default_rng(1)
-        col = rng.standard_normal(200)
-        stat = analysis.covariance_offdiag_stat(np.stack([col, col], axis=1))
-        assert stat == pytest.approx(1.0, abs=1e-12)
-
-    def test_independent_channels_near_zero(self):
-        rng = np.random.default_rng(2)
-        reps = rng.standard_normal((10000, 6))
-        assert analysis.covariance_offdiag_stat(reps) < 0.05
-
-    def test_invariant_under_channel_permutation(self):
-        rng = np.random.default_rng(3)
-        reps = rng.standard_normal((50, 5))
-        perm = rng.permutation(5)
-        a = analysis.covariance_offdiag_stat(reps)
-        b = analysis.covariance_offdiag_stat(reps[:, perm])
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_zero_variance_channel_excluded_with_count(self):
-        rng = np.random.default_rng(4)
-        reps = rng.standard_normal((30, 4))
-        reps[:, 2] = 7.0
-        stat, excluded = analysis.covariance_offdiag_stat(reps, return_excluded=True)
-        assert excluded == 1
-        assert 0.0 <= stat <= 1.0
-
-
 class TestLinearProbe:
     def test_clean_fit_beats_majority_baseline(self, trained_encoder, mini_corpus):
         results = analysis.linear_probe(trained_encoder, mini_corpus,

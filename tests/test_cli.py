@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vicspeech import analysis, cli
-from vicspeech.checkpoint import load_codebook, load_encoder
+from vicspeech.checkpoint import load_codebook, load_encoder, save_codebook
 from vicspeech.cli import build_parser, run
+from vicspeech.codebook import Codebook
 from vicspeech.signal import Waveform, build_corpus, write_wav
 
 
@@ -142,19 +144,27 @@ class TestConfigErrorsBeforeInput:
         assert run(argv) == 1
         assert "snr-levels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["vic_exclude_masked", "adam_beta1"])
+    @pytest.mark.parametrize("key", ["vic_exclude_masked", "adam_beta1", "frame_len",
+                                     "sample_rate"])
     def test_removed_key_in_config_file_is_unknown(self, missing, tmp_path, capsys, key):
         config = tmp_path / "run.cfg"
         config.write_text(f"steps = 5\n{key} = 0\n")
         assert run(self._pretrain(missing, "--config", str(config))) == 1
         assert f"{config}:2: unknown key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [("--vic-exclude-masked",),
-                                       ("--vic-exclude-masked", "true")])
+    @pytest.mark.parametrize("extra", [("vic-pretrain", "--vic-exclude-masked"),
+                                       ("vic-pretrain", "--vic-exclude-masked", "true"),
+                                       ("features", "--hop", "0"),
+                                       ("features", "--frame-len", "0"),
+                                       ("synth", "--sample-rate", "0")])
     def test_removed_flag_is_usage_error(self, missing, capsys, extra):
-        assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
-                    "--codebook", missing, "--out", missing, *extra]) == 1
+        command, *flags = extra
+        inputs = {"vic-pretrain": ["--teacher", "--manifest", "--codebook"],
+                  "features": ["--manifest"], "synth": []}[command]
+        assert run([command, *(arg for flag in inputs for arg in (flag, missing)),
+                    "--out", missing, *flags]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not Path(missing).exists()
 
     @pytest.mark.parametrize("step", ["0", "nan", "-1e-5"])
     def test_gradcheck_step(self, capsys, step):
@@ -211,12 +221,12 @@ class TestConfigErrorsBeforeRealInputs:
         return [command, *inputs, "--out", str(out)]
 
     @pytest.mark.parametrize("command, extra, named", [
-        ("features", ("--hop", "0"), "hop must be"),
-        ("features", ("--frame-len", "0"), "frame_len must be"),
+        ("kmeans", ("--k", "1"), "k must be"),
+        ("pretrain", ("--k", "1"), "k must be"),
         ("kmeans", ("--k", "0"), "k must be"),
         ("synth", ("--n-utterances", "0"), "n_utterances must be"),
         ("synth", ("--n-segments", "0"), "n_segments must be"),
-        ("synth", ("--sample-rate", "0"), "sample_rate must be"),
+        ("ablate", ("--train-seed", "1"), "--train-seed cannot be given with --teacher"),
         ("synth", ("--corpus-seed", "-1"), "corpus_seed must be"),
         ("pretrain", ("--train-seed", "-1"), "train_seed must be"),
         ("kmeans", ("--kmeans-seed", "-1"), "kmeans_seed must be"),
@@ -350,7 +360,7 @@ def _set_manifest_field(manifest, row, col, value):
 _SPOILS = ["wav", "wav-chunk-size", "wav-odd-length", "labels", "labels-past-wav",
            "labels-negative-symbol", "manifest", "manifest-length", "short-utterance",
            "id-repeated", "id-empty", "id-dot", "id-dotdot", "id-escaping", "id-backslash",
-           "sample-rate"]
+           "sample-rate", "sample-rate-every-wav"]
 
 # utterance ids that are not unique plain file names
 _BAD_IDS = {"id-repeated": "utt0000", "id-empty": "", "id-dot": ".", "id-dotdot": "..",
@@ -395,11 +405,14 @@ def _spoil(corpus, case):
     if case in _BAD_IDS:
         _set_manifest_field(manifest, 1, 0, _BAD_IDS[case])
         return [f"{manifest}:2", repr(_BAD_IDS[case])]
-    if case == "sample-rate":  # the fmt chunk's rate field
-        data = bytearray(wav.read_bytes())
-        data[24:28] = (8000).to_bytes(4, "little")
-        wav.write_bytes(bytes(data))
-        return [f"{manifest}:2", str(wav), "8000 Hz", "16000 Hz"]
+    if case.startswith("sample-rate"):  # the fmt chunk's rate field
+        wavs = sorted(wav.parent.glob("*.wav")) if case == "sample-rate-every-wav" else [wav]
+        for path in wavs:
+            data = bytearray(path.read_bytes())
+            data[24:28] = (8000).to_bytes(4, "little")
+            path.write_bytes(bytes(data))
+        line = 2 if case == "sample-rate" else 1
+        return [f"{manifest}:{line}", str(wavs[0]), "8000 Hz", "16000 Hz"]
     assert case == "short-utterance"  # the files agree, but hold less than one frame
     write_wav(wav, Waveform(16000, np.zeros(300)))
     labels.write_text("0 0 300\n")
@@ -664,8 +677,7 @@ class TestProbeAndVariance:
                                                             capsys):
         manifest = str(pipeline_dir / "corpus" / "manifest.tsv")
         cb20 = str(tmp_path / "cb20.ckpt")
-        assert run(["kmeans", "--manifest", manifest, "--out", cb20, "--k", "5",
-                    "--n-filters", "20"]) == 0
+        save_codebook(cb20, Codebook(np.random.default_rng(0).standard_normal((5, 20))))
         code = run(["probe", "--encoder", str(pipeline_dir / "teacher.ckpt"),
                     "--train-manifest", manifest, "--codebook", cb20,
                     "--out", str(tmp_path / "probe.csv"),

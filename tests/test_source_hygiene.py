@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, no package
 module reaches into another's private (``_``-prefixed) names, and the math
 layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
-package modules below them.
+package modules below them, and every ``config.DEFAULTS`` key has a reader.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -189,3 +189,39 @@ def test_a_package_import_is_found():
               "    from .config import load_config\n")
     assert _package_imports(source) == {"codebook", "signal", "numerics", "model", "losses",
                                         "trainer", "__init__", "config"}
+
+
+def _defaults_keys(source: str) -> list[str]:
+    """The keys of the dict literal that `source` assigns to ``DEFAULTS: ...``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "DEFAULTS":
+            return [key.value for key in node.value.keys]
+    raise AssertionError("no DEFAULTS assignment")
+
+
+def _string_subscripts(source: str, name: str) -> set[str]:
+    """The strings `source` subscripts the variable `name` with, as in ``name["key"]``."""
+    return {node.slice.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == name and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def _unread_keys(config_source: str, cli_source: str) -> list[str]:
+    """``DEFAULTS`` keys that neither config.py reads as ``v["key"]`` nor
+    cli.py as ``cfg["key"]``."""
+    read = _string_subscripts(config_source, "v") | _string_subscripts(cli_source, "cfg")
+    return [key for key in _defaults_keys(config_source) if key not in read]
+
+
+def test_every_config_key_has_a_reader():
+    assert _unread_keys((PACKAGE / "config.py").read_text(encoding="utf-8"),
+                        (PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_an_unread_config_key_is_found():
+    config = ('DEFAULTS: dict = {"k": (16, ">= 2"), "n_filters": (40, None), "steps": (1, None)}\n'
+              "def build(v, cfg):\n"
+              '    return v["steps"], cfg["n_filters"], v[key]\n')
+    cli = 'def cmd(cfg, v):\n    return cfg["k"], v["n_filters"]\n'
+    assert _unread_keys(config, cli) == ["n_filters"]

@@ -154,8 +154,7 @@ class TestConditionFeatures:
         got = mini_corpus.condition_features(2, kind, 7.5, 1234)
         noise = synth_noise(kind, 1234, len(utt.wave), utt.wave.sample_rate)
         mixed = mix_at_snr(utt.wave, noise, 7.5)
-        want = extract_features(mixed.mixed, frame_len=mini_corpus.frame_len,
-                                hop=mini_corpus.hop, n_filters=mini_corpus.n_filters)
+        want = extract_features(mixed.mixed)
         assert np.array_equal(got, want)
 
     def test_infinite_snr_returns_cached_clean(self, mini_corpus):
@@ -173,11 +172,10 @@ class TestConditionFeatures:
 
 class TestCorpusLabels:
     def test_frame_labels_are_the_utterance_labels_at_the_corpus_framing(self, mini_corpus):
-        corpus = Corpus(mini_corpus.utterances, frame_len=320, hop=100)
-        for i, utt in enumerate(corpus.utterances):
-            labels = corpus.frame_labels(i)
-            assert np.array_equal(labels, frame_labels(utt, 320, 100))
-            assert labels.size == corpus.clean_features(i).shape[0]
+        for i, utt in enumerate(mini_corpus.utterances):
+            labels = mini_corpus.frame_labels(i)
+            assert np.array_equal(labels, frame_labels(utt))
+            assert labels.size == mini_corpus.clean_features(i).shape[0]
 
 
 def _reference_noisy_batch(corpus, batch_utterances, step, seed, noise_kinds, snr_range_db):
