@@ -17,14 +17,15 @@ from vicspeech import (
     synth_noise,
     synth_utterance,
 )
+from vicspeech.signal import SAMPLE_RATE
 from vicspeech.trainer import Corpus
 
 # --- one utterance -----------------------------------------------------
 utt = synth_utterance(seed=7, n_segments=8, vocab_size=8)
 print(f"utterance {utt.id}: {len(utt.wave)} samples "
-      f"({len(utt.wave) / utt.wave.sample_rate:.2f} s), segments:")
+      f"({len(utt.wave) / SAMPLE_RATE:.2f} s), segments:")
 for sym, start, end in utt.unit_labels:
-    print(f"  symbol {sym}  [{start:6d}, {end:6d})  {(end - start) / 16000 * 1000:5.1f} ms")
+    print(f"  symbol {sym}  [{start:6d}, {end:6d})  {(end - start) / SAMPLE_RATE * 1000:5.1f} ms")
 
 # --- noise families and exact-SNR mixing --------------------------------
 print("\nmixing each noise family at 5 dB and measuring the result:")

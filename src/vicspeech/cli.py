@@ -76,18 +76,22 @@ def _step(raw: str) -> float:
     return step
 
 
+def _distinct(items: list, raw: str) -> list:
+    """`items`, the entries of the list `raw`, if no two are equal."""
+    if len(set(items)) != len(items):
+        raise argparse.ArgumentTypeError(f"repeated entry in {raw!r}")
+    return items
+
+
 def _parse_list(raw: str, parse) -> list:
     try:
-        return [parse(tok) for tok in raw.split(",")]
+        return _distinct([parse(tok) for tok in raw.split(",")], raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid list {raw!r}") from None
 
 
 def _seed_list(raw: str) -> list[int]:
-    seeds = _parse_list(raw, _seed)
-    if len(set(seeds)) != len(seeds):
-        raise argparse.ArgumentTypeError(f"duplicate seed in {raw!r}")
-    return seeds
+    return _parse_list(raw, _seed)
 
 
 def _snr_levels(raw: str) -> list[float]:
@@ -106,7 +110,7 @@ def _noisy_snr_levels(raw: str) -> list[float]:
 
 
 def _noise_kinds(raw: str) -> list[str]:
-    kinds = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    kinds = _distinct([tok.strip() for tok in raw.split(",") if tok.strip()], raw)
     if not kinds or not set(kinds) <= set(NOISE_KINDS):
         raise argparse.ArgumentTypeError(f"expected a list of {', '.join(NOISE_KINDS)}, "
                                          f"got {raw!r}")

@@ -58,7 +58,6 @@ __all__ = [
     "frame_count",
     "extract_features",
     "frame_labels",
-    "mel_filterbank",
     "read_wav",
     "write_wav",
     "write_labels",
@@ -89,15 +88,12 @@ _LOG_FLOOR = 1e-10
 
 @dataclass
 class Waveform:
-    """Mono audio: float64 samples in [-1, 1] at a fixed sample rate."""
+    """Mono audio: float64 samples in [-1, 1] at ``SAMPLE_RATE``."""
 
-    sample_rate: int
     samples: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         if not np.isfinite(self.samples).all():
             raise ValueError("waveform contains non-finite samples")
         if self.samples.size and np.abs(self.samples).max() > 1.0 + 1e-12:
@@ -189,15 +185,15 @@ def _draw_segment(rng: np.random.Generator, symbol: int, n: int) -> _Segment:
     return _Segment(symbol, n, phases, rng.uniform(0.5, 1.0))
 
 
-def _render_segment(seg: _Segment, sample_rate: int) -> np.ndarray:
+def _render_segment(seg: _Segment) -> np.ndarray:
     f0, h, amps = _harmonics(seg.symbol)
     n = seg.n
-    t = np.arange(n) / sample_rate
+    t = np.arange(n) / SAMPLE_RATE
     x = np.zeros(n)
     for i in range(h.size):
         x += amps[i] * np.sin(2.0 * math.pi * f0 * h[i] * t + seg.phases[i])
     x *= seg.gain
-    fade = max(1, min(int(0.005 * sample_rate), n // 4))
+    fade = max(1, min(int(0.005 * SAMPLE_RATE), n // 4))
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
     x[:fade] *= ramp
     x[-fade:] *= ramp[::-1]
@@ -227,7 +223,7 @@ def synth_utterance(
     seed: int,
     n_segments: int = 12,
     vocab_size: int = 16,
-    sample_rate: int = SAMPLE_RATE,
+    *,
     n_samples: Optional[int] = None,
 ) -> Utterance:
     """Concatenate `n_segments` harmonic segments with per-segment unit labels.
@@ -259,7 +255,7 @@ def synth_utterance(
     sym = int(rng.integers(vocab_size))
     for _ in range(n_segments):
         dur = rng.uniform(_SEGMENT_MIN_S, _SEGMENT_MAX_S)
-        n = int(round(dur * sample_rate))
+        n = int(round(dur * SAMPLE_RATE))
         plan.append(_draw_segment(rng, sym, n))
         labels.append((sym, pos, pos + n))
         pos += n
@@ -271,93 +267,93 @@ def synth_utterance(
     if not 1 <= keep <= pos:
         raise ValueError(f"n_samples must be in [1, {pos}], got {n_samples}")
     n_cover = sum(start < keep for _, start, _ in labels)
-    pieces = [_render_segment(seg, sample_rate) for seg in plan[:n_cover]]
+    pieces = [_render_segment(seg) for seg in plan[:n_cover]]
     peak = max(np.abs(x).max() for x in pieces)
     # a later segment can only raise the normalizing peak; try the loudest first
     for bound, seg in sorted(((_peak_bound(seg), seg) for seg in plan[n_cover:]),
                              key=lambda pair: pair[0], reverse=True):
         if bound <= peak:
             break
-        peak = max(peak, np.abs(_render_segment(seg, sample_rate)).max())
+        peak = max(peak, np.abs(_render_segment(seg)).max())
     samples = np.concatenate(pieces)[:keep]
     samples *= _PEAK / peak
     labels = [(sym, start, min(end, keep)) for sym, start, end in labels[:n_cover]]
-    return Utterance(id=f"u{seed}", wave=Waveform(sample_rate, samples), unit_labels=labels)
+    return Utterance(id=f"u{seed}", wave=Waveform(samples), unit_labels=labels)
 
 
-def _babble(rng: np.random.Generator, n: int, sample_rate: int) -> np.ndarray:
+def _babble(rng: np.random.Generator, n: int) -> np.ndarray:
     # each voice is the start of a speech-like utterance long enough to crop
     n_voices = int(rng.integers(3, 9))
-    n_segments = math.ceil(n / (_SEGMENT_MIN_S * sample_rate)) + 1
+    n_segments = math.ceil(n / (_SEGMENT_MIN_S * SAMPLE_RATE)) + 1
     x = np.zeros(n)
     for _ in range(n_voices):
         voice = synth_utterance(int(rng.integers(2**31)), n_segments=n_segments, vocab_size=8,
-                                sample_rate=sample_rate, n_samples=n)
+                                n_samples=n)
         x += voice.wave.samples
     return x
 
 
-def _music(rng: np.random.Generator, n: int, sample_rate: int) -> np.ndarray:
+def _music(rng: np.random.Generator, n: int) -> np.ndarray:
     roots = 110.0 * 2.0 ** (np.array([0, 3, 5, 7, 10, 12]) / 12.0)
     ratios = np.array([1.0, 1.25, 1.5])
     harmonics = np.arange(1, 6)
     x = np.zeros(n)
     pos = 0
     while pos < n:
-        dur = min(int(rng.uniform(0.6, 1.4) * sample_rate), n - pos)
+        dur = min(int(rng.uniform(0.6, 1.4) * SAMPLE_RATE), n - pos)
         root = float(rng.choice(roots)) * float(rng.choice([1.0, 2.0]))
         freqs = (root * np.outer(ratios, harmonics)).ravel()
         amps = np.tile(1.0 / harmonics, ratios.size)
         keep = freqs < 4000.0
         freqs, amps = freqs[keep], amps[keep]
         phases = rng.uniform(0.0, 2.0 * math.pi, size=freqs.size)
-        t = np.arange(dur) / sample_rate
+        t = np.arange(dur) / SAMPLE_RATE
         seg = np.zeros(dur)
         for i in range(freqs.size):
             seg += amps[i] * np.sin(2.0 * math.pi * freqs[i] * t + phases[i])
         x[pos : pos + dur] = seg
         pos += dur
-    t_all = np.arange(n) / sample_rate
+    t_all = np.arange(n) / SAMPLE_RATE
     lfo = rng.uniform(0.3, 1.0)
     x *= 0.55 + 0.45 * np.sin(2.0 * math.pi * lfo * t_all + rng.uniform(0.0, 2.0 * math.pi))
     return x
 
 
-def _natural(rng: np.random.Generator, n: int, sample_rate: int) -> np.ndarray:
+def _natural(rng: np.random.Generator, n: int) -> np.ndarray:
     # FFT at the next power of two (arbitrary lengths hit slow FFT paths), then crop.
     n_fft = 1 << (n - 1).bit_length()
     white = rng.standard_normal(n_fft)
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(n_fft, 1.0 / SAMPLE_RATE)
     spectrum *= 1.0 / np.sqrt(np.maximum(freqs, 20.0))  # power ~ 1/f above 20 Hz
     x = np.fft.irfft(spectrum, n_fft)[:n]
-    t = np.arange(n) / sample_rate
+    t = np.arange(n) / SAMPLE_RATE
     env = np.full(n, 0.35)
     for _ in range(int(rng.integers(2, 6))):
-        center = rng.uniform(0.0, n / sample_rate)
+        center = rng.uniform(0.0, n / SAMPLE_RATE)
         width = rng.uniform(0.05, 0.3)
         env += rng.uniform(0.5, 2.0) * np.exp(-0.5 * ((t - center) / width) ** 2)
     return x * env
 
 
-def synth_noise(kind: str, seed: int, n_samples: int, sample_rate: int = SAMPLE_RATE) -> Waveform:
+def synth_noise(kind: str, seed: int, n_samples: int) -> Waveform:
     """Generate `n_samples` of babble, music, or natural (1/f) noise."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     if kind == "babble":
-        x = _babble(rng, n_samples, sample_rate)
+        x = _babble(rng, n_samples)
     elif kind == "music":
-        x = _music(rng, n_samples, sample_rate)
+        x = _music(rng, n_samples)
     elif kind == "natural":
-        x = _natural(rng, n_samples, sample_rate)
+        x = _natural(rng, n_samples)
     else:
         raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
     peak = np.abs(x).max()
     if peak == 0.0:
         raise ValueError(f"{kind} noise of {n_samples} samples from seed {seed} is silent")
     x = x * (_PEAK / peak)
-    return Waveform(sample_rate, x)
+    return Waveform(x)
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +382,6 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> NoisySample:
     peak-normalized only if it leaves [-1, 1]. `snr_db` must be finite and
     within ``SNR_LIMIT_DB``.
     """
-    if clean.sample_rate != noise.sample_rate:
-        raise ValueError("sample rates differ")
     if not abs(snr_db) <= SNR_LIMIT_DB:
         raise ValueError(f"snr_db must be in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}], got {snr_db}")
     if len(noise) < len(clean):
@@ -400,7 +394,7 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> NoisySample:
     mixed_pre = clean.samples + gain * n
     peak = float(np.abs(mixed_pre).max())
     scale = peak if peak > 1.0 else 1.0
-    return NoisySample(Waveform(clean.sample_rate, mixed_pre / scale), gain, scale)
+    return NoisySample(Waveform(mixed_pre / scale), gain, scale)
 
 
 # ----------------------------------------------------------------------
@@ -416,14 +410,14 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def mel_filterbank(n_filters: int, nfft: int, sample_rate: int) -> Matrix:
+def _mel_filterbank(nfft: int) -> Matrix:
     """Triangular mel-spaced filters over the rfft bins, shape
-    (n_filters, nfft//2+1), cached and read-only."""
-    nyquist = sample_rate / 2.0
-    points = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(nyquist)), n_filters + 2))
+    (N_FILTERS, nfft//2+1), cached and read-only."""
+    nyquist = SAMPLE_RATE / 2.0
+    points = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(nyquist)), N_FILTERS + 2))
     freqs = np.linspace(0.0, nyquist, nfft // 2 + 1)
-    fb = np.zeros((n_filters, freqs.size))
-    for m in range(n_filters):
+    fb = np.zeros((N_FILTERS, freqs.size))
+    for m in range(N_FILTERS):
         lo, center, hi = points[m], points[m + 1], points[m + 2]
         rising = (freqs - lo) / (center - lo)
         falling = (hi - freqs) / (hi - center)
@@ -440,24 +434,17 @@ def frame_count(n_samples: int, frame_len: int, hop: int, what: str = "waveform"
     return 1 + (n_samples - frame_len) // hop
 
 
-def extract_features(
-    wav: Waveform,
-    frame_len: int = FRAME_LEN,
-    hop: int = HOP,
-    n_filters: int = N_FILTERS,
-) -> Matrix:
-    """The T x F log mel-filterbank features of `wav`: Hann window, power
-    spectrum, triangular mel filters, then ``log(x + 1e-10)``; T is
+def extract_features(wav: Waveform, frame_len: int = FRAME_LEN, hop: int = HOP) -> Matrix:
+    """The T x N_FILTERS log mel-filterbank features of `wav`: Hann window,
+    power spectrum, triangular mel filters, then ``log(x + 1e-10)``; T is
     ``frame_count(len(wav), frame_len, hop)``."""
-    if n_filters < 1:
-        raise ValueError("n_filters must be >= 1")
     samples = wav.samples
     n_frames = frame_count(samples.size, frame_len, hop)
     idx = np.arange(n_frames)[:, None] * hop + np.arange(frame_len)[None, :]
     windows = samples[idx] * np.hanning(frame_len)
     nfft = 1 << (frame_len - 1).bit_length()
     power = np.abs(np.fft.rfft(windows, n=nfft, axis=1)) ** 2
-    fb = mel_filterbank(n_filters, nfft, wav.sample_rate)
+    fb = _mel_filterbank(nfft)
     return np.log(power @ fb.T + _LOG_FLOOR)
 
 
@@ -481,11 +468,12 @@ def write_wav(path, wav: Waveform) -> None:
     with _wavfile.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
-        fh.setframerate(wav.sample_rate)
+        fh.setframerate(SAMPLE_RATE)
         fh.writeframes(ints.tobytes())
 
 
 def read_wav(path) -> Waveform:
+    """The samples of a PCM 16-bit mono WAV file sampled at ``SAMPLE_RATE``."""
     try:
         with _wavfile.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
@@ -493,11 +481,13 @@ def read_wav(path) -> Waveform:
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
         samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-        return Waveform(rate, np.clip(samples, -1.0, 1.0))
     except (_wavfile.Error, EOFError, RuntimeError, ValueError) as exc:
         # EOFError, and RuntimeError from `wave` seeking past a chunk's end, carry no text
         raise ValueError(f"{path}: not a 16-bit mono PCM WAV file: "
                          f"{str(exc) or 'a chunk runs past the end of the file'}") from None
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path} is sampled at {rate} Hz, not {SAMPLE_RATE} Hz")
+    return Waveform(np.clip(samples, -1.0, 1.0))
 
 
 def write_labels(path, unit_labels: Sequence[tuple[int, int, int]]) -> None:
@@ -586,10 +576,11 @@ def build_corpus(
 
 
 def load_corpus(manifest_path) -> list[Utterance]:
-    """The utterances `manifest_path` lists; an error names its file (and line).
+    """The utterances `manifest_path` lists; an error in an entry or its
+    files names the entry's manifest line.
 
     Ids are unique plain file names, because `<id>.feat` names an
-    utterance's feature file, and every WAV is sampled at `SAMPLE_RATE`."""
+    utterance's feature file."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     utterances = []
@@ -602,18 +593,17 @@ def load_corpus(manifest_path) -> list[Utterance]:
             raise ValueError(f"{where}: utterance id {uid!r} repeats line {id_lines[uid]}")
         id_lines[uid] = ln
         wav_path, labels_path = root / entry.wav_relpath, root / entry.labels_relpath
-        wav = read_wav(wav_path)
-        if len(wav) != entry.n_samples:
-            raise ValueError(f"{where}: {wav_path} has {len(wav)} samples, "
-                             f"not {entry.n_samples}")
-        if wav.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"{where}: {wav_path} is sampled at {wav.sample_rate} Hz, "
-                             f"not {SAMPLE_RATE} Hz")
-        labels = load_labels(labels_path)
+        try:
+            wav = read_wav(wav_path)
+            if len(wav) != entry.n_samples:
+                raise ValueError(f"{wav_path} has {len(wav)} samples, not {entry.n_samples}")
+            labels = load_labels(labels_path)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
         try:
             utterances.append(Utterance(id=entry.utterance_id, wave=wav, unit_labels=labels))
         except ValueError as exc:
-            raise ValueError(f"{labels_path}: {exc} ({wav_path})") from None
+            raise ValueError(f"{where}: {labels_path}: {exc} ({wav_path})") from None
     if not utterances:
         raise ValueError(f"{manifest_path}: lists no utterances")
     return utterances

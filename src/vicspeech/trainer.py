@@ -86,9 +86,10 @@ class TrainConfig:
                              f"[-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}] dB, got {self.snr_range_db}")
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError(f"snr_low must be <= snr_high, got {self.snr_range_db}")
-        if not self.noise_kinds or not set(self.noise_kinds) <= set(NOISE_KINDS):
-            raise ValueError(f"noise_kinds must be a nonempty subset of {NOISE_KINDS}, "
-                             f"got {self.noise_kinds}")
+        kinds = self.noise_kinds
+        if not kinds or not set(kinds) <= set(NOISE_KINDS) or len(set(kinds)) != len(kinds):
+            raise ValueError(f"noise_kinds must be a nonempty subset of {NOISE_KINDS} "
+                             f"with no entry repeated, got {kinds}")
 
     @property
     def vic_active(self) -> bool:
@@ -203,7 +204,7 @@ class Corpus:
         if np.isinf(snr_db) and snr_db > 0:
             return self.clean_features(i)
         utt = self.utterances[i]
-        noise = synth_noise(kind, noise_seed, len(utt.wave), utt.wave.sample_rate)
+        noise = synth_noise(kind, noise_seed, len(utt.wave))
         mixed = mix_at_snr(utt.wave, noise, snr_db)
         return extract_features(mixed.mixed)
 

@@ -101,6 +101,7 @@ class TestConfigErrorsBeforeInput:
         (("--snr-low", "-inf"), "snr_low"),
         (("--snr-low", "3500", "--snr-high", "4000"), "snr_high"),
         (("--snr-low", "-301"), "snr_low"),
+        (("--noise-kinds", "music,natural,music"), "noise_kinds"),
     ])
     def test_vic_pretrain(self, missing, capsys, extra, key):
         assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
@@ -112,6 +113,9 @@ class TestConfigErrorsBeforeInput:
         (("--snr-levels", "0,abc"), "snr-levels"),
         (("--seeds", "1,1"), "seeds"),
         (("--snr-levels", "0,nan"), "snr-levels"),
+        (("--snr-levels", "5,5.0,inf"), "snr-levels"),
+        (("--snr-levels", "0,inf,inf"), "snr-levels"),
+        (("--eval-noise-kinds", "babble,babble"), "eval-noise-kinds"),
     ])
     def test_ablate(self, missing, capsys, extra, key):
         assert run(self._ablate(missing, *extra)) == 1
@@ -241,6 +245,8 @@ class TestConfigErrorsBeforeRealInputs:
         ("ablate", ("--mask-start-prob", "0.5"),
          "--mask-start-prob cannot be given with --teacher"),
         ("ablate", ("--mask-span", "3"), "--mask-span cannot be given with --teacher"),
+        ("probe", ("--snr-levels", "0,0,inf"), "--snr-levels: repeated entry"),
+        ("probe", ("--noise-kinds", "music,music"), "--noise-kinds: repeated entry"),
     ])
     def test_rejected(self, pipeline_dir, tmp_path, capsys, no_reads, command, extra, named):
         out = tmp_path / "out"
@@ -360,7 +366,7 @@ def _set_manifest_field(manifest, row, col, value):
 _SPOILS = ["wav", "wav-chunk-size", "wav-odd-length", "labels", "labels-past-wav",
            "labels-negative-symbol", "manifest", "manifest-length", "short-utterance",
            "id-repeated", "id-empty", "id-dot", "id-dotdot", "id-escaping", "id-backslash",
-           "sample-rate", "sample-rate-every-wav"]
+           "sample-rate", "sample-rate-every-wav", "wav-missing", "labels-missing"]
 
 # utterance ids that are not unique plain file names
 _BAD_IDS = {"id-repeated": "utt0000", "id-empty": "", "id-dot": ".", "id-dotdot": "..",
@@ -377,25 +383,29 @@ def _spoil(corpus, case):
     n_samples = int(manifest.read_text().splitlines()[1].split("\t")[2])
     if case == "wav":
         wav.write_bytes(b"garbage")
-        return [str(wav)]
+        return [f"{manifest}:2", str(wav)]
     if case == "wav-chunk-size":  # `wave` raises a RuntimeError with no text
         data = bytearray(wav.read_bytes())
         data[16:20] = (10**6).to_bytes(4, "little")  # the fmt chunk's size
         wav.write_bytes(bytes(data))
-        return [str(wav)]
+        return [f"{manifest}:2", str(wav)]
     if case == "wav-odd-length":  # numpy: buffer size must be a multiple of element size
         wav.write_bytes(wav.read_bytes()[:-1])
-        return [str(wav)]
+        return [f"{manifest}:2", str(wav)]
+    if case.endswith("-missing"):
+        path = wav if case == "wav-missing" else labels
+        path.unlink()
+        return [f"{manifest}:2", str(path)]
     if case == "labels":
         labels.write_text("3 0\n")
-        return [f"{labels}:1"]
+        return [f"{manifest}:2", f"{labels}:1"]
     if case.startswith("labels-"):
         if case == "labels-past-wav":
             label_rows[-1][2] = str(int(label_rows[-1][2]) + 500)
         else:
             label_rows[0][0] = "-1"
         labels.write_text("".join(" ".join(row) + "\n" for row in label_rows))
-        return [str(labels), str(wav)]
+        return [f"{manifest}:2", str(labels), str(wav)]
     if case == "manifest":
         _set_manifest_field(manifest, 1, 2, "12.5")
         return [f"{manifest}:2"]
@@ -414,7 +424,7 @@ def _spoil(corpus, case):
         line = 2 if case == "sample-rate" else 1
         return [f"{manifest}:{line}", str(wavs[0]), "8000 Hz", "16000 Hz"]
     assert case == "short-utterance"  # the files agree, but hold less than one frame
-    write_wav(wav, Waveform(16000, np.zeros(300)))
+    write_wav(wav, Waveform(np.zeros(300)))
     labels.write_text("0 0 300\n")
     _set_manifest_field(manifest, 1, 2, "300")
     return ["utt0001"]
@@ -438,8 +448,9 @@ class TestFeatures:
     @pytest.mark.parametrize("case", _SPOILS)
     def test_malformed_input_file_is_named(self, pipeline_dir, tmp_path, capsys, case):
         """Each spoiled corpus file exits 2 naming the file (and line, and the
-        WAV it describes), and writes nothing; an utterance shorter than one
-        frame is named by its id before anything is written."""
+        WAV it describes) and, once, the entry's manifest line, and writes
+        nothing; an utterance shorter than one frame is named by its id
+        before anything is written."""
         corpus = tmp_path / "corpus"
         shutil.copytree(pipeline_dir / "corpus", corpus)
         named = _spoil(corpus, case)
@@ -448,6 +459,7 @@ class TestFeatures:
                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named), (named, err)
+        assert err.count(f"{corpus / 'manifest.tsv'}:") <= 1, err
         assert not out.exists()
 
 

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, no package
 module reaches into another's private (``_``-prefixed) names, and the math
 layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
-package modules below them, and every ``config.DEFAULTS`` key has a reader.
+package modules below them, every ``config.DEFAULTS`` key has a reader, and
+the sample rate is known to ``signal`` alone.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -225,3 +226,42 @@ def test_an_unread_config_key_is_found():
               '    return v["steps"], cfg["n_filters"], v[key]\n')
     cli = 'def cmd(cfg, v):\n    return cfg["k"], v["n_filters"]\n'
     assert _unread_keys(config, cli) == ["n_filters"]
+
+
+def _rate_mentions(source: str, module: str) -> list[str]:
+    """Where package module `module` names the sample rate: in signal.py a
+    ``sample_rate`` parameter; elsewhere any ``sample_rate`` or
+    ``SAMPLE_RATE`` name, attribute, parameter, keyword, import or string."""
+    if module == "signal":
+        wanted, kinds = {"sample_rate"}, (ast.arg,)
+    else:
+        wanted, kinds = {"sample_rate", "SAMPLE_RATE"}, (ast.arg, ast.Name, ast.Attribute,
+                                                          ast.keyword, ast.alias, ast.Constant)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, kinds):
+            names = {getattr(node, field, None) for field in ("arg", "id", "attr", "name",
+                                                               "asname", "value")}
+            found += [(node.lineno, name) for name in wanted & names]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_sample_rate_is_known_to_signal_alone(path):
+    assert _rate_mentions(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_a_rate_mention_is_found():
+    outside = ("from .signal import SAMPLE_RATE as RATE, synth_noise\n"
+               "def f(utt, cfg, sample_rate):\n"
+               "    noise = synth_noise('music', 0, 9, sample_rate=RATE)\n"
+               "    return noise, utt.wave.sample_rate, cfg['sample_rate'], 'a sample_rate'\n")
+    assert _rate_mentions(outside, "trainer") == [
+        "line 1: SAMPLE_RATE", "line 2: sample_rate", "line 3: sample_rate",
+        "line 4: sample_rate", "line 4: sample_rate"]
+    inside = ("SAMPLE_RATE = 16000\n"
+              "def synth_noise(kind, seed, n, sample_rate=SAMPLE_RATE):\n"
+              "    return n / SAMPLE_RATE, 'sample_rate'\n"
+              "def _music(rng, n, *, sample_rate):\n"
+              "    return rng\n")
+    assert _rate_mentions(inside, "signal") == ["line 2: sample_rate", "line 4: sample_rate"]

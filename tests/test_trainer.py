@@ -152,7 +152,7 @@ class TestConditionFeatures:
     def test_finite_snr_matches_direct_pipeline(self, mini_corpus, kind):
         utt = mini_corpus.utterances[2]
         got = mini_corpus.condition_features(2, kind, 7.5, 1234)
-        noise = synth_noise(kind, 1234, len(utt.wave), utt.wave.sample_rate)
+        noise = synth_noise(kind, 1234, len(utt.wave))
         mixed = mix_at_snr(utt.wave, noise, 7.5)
         want = extract_features(mixed.mixed)
         assert np.array_equal(got, want)
