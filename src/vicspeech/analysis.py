@@ -22,7 +22,9 @@ from .numerics import GradCheckReport, Matrix, as_matrix, grad_check, softmax_xe
 # not called here: kept so that the perfbench benchmark can rebind them in this module
 from .signal import extract_features, mix_at_snr, synth_noise  # noqa: F401
 from .trainer import AdamState, Corpus, EvalRow, TrainConfig, TrainLog, adam_step, \
-    derive_seed, pretrain_clean, pretrain_noisy, step_objective, write_csv
+    derive_seed, pretrain_noisy, step_objective, write_csv
+# not called here: kept so that the perfbench benchmark can rebind them in this module
+from .trainer import pretrain_clean  # noqa: F401
 
 __all__ = [
     "VarianceRow",
@@ -333,7 +335,6 @@ class AblationRow:
 @dataclass
 class AblationResult:
     rows: list[AblationRow]
-    teacher: EncoderState
     students: dict[tuple[str, int], EncoderState]
     logs: dict[tuple[str, int], TrainLog]
     probe_results: dict[tuple[str, int], list[ProbeResult]]
@@ -353,28 +354,25 @@ class AblationResult:
 
 
 def ablation_run(
+    teacher: EncoderState,
     base_cfg: TrainConfig,
     train_corpus: Corpus,
     cb: cb_mod.Codebook,
     seeds: Sequence[int],
     eval_conditions: Sequence[tuple[str, float]],
-    enc_cfg: Optional[EncoderConfig] = None,
     eval_corpus: Optional[Corpus] = None,
-    teacher: Optional[EncoderState] = None,
     probe_seed: int = 0,
 ) -> AblationResult:
-    """Train the four cumulative regularizer configurations with shared seeds
-    and probe each student. Rows appear in cumulative order; the first is the
-    masked-prediction-only baseline. A seed's four students train in lockstep
-    on one noisy batch per step."""
+    """Train the four cumulative regularizer configurations from `teacher`
+    with shared seeds and probe each student. Rows appear in cumulative
+    order; the first is the masked-prediction-only baseline. A seed's four
+    students train in lockstep on one noisy batch per step."""
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"duplicate seeds in {list(seeds)}")
     ev = train_corpus if eval_corpus is None else eval_corpus
     _check_labelled(train_corpus, ev)
-    if teacher is None:
-        teacher, _ = pretrain_clean(train_corpus, cb, base_cfg, enc_cfg=enc_cfg)
     students: dict[tuple[str, int], EncoderState] = {}
     logs: dict[tuple[str, int], TrainLog] = {}
     probe_results: dict[tuple[str, int], list[ProbeResult]] = {}
@@ -401,8 +399,8 @@ def ablation_run(
             v=float(np.mean([f.v for f in finals])),
             c=float(np.mean([f.c for f in finals])),
         ))
-    return AblationResult(rows=rows, teacher=teacher, students=students,
-                          logs=logs, probe_results=probe_results)
+    return AblationResult(rows=rows, students=students, logs=logs,
+                          probe_results=probe_results)
 
 
 # ----------------------------------------------------------------------

@@ -33,17 +33,7 @@ def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]) -> None:
         p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None)
 
 
-# keys that only set the teacher ablate trains, which it skips when given --teacher
-_TEACHER_ONLY_KEYS = ("model_dim", "n_blocks", "mlp_hidden", "k", "mask_start_prob",
-                      "mask_span", "train_seed")
-
-
 def _resolve(args) -> LabConfig:
-    if args.command == "ablate" and args.teacher:
-        for key in _TEACHER_ONLY_KEYS:
-            if getattr(args, f"cfg_{key}", None) is not None:
-                raise ConfigError(f"--{key.replace('_', '-')} cannot be given with --teacher: "
-                                  f"it only sets the teacher that ablate would train")
     overrides = {}
     for name, value in vars(args).items():
         if name.startswith("cfg_") and value is not None:
@@ -110,8 +100,8 @@ def _noisy_snr_levels(raw: str) -> list[float]:
 
 
 def _noise_kinds(raw: str) -> list[str]:
-    kinds = _distinct([tok.strip() for tok in raw.split(",") if tok.strip()], raw)
-    if not kinds or not set(kinds) <= set(NOISE_KINDS):
+    kinds = _distinct([tok.strip() for tok in raw.split(",")], raw)
+    if not set(kinds) <= set(NOISE_KINDS):
         raise argparse.ArgumentTypeError(f"expected a list of {', '.join(NOISE_KINDS)}, "
                                          f"got {raw!r}")
     return kinds
@@ -230,11 +220,10 @@ def _cmd_ablate(args, cfg: LabConfig) -> int:
     corpus = Corpus.load(args.manifest)
     ev = corpus if args.eval_manifest is None else Corpus.load(args.eval_manifest)
     cb = load_codebook(args.codebook)
-    teacher = load_encoder(args.teacher) if args.teacher else None
+    teacher = load_encoder(args.teacher)
     conds = _conditions(args.eval_noise_kinds, args.snr_levels)
-    result = analysis.ablation_run(cfg.train, corpus, cb, args.seeds, conds,
-                                   enc_cfg=cfg.encoder, eval_corpus=ev, teacher=teacher,
-                                   probe_seed=args.seed)
+    result = analysis.ablation_run(teacher, cfg.train, corpus, cb, args.seeds, conds,
+                                   eval_corpus=ev, probe_seed=args.seed)
     result.write_csv(args.out)
     print(result.format_table())
     print(f"wrote {args.out}")
@@ -337,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--eval-manifest", default=None)
     p.add_argument("--codebook", required=True)
-    p.add_argument("--teacher", default=None, help="reuse a stage-0 checkpoint")
+    p.add_argument("--teacher", required=True, help="the stage-0 checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", type=_seed_list, default="1,2,3")
@@ -348,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="probe seed")
     _add_config_flags(p, ["steps", "batch_utterances", "learning_rate",
                           "lambda", "mu", "nu", "alpha", "gamma", "epsilon", "n_sample",
-                          "snr_low", "snr_high", "noise_kinds",
-                          "model_dim", "n_blocks", "mlp_hidden", "k",
-                          "mask_start_prob", "mask_span", "train_seed"])
+                          "snr_low", "snr_high", "noise_kinds"])
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every "

@@ -116,8 +116,7 @@ class LabConfig:
             self.train = TrainConfig(
                 steps=v["steps"], batch_utterances=v["batch_utterances"],
                 learning_rate=v["learning_rate"], snr_range_db=(v["snr_low"], v["snr_high"]),
-                noise_kinds=tuple(k.strip() for k in str(v["noise_kinds"]).split(",")
-                                  if k.strip()),
+                noise_kinds=tuple(k.strip() for k in str(v["noise_kinds"]).split(",")),
                 vic=VicWeights(lam=v["lambda"], mu=v["mu"], nu=v["nu"], gamma=v["gamma"],
                                epsilon=v["epsilon"], alpha=v["alpha"],
                                n_sample=v["n_sample"]),

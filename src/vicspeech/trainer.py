@@ -168,14 +168,17 @@ class TrainLog:
 # ----------------------------------------------------------------------
 
 class Corpus:
-    """In-memory corpus of utterances of at least one frame, with cached clean
-    features; features and frame labels use `signal`'s one framing."""
+    """In-memory corpus of utterances of at least one frame and nonzero power,
+    with cached clean features; features and frame labels use `signal`'s one
+    framing."""
 
     def __init__(self, utterances: list[Utterance]):
         if not utterances:
             raise ValueError("empty corpus")
         for utt in utterances:
             frame_count(len(utt.wave), FRAME_LEN, HOP, f"utterance {utt.id}")
+            if float(np.mean(utt.wave.samples * utt.wave.samples)) == 0.0:  # as mix_at_snr
+                raise ValueError(f"utterance {utt.id} is silent: no SNR is defined for it")
         self.utterances = utterances
         self._clean: dict[int, Matrix] = {}
         self._last_batch: Optional[tuple[tuple, tuple["BatchItem", ...]]] = None  # see make_batch
@@ -430,13 +433,11 @@ def pretrain_clean(
     corpus: Corpus,
     cb: cb_mod.Codebook,
     cfg: TrainConfig,
-    enc_cfg: Optional[EncoderConfig] = None,
+    enc_cfg: EncoderConfig,
     eval_hook=None,
 ) -> tuple[EncoderState, TrainLog]:
     """Stage 0: masked codeword prediction on clean features from a fresh
     initialization. Returns the teacher state and its log."""
-    if enc_cfg is None:
-        enc_cfg = EncoderConfig(feature_dim=cb.feature_dim, k_codewords=cb.k)
     if enc_cfg.feature_dim != cb.feature_dim or enc_cfg.k_codewords != cb.k:
         raise ValueError("encoder config does not match codebook dimensions")
     run = _Run(cfg, init_encoder(enc_cfg, cfg.seed), teacher=None)

@@ -105,15 +105,14 @@ def bench_teacher(bench):
 def _ablation_of_seed(bench, teacher, conditions, seed):
     from vicspeech.analysis import ablation_run
 
-    return ablation_run(bench["base_cfg"], bench["train"], bench["cb"], (seed,), conditions,
-                        enc_cfg=bench["enc_cfg"], eval_corpus=bench["ev"], teacher=teacher,
-                        probe_seed=0)
+    return ablation_run(teacher, bench["base_cfg"], bench["train"], bench["cb"], (seed,),
+                        conditions, eval_corpus=bench["ev"], probe_seed=0)
 
 
 @pytest.fixture(scope="session")
 def ablation(bench, bench_teacher):
-    """The shared teacher plus the four cumulative configurations across
-    seeds 1-3 (the `SEEDS` of test_acceptance), each probed over babble,
+    """The four cumulative configurations trained from the shared teacher
+    across seeds 1-3 (the `SEEDS` of test_acceptance), each probed over babble,
     music and natural noise at 0 and 15 dB and on clean input. Session-wide
     because the slow tests of several modules read these students.
 
@@ -132,7 +131,7 @@ def ablation(bench, bench_teacher):
         parts = list(pool.map(partial(_ablation_of_seed, bench, bench_teacher[0], conditions),
                               seeds))
     return AblationResult(
-        rows=[], teacher=bench_teacher[0],
+        rows=[],
         students={k: v for part in parts for k, v in part.students.items()},
         logs={k: v for part in parts for k, v in part.logs.items()},
         probe_results={k: v for part in parts for k, v in part.probe_results.items()})

@@ -136,18 +136,25 @@ def test_criterion_5_reduction_and_ablate(bench, mini_corpus, mini_codebook,
     identical = [b.l_m for b in log.steps] == ref
 
     # (b) the ablate command emits the four cumulative configurations
+    codebook = str(_save_bench_codebook(bench, tmp_path))
+    teacher_ckpt = tmp_path / "teacher.ckpt"
+    pretrain_code = cli_run([
+        "pretrain", "--manifest", str(bench["train_manifest"]), "--codebook", codebook,
+        "--out", str(teacher_ckpt), "--steps", "3", "--batch-utterances", "2",
+        "--model-dim", "32", "--n-blocks", "2", "--mlp-hidden", "64", "--k", "12",
+        "--train-seed", "10"])
     out = tmp_path / "ablation.csv"
     code = cli_run([
         "ablate", "--manifest", str(bench["train_manifest"]),
         "--eval-manifest", str(bench["eval_manifest"]),
-        "--codebook", str(_save_bench_codebook(bench, tmp_path)),
+        "--codebook", codebook, "--teacher", str(teacher_ckpt),
         "--out", str(out), "--seeds", "1", "--steps", "3", "--batch-utterances", "2",
-        "--model-dim", "32", "--n-blocks", "2", "--mlp-hidden", "64", "--k", "12",
         "--noise-kinds", "natural", "--eval-noise-kinds", "natural",
-        "--snr-levels", "5,inf", "--train-seed", "10"])
+        "--snr-levels", "5,inf"])
     tags = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
-    ok = identical and code == 0 and tags == ["lm", "lm+inv", "lm+inv+var",
-                                              "lm+inv+var+cov"]
+    ok = identical and pretrain_code == code == 0 and tags == ["lm", "lm+inv",
+                                                               "lm+inv+var",
+                                                               "lm+inv+var+cov"]
     _report(5, "reduction property bit-identical; ablate emits 4 cumulative rows",
             ok, f"identical={identical}, tags={tags}")
 
@@ -196,14 +203,15 @@ def test_criterion_7_variance_vs_snr_trend(bench, ablation, tmp_path):
             ok, "; ".join(details))
 
 
-def test_criterion_8_probe_ordering_and_pipeline_time(bench, ablation, tmp_path):
+def test_criterion_8_probe_ordering_and_pipeline_time(bench, bench_teacher, ablation,
+                                                       tmp_path):
     # (a) orderings from the benchmark students
     full_n = np.mean([analysis.n_accuracy(ablation.probe_results[("lm+inv+var+cov", s)])
                       for s in SEEDS])
     base_n = np.mean([analysis.n_accuracy(ablation.probe_results[("lm", s)])
                       for s in SEEDS])
     conditions = [(k, s) for k in EVAL_KINDS for s in EVAL_SNRS] + [("clean", float("inf"))]
-    teacher_results = analysis.linear_probe(ablation.teacher, bench["train"], conditions,
+    teacher_results = analysis.linear_probe(bench_teacher[0], bench["train"], conditions,
                                             seed=0, eval_corpus=bench["ev"])
     teacher_clean = _clean_accuracy(teacher_results)
     full_clean = np.mean([_clean_accuracy(ablation.probe_results[("lm+inv+var+cov", s)])

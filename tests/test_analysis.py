@@ -267,8 +267,8 @@ class TestAblationRun:
     def test_duplicate_seeds_rejected(self, tiny_encoder, mini_corpus, mini_codebook):
         cfg = TrainConfig(steps=1, batch_utterances=3, noise_kinds=("natural",))
         with pytest.raises(ValueError, match="duplicate seeds"):
-            analysis.ablation_run(cfg, mini_corpus, mini_codebook, (1, 1),
-                                  [("clean", float("inf"))], teacher=tiny_encoder)
+            analysis.ablation_run(tiny_encoder, cfg, mini_corpus, mini_codebook, (1, 1),
+                                  [("clean", float("inf"))])
 
 
 class TestGradcheckSuite:

@@ -76,7 +76,7 @@ class TestConfigErrorsBeforeInput:
                 "--out", missing, *extra]
 
     def _ablate(self, missing, *extra):
-        return ["ablate", "--manifest", missing, "--codebook", missing,
+        return ["ablate", "--manifest", missing, "--codebook", missing, "--teacher", missing,
                 "--out", missing, *extra]
 
     @pytest.mark.parametrize("extra, key", [
@@ -102,6 +102,7 @@ class TestConfigErrorsBeforeInput:
         (("--snr-low", "3500", "--snr-high", "4000"), "snr_high"),
         (("--snr-low", "-301"), "snr_low"),
         (("--noise-kinds", "music,natural,music"), "noise_kinds"),
+        (("--noise-kinds", "music,,natural"), "noise_kinds"),
     ])
     def test_vic_pretrain(self, missing, capsys, extra, key):
         assert run(["vic-pretrain", "--teacher", missing, "--manifest", missing,
@@ -139,7 +140,7 @@ class TestConfigErrorsBeforeInput:
     @pytest.mark.parametrize("command, inputs", [
         ("probe", ("--encoder", "--train-manifest")),
         ("analyze-variance", ("--encoder", "--manifest")),
-        ("ablate", ("--manifest", "--codebook")),
+        ("ablate", ("--manifest", "--codebook", "--teacher")),
     ])
     @pytest.mark.parametrize("levels", ["-inf", "0,-inf", "-4000", "4000", "5,300.5"])
     def test_snr_levels_the_mixer_cannot_reach(self, missing, capsys, command, inputs, levels):
@@ -160,11 +161,19 @@ class TestConfigErrorsBeforeInput:
                                        ("vic-pretrain", "--vic-exclude-masked", "true"),
                                        ("features", "--hop", "0"),
                                        ("features", "--frame-len", "0"),
-                                       ("synth", "--sample-rate", "0")])
+                                       ("synth", "--sample-rate", "0"),
+                                       ("ablate", "--train-seed", "1"),
+                                       ("ablate", "--model-dim", "64"),
+                                       ("ablate", "--n-blocks", "1"),
+                                       ("ablate", "--mlp-hidden", "8"),
+                                       ("ablate", "--k", "5"),
+                                       ("ablate", "--mask-start-prob", "0.5"),
+                                       ("ablate", "--mask-span", "3")])
     def test_removed_flag_is_usage_error(self, missing, capsys, extra):
         command, *flags = extra
         inputs = {"vic-pretrain": ["--teacher", "--manifest", "--codebook"],
-                  "features": ["--manifest"], "synth": []}[command]
+                  "features": ["--manifest"], "synth": [],
+                  "ablate": ["--manifest", "--codebook", "--teacher"]}[command]
         assert run([command, *(arg for flag in inputs for arg in (flag, missing)),
                     "--out", missing, *flags]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -178,7 +187,7 @@ class TestConfigErrorsBeforeInput:
     @pytest.mark.parametrize("command, inputs", [
         ("probe", ("--encoder", "--train-manifest")),
         ("analyze-variance", ("--encoder", "--manifest")),
-        ("ablate", ("--manifest", "--codebook")),
+        ("ablate", ("--manifest", "--codebook", "--teacher")),
     ])
     def test_negative_snr_levels_as_separate_token_resolve(self, missing, capsys,
                                                            command, inputs):
@@ -230,7 +239,7 @@ class TestConfigErrorsBeforeRealInputs:
         ("kmeans", ("--k", "0"), "k must be"),
         ("synth", ("--n-utterances", "0"), "n_utterances must be"),
         ("synth", ("--n-segments", "0"), "n_segments must be"),
-        ("ablate", ("--train-seed", "1"), "--train-seed cannot be given with --teacher"),
+        ("probe", ("--noise-kinds", "music,,natural"), "--noise-kinds"),
         ("synth", ("--corpus-seed", "-1"), "corpus_seed must be"),
         ("pretrain", ("--train-seed", "-1"), "train_seed must be"),
         ("kmeans", ("--kmeans-seed", "-1"), "kmeans_seed must be"),
@@ -238,13 +247,12 @@ class TestConfigErrorsBeforeRealInputs:
         ("pretrain", ("--eval-interval", "-1"), "eval_interval must be"),
         ("probe", ("--snr-levels", "inf"), "--snr-levels"),
         ("ablate", ("--snr-levels", "inf"), "--snr-levels"),
-        ("ablate", ("--model-dim", "64"), "--model-dim cannot be given with --teacher"),
-        ("ablate", ("--n-blocks", "1"), "--n-blocks cannot be given with --teacher"),
-        ("ablate", ("--mlp-hidden", "8"), "--mlp-hidden cannot be given with --teacher"),
-        ("ablate", ("--k", "5"), "--k cannot be given with --teacher"),
-        ("ablate", ("--mask-start-prob", "0.5"),
-         "--mask-start-prob cannot be given with --teacher"),
-        ("ablate", ("--mask-span", "3"), "--mask-span cannot be given with --teacher"),
+        ("probe", ("--noise-kinds", "music,natural,"), "--noise-kinds"),
+        ("probe", ("--noise-kinds", ","), "--noise-kinds"),
+        ("ablate", ("--eval-noise-kinds", "babble,,music"), "--eval-noise-kinds"),
+        ("ablate", ("--noise-kinds", "music,,natural"), "noise_kinds must be"),
+        ("ablate", ("--seeds", "1,,2"), "--seeds"),
+        ("ablate", ("--snr-levels", "0,,5"), "--snr-levels"),
         ("probe", ("--snr-levels", "0,0,inf"), "--snr-levels: repeated entry"),
         ("probe", ("--noise-kinds", "music,music"), "--noise-kinds: repeated entry"),
     ])
@@ -252,6 +260,15 @@ class TestConfigErrorsBeforeRealInputs:
         out = tmp_path / "out"
         assert run(self._argv(command, pipeline_dir, out) + list(extra)) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablate_without_teacher_is_usage_error(self, pipeline_dir, tmp_path, capsys,
+                                                   no_reads):
+        out = tmp_path / "out"
+        argv = self._argv("ablate", pipeline_dir, out)
+        i = argv.index("--teacher")
+        assert run(argv[:i] + argv[i + 2:]) == 1
+        assert "--teacher" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_config_file(self, pipeline_dir, tmp_path, capsys, no_reads):
@@ -366,7 +383,7 @@ def _set_manifest_field(manifest, row, col, value):
 _SPOILS = ["wav", "wav-chunk-size", "wav-odd-length", "labels", "labels-past-wav",
            "labels-negative-symbol", "manifest", "manifest-length", "short-utterance",
            "id-repeated", "id-empty", "id-dot", "id-dotdot", "id-escaping", "id-backslash",
-           "sample-rate", "sample-rate-every-wav", "wav-missing", "labels-missing"]
+           "sample-rate", "sample-rate-every-wav", "wav-missing", "labels-missing", "silent"]
 
 # utterance ids that are not unique plain file names
 _BAD_IDS = {"id-repeated": "utt0000", "id-empty": "", "id-dot": ".", "id-dotdot": "..",
@@ -423,11 +440,14 @@ def _spoil(corpus, case):
             path.write_bytes(bytes(data))
         line = 2 if case == "sample-rate" else 1
         return [f"{manifest}:{line}", str(wavs[0]), "8000 Hz", "16000 Hz"]
+    if case == "silent":  # the files agree, but every sample is zero
+        write_wav(wav, Waveform(np.zeros(n_samples)))
+        return ["utt0001", "silent"]
     assert case == "short-utterance"  # the files agree, but hold less than one frame
     write_wav(wav, Waveform(np.zeros(300)))
     labels.write_text("0 0 300\n")
     _set_manifest_field(manifest, 1, 2, "300")
-    return ["utt0001"]
+    return ["utt0001", "shorter than one frame"]
 
 
 class TestFeatures:
@@ -449,8 +469,8 @@ class TestFeatures:
     def test_malformed_input_file_is_named(self, pipeline_dir, tmp_path, capsys, case):
         """Each spoiled corpus file exits 2 naming the file (and line, and the
         WAV it describes) and, once, the entry's manifest line, and writes
-        nothing; an utterance shorter than one frame is named by its id
-        before anything is written."""
+        nothing; an utterance shorter than one frame, or silent, is named by
+        its id before anything is written."""
         corpus = tmp_path / "corpus"
         shutil.copytree(pipeline_dir / "corpus", corpus)
         named = _spoil(corpus, case)
@@ -778,3 +798,22 @@ class TestAblateCommand:
         assert lines[0] == "config_tag,n_accuracy_mean,n_accuracy_std,l_m,s,v,c"
         tags = [line.split(",")[0] for line in lines[1:]]
         assert tags == ["lm", "lm+inv", "lm+inv+var", "lm+inv+var+cov"]
+
+    def test_full_row_equals_the_vic_pretrain_run_of_its_config(self, pipeline_dir, tmp_path):
+        """The `lm+inv+var+cov` student of seed 1 is the one `vic-pretrain
+        --inv --var --cov --train-seed 1` trains from the same teacher: its
+        final losses are the same floats."""
+        common = ["--manifest", str(pipeline_dir / "corpus" / "manifest.tsv"),
+                  "--codebook", str(pipeline_dir / "cb.ckpt"),
+                  "--teacher", str(pipeline_dir / "teacher.ckpt"),
+                  "--steps", "3", "--batch-utterances", "2", "--noise-kinds", "natural"]
+        table, log = tmp_path / "ablation.csv", tmp_path / "student.csv"
+        assert run(["ablate", *common, "--out", str(table), "--seeds", "1",
+                    "--eval-noise-kinds", "natural", "--snr-levels", "5,inf"]) == 0
+        assert run(["vic-pretrain", *common, "--out", str(tmp_path / "student.ckpt"),
+                    "--log", str(log), "--inv", "--var", "--cov", "--train-seed", "1"]) == 0
+        rows = {line.split(",")[0]: line.split(",")
+                for line in table.read_text().splitlines()[1:]}
+        full = [float(x) for x in rows["lm+inv+var+cov"][3:7]]
+        final = [float(x) for x in log.read_text().splitlines()[-1].split(",")[1:5]]
+        assert full == final

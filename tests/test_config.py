@@ -51,6 +51,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"override: invalid int value for {key!r}"):
             load_config(overrides={key: value})
 
+    @pytest.mark.parametrize("value", ["music,,natural", "music,natural,", ""])
+    def test_empty_noise_kinds_entry_rejected(self, tmp_path, value):
+        path = tmp_path / "kinds.cfg"
+        path.write_text(f"noise_kinds = {value}\n")
+        with pytest.raises(ConfigError, match="noise_kinds must be"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="noise_kinds must be"):
+            load_config(overrides={"noise_kinds": value})
+
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("steps = 5\nwibble = 3\n")

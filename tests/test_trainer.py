@@ -16,7 +16,8 @@ from vicspeech.losses import VicWeights, covariance, invariance, masked_predicti
     sample_frames, variance
 from vicspeech.model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, \
     apply_mask, backward, forward, init_encoder, predict_codewords
-from vicspeech.signal import extract_features, frame_labels, mix_at_snr, synth_noise
+from vicspeech.signal import Utterance, Waveform, extract_features, frame_labels, mix_at_snr, \
+    synth_noise
 from vicspeech.trainer import (
     AdamState,
     Corpus,
@@ -168,6 +169,13 @@ class TestConditionFeatures:
             want = mini_corpus.condition_features(item.utt_index, item.noise_kind, item.snr_db,
                                                   derive_seed(9, _TAG_NOISE, 3, j, 1))
             assert np.array_equal(item.noisy, want)
+
+
+class TestCorpusChecks:
+    def test_silent_utterance_is_named(self, mini_corpus):
+        silent = Utterance("quiet", Waveform(np.zeros(1000)), [])
+        with pytest.raises(ValueError, match="utterance quiet is silent"):
+            Corpus([*mini_corpus.utterances, silent])
 
 
 class TestCorpusLabels:
