@@ -20,6 +20,13 @@ of f0, so the sum over h of a_h h bounds the slope in psi, and the fades
 and the gain only shrink a segment: the normalizing peak, and so every
 output sample, is the same as rendering the whole utterance.
 
+Speech segments and music chords are sums of sinusoids, all rendered by one
+kernel. When the process may run on two or more CPUs (``synthesis_threads``)
+the pieces of each call, speech segments or halves of chords, are split
+between the caller and one worker thread, and the peak search renders its
+candidates in pairs. The worker is started on first use and again in a
+forked child. Every sample is the same at either thread count.
+
 On-disk formats: WAV is PCM 16-bit signed little-endian mono at 16 kHz
 (``SAMPLE_RATE``); the corpus manifest is a UTF-8 TSV with rows
 ``utterance_id<TAB>wav_relpath<TAB>n_samples<TAB>labels_relpath`` and label
@@ -29,11 +36,14 @@ files hold one ``symbol_id start_sample end_sample`` line per segment.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 import wave as _wavfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,11 +61,13 @@ __all__ = [
     "Utterance",
     "NoisySample",
     "ManifestEntry",
+    "synthesis_threads",
     "synth_utterance",
     "synth_noise",
     "mix_at_snr",
     "measure_snr",
     "frame_count",
+    "check_utterance",
     "extract_features",
     "frame_labels",
     "read_wav",
@@ -96,7 +108,8 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         if not np.isfinite(self.samples).all():
             raise ValueError("waveform contains non-finite samples")
-        if self.samples.size and np.abs(self.samples).max() > 1.0 + 1e-12:
+        # max |sample| without an |samples| copy
+        if self.samples.size and max(self.samples.max(), -self.samples.min()) > 1.0 + 1e-12:
             raise ValueError("waveform exceeds [-1, 1]; peak-normalize first")
 
     def __len__(self) -> int:
@@ -158,25 +171,61 @@ _MAX_HARMONICS = 24
 
 
 @lru_cache(maxsize=MAX_VOCAB_SIZE)
-def _harmonics(symbol: int) -> tuple[float, np.ndarray, np.ndarray]:
-    # (f0, harmonic numbers, harmonic amplitudes) of a symbol's voicing
+def _harmonics(symbol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (angular frequencies, harmonic numbers, harmonic amplitudes) of a symbol's voicing
     f0, formant = _voice_params(symbol)
     n_harm = max(1, min(int(3800.0 / f0), _MAX_HARMONICS))
     h = np.arange(1, n_harm + 1)
     amps = np.exp(-0.5 * ((h * f0 - formant) / 260.0) ** 2) + 0.10 / h
-    h.setflags(write=False)
-    amps.setflags(write=False)
-    return f0, h, amps
+    omega = 2.0 * math.pi * f0 * h
+    for table in (omega, h, amps):
+        table.setflags(write=False)
+    return omega, h, amps
+
+
+# a thread sums its sinusoids in blocks of at most this many (partial, sample)
+# values, so its scratch buffer stays small whatever the length of a piece
+_BLOCK = 1 << 15
+
+
+def _sinusoids(omega: np.ndarray, amps: np.ndarray, phases: np.ndarray,
+               scratch: np.ndarray, out: np.ndarray, first: int = 0) -> None:
+    """Write ``sum_i amps[i] * sin(omega[i] * t + phases[i])`` into `out`,
+    adding the partials in order i = 0, 1, ... to zero; t is the time of
+    samples `first`, `first` + 1, ... `scratch` holds ``_BLOCK`` values: one
+    `sin` call per block of samples, and no allocation the size of the signal."""
+    rows = omega.size
+    step = max(1, _BLOCK // rows)
+    for lo in range(0, out.size, step):
+        hi = min(lo + step, out.size)
+        block = scratch[: rows * (hi - lo)].reshape(rows, hi - lo)
+        np.multiply.outer(omega, np.arange(first + lo, first + hi) / SAMPLE_RATE, out=block)
+        block += phases[:, None]
+        np.sin(block, out=block)
+        block *= amps[:, None]
+        acc = out[lo:hi]
+        acc[...] = 0.0
+        for row in block:
+            acc += row
 
 
 @dataclass
 class _Segment:
-    """One drawn segment: its symbol, length, harmonic phases and gain."""
+    """One drawn speech segment: its symbol, length, harmonic phases and gain."""
 
     symbol: int
     n: int
     phases: np.ndarray
     gain: float
+
+    def render(self, scratch: np.ndarray, out: np.ndarray) -> None:
+        omega, _, amps = _harmonics(self.symbol)
+        _sinusoids(omega, amps, self.phases, scratch, out)
+        out *= self.gain
+        fade = max(1, min(int(0.005 * SAMPLE_RATE), self.n // 4))
+        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
+        out[:fade] *= ramp
+        out[-fade:] *= ramp[::-1]
 
 
 def _draw_segment(rng: np.random.Generator, symbol: int, n: int) -> _Segment:
@@ -185,19 +234,126 @@ def _draw_segment(rng: np.random.Generator, symbol: int, n: int) -> _Segment:
     return _Segment(symbol, n, phases, rng.uniform(0.5, 1.0))
 
 
-def _render_segment(seg: _Segment) -> np.ndarray:
-    f0, h, amps = _harmonics(seg.symbol)
-    n = seg.n
-    t = np.arange(n) / SAMPLE_RATE
-    x = np.zeros(n)
-    for i in range(h.size):
-        x += amps[i] * np.sin(2.0 * math.pi * f0 * h[i] * t + seg.phases[i])
-    x *= seg.gain
-    fade = max(1, min(int(0.005 * SAMPLE_RATE), n // 4))
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
-    x[:fade] *= ramp
-    x[-fade:] *= ramp[::-1]
-    return x
+@dataclass
+class _Chord:
+    """`n` samples of a drawn music chord, from its sample `first` on, and
+    its partials' angular frequencies, amplitudes and phases."""
+
+    n: int
+    omega: np.ndarray
+    amps: np.ndarray
+    phases: np.ndarray
+    first: int
+
+    def render(self, scratch: np.ndarray, out: np.ndarray) -> None:
+        _sinusoids(self.omega, self.amps, self.phases, scratch, out, self.first)
+
+
+def synthesis_threads() -> int:
+    """The threads that render speech and noise: the caller plus one worker
+    when the process may run on two or more CPUs, else the caller alone.
+    Every output sample is the same at either count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 else 1
+
+
+class _Worker:
+    """A daemon thread that renders the pieces one caller hands it, into
+    buffers that caller allocated, while the caller renders the rest."""
+
+    def __init__(self):
+        self.lock = threading.Lock()  # held by the caller whose pieces it renders
+        self.todo: queue.SimpleQueue = queue.SimpleQueue()
+        self.done: queue.SimpleQueue = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="vicspeech-synthesis",
+                                       daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            jobs, scratch = self.todo.get()
+            try:
+                _render_jobs(jobs, scratch)
+                failure = None
+            except BaseException as exc:  # the caller raises it
+                failure = exc
+            del jobs, scratch  # held here until the next job, they would outlive the call
+            self.done.put(failure)
+
+
+_worker: Optional[_Worker] = None
+_worker_start = threading.Lock()  # so that two first callers start one worker
+
+
+def _forget_worker() -> None:
+    # a forked child has no worker thread, only the parent's queues and locks
+    global _worker, _worker_start
+    _worker, _worker_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _claim_worker() -> Optional[_Worker]:
+    """The worker, locked for the caller, if there are two synthesis threads
+    and no other thread holds it; else None."""
+    global _worker
+    if synthesis_threads() < 2:
+        return None
+    with _worker_start:
+        if _worker is None:
+            _worker = _Worker()
+    return _worker if _worker.lock.acquire(blocking=False) else None
+
+
+def _render(pieces: Sequence, out: Optional[np.ndarray] = None,
+            meanwhile: Callable[[], None] = lambda: None) -> list[np.ndarray]:
+    """Each piece's samples: consecutive slices of `out`, which the pieces
+    tile, or new arrays. Several pieces are split between the caller and a
+    free worker, balanced by partials x samples; each piece is rendered by
+    the same code, so the samples do not depend on the split. The caller
+    runs `meanwhile` once it has rendered its share, while the worker may
+    still be rendering."""
+    if out is None:
+        outs = [np.empty(piece.n) for piece in pieces]
+    else:
+        outs = np.split(out, np.cumsum([piece.n for piece in pieces[:-1]]))
+    jobs = list(zip(pieces, outs))
+    worker = _claim_worker() if len(pieces) > 1 else None
+    if worker is None:
+        _render_jobs(jobs, np.empty(_BLOCK))
+        meanwhile()
+        return outs
+    mine, theirs, lead = [], [], 0  # lead: the caller's work minus the worker's
+    for job in jobs:
+        cost = job[0].phases.size * job[0].n
+        if lead <= 0:
+            mine.append(job)
+            lead += cost
+        else:
+            theirs.append(job)
+            lead -= cost
+    try:
+        worker.todo.put((theirs, np.empty(_BLOCK)))
+        try:
+            _render_jobs(mine, np.empty(_BLOCK))
+            meanwhile()
+        finally:
+            failure = worker.done.get()
+    finally:
+        worker.lock.release()
+    if failure is not None:
+        raise failure
+    return outs
+
+
+def _render_jobs(jobs, scratch: np.ndarray) -> None:
+    for piece, out in jobs:
+        piece.render(scratch, out)
 
 
 _BOUND_GRID = 128
@@ -205,7 +361,7 @@ _GRID_PHASES = 2.0 * math.pi * np.arange(_BOUND_GRID) / _BOUND_GRID
 
 
 def _peak_bound(seg: _Segment) -> float:
-    """An upper bound on ``max|_render_segment(seg)|``, from G = 128 phases
+    """An upper bound on ``max|_render([seg])[0]|``, from G = 128 phases
     instead of the segment's samples (see the module docstring). The
     margin, x(1 + 1e-6) and +1e-9, covers rounding of the sin arguments,
     which stays well under 1e-10 for segments of at most 0.2 s."""
@@ -267,15 +423,22 @@ def synth_utterance(
     if not 1 <= keep <= pos:
         raise ValueError(f"n_samples must be in [1, {pos}], got {n_samples}")
     n_cover = sum(start < keep for _, start, _ in labels)
-    pieces = [_render_segment(seg) for seg in plan[:n_cover]]
-    peak = max(np.abs(x).max() for x in pieces)
-    # a later segment can only raise the normalizing peak; try the loudest first
-    for bound, seg in sorted(((_peak_bound(seg), seg) for seg in plan[n_cover:]),
-                             key=lambda pair: pair[0], reverse=True):
-        if bound <= peak:
+    samples = np.empty(labels[n_cover - 1][2])
+    bounds: list[tuple[float, _Segment]] = []
+    _render(plan[:n_cover], samples,
+            meanwhile=lambda: bounds.extend((_peak_bound(seg), seg) for seg in plan[n_cover:]))
+    peak = max(samples.max(), -samples.min())  # max |sample|, without an |samples| copy
+    # A later segment can only raise the normalizing peak: try the loudest
+    # first, one per synthesis thread at a time. The second of a pair may turn
+    # out needless, but its peak is at most its bound, so at most the peak.
+    rest = sorted(bounds, key=lambda pair: pair[0], reverse=True)
+    width = synthesis_threads()
+    for first in range(0, len(rest), width):
+        tried = [seg for bound, seg in rest[first : first + width] if bound > peak]
+        if not tried:
             break
-        peak = max(peak, np.abs(_render_segment(seg)).max())
-    samples = np.concatenate(pieces)[:keep]
+        peak = max(peak, *(np.abs(x).max() for x in _render(tried)))
+    samples = samples[:keep]
     samples *= _PEAK / peak
     labels = [(sym, start, min(end, keep)) for sym, start, end in labels[:n_cover]]
     return Utterance(id=f"u{seed}", wave=Waveform(samples), unit_labels=labels)
@@ -297,7 +460,7 @@ def _music(rng: np.random.Generator, n: int) -> np.ndarray:
     roots = 110.0 * 2.0 ** (np.array([0, 3, 5, 7, 10, 12]) / 12.0)
     ratios = np.array([1.0, 1.25, 1.5])
     harmonics = np.arange(1, 6)
-    x = np.zeros(n)
+    chords: list[_Chord] = []
     pos = 0
     while pos < n:
         dur = min(int(rng.uniform(0.6, 1.4) * SAMPLE_RATE), n - pos)
@@ -307,12 +470,14 @@ def _music(rng: np.random.Generator, n: int) -> np.ndarray:
         keep = freqs < 4000.0
         freqs, amps = freqs[keep], amps[keep]
         phases = rng.uniform(0.0, 2.0 * math.pi, size=freqs.size)
-        t = np.arange(dur) / SAMPLE_RATE
-        seg = np.zeros(dur)
-        for i in range(freqs.size):
-            seg += amps[i] * np.sin(2.0 * math.pi * freqs[i] * t + phases[i])
-        x[pos : pos + dur] = seg
+        omega = 2.0 * math.pi * freqs
+        # two halves, so that a music call of one or two chords splits evenly
+        half = dur // 2
+        chords += [_Chord(half, omega, amps, phases, 0),
+                   _Chord(dur - half, omega, amps, phases, half)]
         pos += dur
+    x = np.empty(n)
+    _render(chords, x)
     t_all = np.arange(n) / SAMPLE_RATE
     lfo = rng.uniform(0.3, 1.0)
     x *= 0.55 + 0.45 * np.sin(2.0 * math.pi * lfo * t_all + rng.uniform(0.0, 2.0 * math.pi))
@@ -432,6 +597,14 @@ def frame_count(n_samples: int, frame_len: int, hop: int, what: str = "waveform"
     if n_samples < frame_len:
         raise ValueError(f"{what} of {n_samples} samples is shorter than one frame ({frame_len})")
     return 1 + (n_samples - frame_len) // hop
+
+
+def check_utterance(utt: Utterance, what: str) -> None:
+    """Reject `utt`, naming it as `what`, unless it holds at least one frame
+    and has nonzero power: noise cannot be mixed into silence at any SNR."""
+    frame_count(len(utt.wave), FRAME_LEN, HOP, what)
+    if _power(utt.wave.samples) == 0.0:
+        raise ValueError(f"{what} is silent: no SNR is defined for it")
 
 
 def extract_features(wav: Waveform, frame_len: int = FRAME_LEN, hop: int = HOP) -> Matrix:
@@ -576,8 +749,8 @@ def build_corpus(
 
 
 def load_corpus(manifest_path) -> list[Utterance]:
-    """The utterances `manifest_path` lists; an error in an entry or its
-    files names the entry's manifest line.
+    """The utterances `manifest_path` lists, each passing `check_utterance`;
+    an error in an entry or its files names the entry's manifest line.
 
     Ids are unique plain file names, because `<id>.feat` names an
     utterance's feature file."""
@@ -601,9 +774,11 @@ def load_corpus(manifest_path) -> list[Utterance]:
         except (OSError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from None
         try:
-            utterances.append(Utterance(id=entry.utterance_id, wave=wav, unit_labels=labels))
+            utt = Utterance(id=entry.utterance_id, wave=wav, unit_labels=labels)
         except ValueError as exc:
             raise ValueError(f"{where}: {labels_path}: {exc} ({wav_path})") from None
+        check_utterance(utt, f"{where}: utterance {uid} ({wav_path})")
+        utterances.append(utt)
     if not utterances:
         raise ValueError(f"{manifest_path}: lists no utterances")
     return utterances

@@ -28,8 +28,8 @@ from .losses import covariance, invariance, variance  # noqa: F401
 from .model import EncoderConfig, EncoderState, MaskSpec, TrainingDivergedError, apply_mask, \
     backward, forward, init_encoder, predict_codewords
 from .numerics import Matrix
-from .signal import FRAME_LEN, HOP, NOISE_KINDS, SNR_LIMIT_DB, Utterance, \
-    extract_features, frame_count, frame_labels, load_corpus, mix_at_snr, synth_noise
+from .signal import NOISE_KINDS, SNR_LIMIT_DB, Utterance, check_utterance, extract_features, \
+    frame_labels, load_corpus, mix_at_snr, synth_noise
 
 __all__ = [
     "TrainConfig",
@@ -168,17 +168,15 @@ class TrainLog:
 # ----------------------------------------------------------------------
 
 class Corpus:
-    """In-memory corpus of utterances of at least one frame and nonzero power,
-    with cached clean features; features and frame labels use `signal`'s one
+    """In-memory corpus of utterances that pass `signal.check_utterance`, with
+    cached clean features; features and frame labels use `signal`'s one
     framing."""
 
     def __init__(self, utterances: list[Utterance]):
         if not utterances:
             raise ValueError("empty corpus")
         for utt in utterances:
-            frame_count(len(utt.wave), FRAME_LEN, HOP, f"utterance {utt.id}")
-            if float(np.mean(utt.wave.samples * utt.wave.samples)) == 0.0:  # as mix_at_snr
-                raise ValueError(f"utterance {utt.id} is silent: no SNR is defined for it")
+            check_utterance(utt, f"utterance {utt.id}")
         self.utterances = utterances
         self._clean: dict[int, Matrix] = {}
         self._last_batch: Optional[tuple[tuple, tuple["BatchItem", ...]]] = None  # see make_batch

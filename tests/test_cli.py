@@ -17,7 +17,7 @@ from vicspeech import analysis, cli
 from vicspeech.checkpoint import load_codebook, load_encoder, save_codebook
 from vicspeech.cli import build_parser, run
 from vicspeech.codebook import Codebook
-from vicspeech.signal import Waveform, build_corpus, write_wav
+from vicspeech.signal import Waveform, build_corpus, synthesis_threads, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +372,8 @@ class TestSynth:
         assert "# MKL_NUM_THREADS = unset\n" in captured.out
         assert "# OMP_NUM_THREADS = " in captured.out
         assert "NUM_THREADS" not in captured.err
+        assert f"# synthesis threads = {synthesis_threads()}\n" in captured.out
+        assert "synthesis threads" not in captured.err
 
 
 def _set_manifest_field(manifest, row, col, value):
@@ -442,12 +444,12 @@ def _spoil(corpus, case):
         return [f"{manifest}:{line}", str(wavs[0]), "8000 Hz", "16000 Hz"]
     if case == "silent":  # the files agree, but every sample is zero
         write_wav(wav, Waveform(np.zeros(n_samples)))
-        return ["utt0001", "silent"]
+        return [f"{manifest}:2", str(wav), "utt0001", "silent"]
     assert case == "short-utterance"  # the files agree, but hold less than one frame
     write_wav(wav, Waveform(np.zeros(300)))
     labels.write_text("0 0 300\n")
     _set_manifest_field(manifest, 1, 2, "300")
-    return ["utt0001", "shorter than one frame"]
+    return [f"{manifest}:2", str(wav), "utt0001", "shorter than one frame"]
 
 
 class TestFeatures:
@@ -470,7 +472,7 @@ class TestFeatures:
         """Each spoiled corpus file exits 2 naming the file (and line, and the
         WAV it describes) and, once, the entry's manifest line, and writes
         nothing; an utterance shorter than one frame, or silent, is named by
-        its id before anything is written."""
+        its id, its manifest line and its WAV before anything is written."""
         corpus = tmp_path / "corpus"
         shutil.copytree(pipeline_dir / "corpus", corpus)
         named = _spoil(corpus, case)

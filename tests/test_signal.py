@@ -1,12 +1,17 @@
 """Corpus synthesis, noise families, SNR mixing, and feature extraction."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vicspeech.signal as signal_mod
 from vicspeech.signal import (
     MAX_VOCAB_SIZE,
     NOISE_KINDS,
@@ -15,6 +20,7 @@ from vicspeech.signal import (
     Utterance,
     Waveform,
     build_corpus,
+    check_utterance,
     extract_features,
     frame_labels,
     load_corpus,
@@ -25,12 +31,16 @@ from vicspeech.signal import (
     read_wav,
     synth_noise,
     synth_utterance,
+    synthesis_threads,
+    write_manifest,
     write_wav,
+    ManifestEntry,
     _BOUND_GRID,
     _Segment,
+    _draw_segment,
     _harmonics,
     _peak_bound,
-    _render_segment,
+    _render,
     _voice_params,
 )
 
@@ -206,6 +216,35 @@ def _first_voice_first_end(seed, sample_rate):
     return labels[0][2]
 
 
+def _ref_music(seed, n):
+    """synth_noise("music", ...) through the per-frequency loop that the
+    shared sinusoid kernel replaced, kept verbatim as the bitwise reference."""
+    rng = np.random.default_rng(seed)
+    roots = 110.0 * 2.0 ** (np.array([0, 3, 5, 7, 10, 12]) / 12.0)
+    ratios = np.array([1.0, 1.25, 1.5])
+    harmonics = np.arange(1, 6)
+    x = np.zeros(n)
+    pos = 0
+    while pos < n:
+        dur = min(int(rng.uniform(0.6, 1.4) * SAMPLE_RATE), n - pos)
+        root = float(rng.choice(roots)) * float(rng.choice([1.0, 2.0]))
+        freqs = (root * np.outer(ratios, harmonics)).ravel()
+        amps = np.tile(1.0 / harmonics, ratios.size)
+        keep = freqs < 4000.0
+        freqs, amps = freqs[keep], amps[keep]
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=freqs.size)
+        t = np.arange(dur) / SAMPLE_RATE
+        seg = np.zeros(dur)
+        for i in range(freqs.size):
+            seg += amps[i] * np.sin(2.0 * math.pi * freqs[i] * t + phases[i])
+        x[pos : pos + dur] = seg
+        pos += dur
+    t_all = np.arange(n) / SAMPLE_RATE
+    lfo = rng.uniform(0.3, 1.0)
+    x *= 0.55 + 0.45 * np.sin(2.0 * math.pi * lfo * t_all + rng.uniform(0.0, 2.0 * math.pi))
+    return x * (0.95 / np.abs(x).max())
+
+
 _SEEDS = st.integers(0, 2**63 - 1)
 
 
@@ -268,7 +307,7 @@ class TestPeakBound:
             lengths.append(data.draw(st.integers(1, longest)))
         for n in lengths:
             seg = _Segment(symbol, n, phases, gain)
-            assert np.abs(_render_segment(seg)).max() <= _peak_bound(seg)
+            assert np.abs(_render([seg])[0]).max() <= _peak_bound(seg)
 
     @settings(max_examples=10, deadline=None)
     @given(symbol=st.integers(0, MAX_VOCAB_SIZE - 1), phase_seed=st.integers(0, 2**32 - 1),
@@ -284,6 +323,149 @@ class TestPeakBound:
         want = gain * (max(grid) + lipschitz) * (1.0 + 1e-6) + 1e-9
         got = _peak_bound(_Segment(symbol, 1000, phases, gain))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _in_forked_child(fn, timeout=60.0):
+    """fn() run in a child forked from this process, which must answer
+    within `timeout` seconds: a child that inherits a dead worker hangs."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        try:
+            send.send(("ok", fn()))
+        except BaseException as exc:
+            send.send(("error", repr(exc)))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert recv.poll(timeout), f"the forked child did not answer in {timeout} s"
+        status, value = recv.recv()
+    finally:
+        if proc.is_alive():
+            proc.kill()
+        proc.join()
+    assert status == "ok", value
+    return value
+
+
+def _synthesis_bytes():
+    """Babble, music and a cropped utterance, enough pieces for both threads."""
+    out = [synth_noise(kind, seed, 6000).samples.tobytes()
+           for kind in ("babble", "music") for seed in (3, 4)]
+    out.append(synth_utterance(9, 20, 8, n_samples=5000).wave.samples.tobytes())
+    return out
+
+
+def _one_cpu_synthesis():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return synthesis_threads(), _synthesis_bytes()
+
+
+def _forked_synthesis():
+    threads = synthesis_threads()
+    data = _synthesis_bytes()
+    worker = signal_mod._worker
+    return threads, worker is not None and worker.thread.is_alive(), data
+
+
+class _FailingPiece:
+    """A piece whose rendering raises, wherever it is rendered."""
+
+    n = 100
+    phases = np.zeros(1)
+
+    def render(self, scratch, out):
+        raise RuntimeError("failing piece")
+
+
+class TestThreadedRender:
+    """The caller and worker render with the shared sinusoid kernel: the
+    bytes equal the per-harmonic and per-frequency loops it replaced, at any
+    thread count, across a fork, and with two callers at once."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(pieces=st.lists(st.tuples(st.integers(0, MAX_VOCAB_SIZE - 1), st.integers(1, 6000),
+                                     st.integers(0, 2**32 - 1)), min_size=1, max_size=9))
+    def test_segments_equal_reference(self, pieces):
+        """Lengths past 0.2 s run the kernel over several sample blocks."""
+        segs = [_draw_segment(np.random.default_rng(seed), sym, n) for sym, n, seed in pieces]
+        want = [_ref_harmonic_segment(np.random.default_rng(seed), sym, n, SAMPLE_RATE)
+                for sym, n, seed in pieces]
+        assert [x.tobytes() for x in _render(segs)] == [x.tobytes() for x in want]
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=_SEEDS, n_segments=st.integers(2, 30), data=st.data())
+    def test_paired_peak_search_equals_reference(self, seed, n_segments, data):
+        """A short crop of a long utterance leaves many segments to the peak
+        search, which tries them in pairs."""
+        samples, labels = _ref_synth_utterance(seed, n_segments, 8, SAMPLE_RATE)
+        n = data.draw(st.one_of(st.integers(1, labels[1][2]),
+                                st.sampled_from([end for _, _, end in labels])))
+        part = synth_utterance(seed, n_segments, 8, n_samples=n)
+        assert part.wave.samples.tobytes() == samples[:n].tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 60000))
+    @example(seed=0, n=23520)
+    @example(seed=1, n=23520)
+    @example(seed=2, n=23520)
+    @example(seed=3, n=23520)
+    @example(seed=4, n=23520)
+    @example(seed=5, n=23520)
+    def test_music_equals_per_frequency_loop(self, seed, n):
+        assert synth_noise("music", seed, n).samples.tobytes() == _ref_music(seed, n).tobytes()
+
+    def test_threads_follow_the_cpus_the_process_may_use(self):
+        assert synthesis_threads() == min(2, len(os.sched_getaffinity(0)))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_runs_the_serial_path_with_the_same_bytes(self):
+        threads, data = _in_forked_child(_one_cpu_synthesis)
+        assert threads == 1
+        assert data == _synthesis_bytes()
+
+    def test_forked_child_starts_its_own_worker(self):
+        """The worker runs in this process before the fork, and the child
+        synthesizes under a timeout."""
+        want = _synthesis_bytes()
+        threads, child_worker_alive, data = _in_forked_child(_forked_synthesis)
+        assert threads == synthesis_threads()
+        assert child_worker_alive == (threads == 2)
+        assert data == want
+
+    def test_concurrent_callers_get_the_same_bytes(self):
+        """More callers than cores, switching often: while one caller holds
+        the worker, the others render alone, and no caller's pieces go to
+        another."""
+        want = _synthesis_bytes()
+        got = [None] * 4
+
+        def call(k):
+            got[k] = _synthesis_bytes()
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [want] * len(got)
+
+    def test_a_failing_piece_raises_in_the_caller_and_the_worker_lives_on(self):
+        segs = [_draw_segment(np.random.default_rng(seed), 3, 2000) for seed in range(3)]
+        for pieces in ([segs[0], _FailingPiece()], [_FailingPiece(), segs[0]]):
+            with pytest.raises(RuntimeError, match="failing piece"):
+                _render(pieces)
+        want = [_ref_harmonic_segment(np.random.default_rng(seed), 3, 2000, SAMPLE_RATE)
+                for seed in range(3)]
+        assert [x.tobytes() for x in _render(segs)] == [x.tobytes() for x in want]
 
 
 class TestMixAtSnr:
@@ -341,7 +523,8 @@ class TestMixAtSnr:
         assert ns.peak_scale >= 1.0
 
 
-# about 0.3 s of audio: babble costs about 80 ms per 1.5 s utterance (2-core x86 host)
+# about 0.3 s of audio: babble costs about 60 ms per 1.5 s utterance (2-core x86 host, two
+# synthesis threads)
 _SHORT_CLEAN = synth_utterance(5, n_segments=2, vocab_size=4).wave
 
 
@@ -498,6 +681,26 @@ class TestCorpus:
         for i, utt in enumerate(utts):
             ref = synth_utterance(77 ^ i, n_segments=3, vocab_size=4)
             assert np.abs(utt.wave.samples - ref.wave.samples).max() <= 1.0 / 32767.0
+
+    @pytest.mark.parametrize("samples, error", [
+        (np.zeros(1000), "is silent: no SNR is defined for it"),
+        (np.full(300, 0.5), "of 300 samples is shorter than one frame (400)")])
+    def test_utterance_check_names_manifest_line_and_wav(self, tmp_path, samples, error):
+        """`load_corpus` runs `check_utterance`, which `trainer.Corpus` runs too."""
+        utt = Utterance("utt0000", Waveform(samples), [(0, 0, samples.size)])
+        with pytest.raises(ValueError) as info:
+            check_utterance(utt, "utterance utt0000")
+        assert str(info.value) == f"utterance utt0000 {error}"
+        (tmp_path / "wav").mkdir()
+        write_wav(tmp_path / "wav" / "utt0000.wav", utt.wave)
+        (tmp_path / "utt0000.lab").write_text(f"0 0 {samples.size}\n")
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest(manifest, [ManifestEntry("utt0000", "wav/utt0000.wav", samples.size,
+                                                "utt0000.lab")])
+        with pytest.raises(ValueError) as info:
+            load_corpus(manifest)
+        wav = tmp_path / "wav" / "utt0000.wav"
+        assert str(info.value) == f"{manifest}:1: utterance utt0000 ({wav}) {error}"
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         m1 = build_corpus(tmp_path / "a", n_utterances=2, corpus_seed=9,
