@@ -23,9 +23,9 @@ output sample, is the same as rendering the whole utterance.
 Speech segments and music chords are sums of sinusoids, all rendered by one
 kernel. When the process may run on two or more CPUs (``synthesis_threads``)
 the pieces of each call, speech segments or halves of chords, are split
-between the caller and one worker thread, and the peak search renders its
-candidates in pairs. The worker is started on first use and again in a
-forked child. Every sample is the same at either thread count.
+between the caller and a helper thread that lives for that call, and the
+peak search renders its candidates in pairs. No thread outlives the call
+that started it. Every sample is the same at either thread count.
 
 On-disk formats: WAV is PCM 16-bit signed little-endian mono at 16 kHz
 (``SAMPLE_RATE``); the corpus manifest is a UTF-8 TSV with rows
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 import wave as _wavfile
 from dataclasses import dataclass
@@ -250,7 +249,7 @@ class _Chord:
 
 
 def synthesis_threads() -> int:
-    """The threads that render speech and noise: the caller plus one worker
+    """The threads that render speech and noise: the caller plus one helper
     when the process may run on two or more CPUs, else the caller alone.
     Every output sample is the same at either count."""
     try:
@@ -260,75 +259,24 @@ def synthesis_threads() -> int:
     return 2 if cpus >= 2 else 1
 
 
-class _Worker:
-    """A daemon thread that renders the pieces one caller hands it, into
-    buffers that caller allocated, while the caller renders the rest."""
-
-    def __init__(self):
-        self.lock = threading.Lock()  # held by the caller whose pieces it renders
-        self.todo: queue.SimpleQueue = queue.SimpleQueue()
-        self.done: queue.SimpleQueue = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, name="vicspeech-synthesis",
-                                       daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            jobs, scratch = self.todo.get()
-            try:
-                _render_jobs(jobs, scratch)
-                failure = None
-            except BaseException as exc:  # the caller raises it
-                failure = exc
-            del jobs, scratch  # held here until the next job, they would outlive the call
-            self.done.put(failure)
-
-
-_worker: Optional[_Worker] = None
-_worker_start = threading.Lock()  # so that two first callers start one worker
-
-
-def _forget_worker() -> None:
-    # a forked child has no worker thread, only the parent's queues and locks
-    global _worker, _worker_start
-    _worker, _worker_start = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _claim_worker() -> Optional[_Worker]:
-    """The worker, locked for the caller, if there are two synthesis threads
-    and no other thread holds it; else None."""
-    global _worker
-    if synthesis_threads() < 2:
-        return None
-    with _worker_start:
-        if _worker is None:
-            _worker = _Worker()
-    return _worker if _worker.lock.acquire(blocking=False) else None
-
-
 def _render(pieces: Sequence, out: Optional[np.ndarray] = None,
             meanwhile: Callable[[], None] = lambda: None) -> list[np.ndarray]:
     """Each piece's samples: consecutive slices of `out`, which the pieces
-    tile, or new arrays. Several pieces are split between the caller and a
-    free worker, balanced by partials x samples; each piece is rendered by
-    the same code, so the samples do not depend on the split. The caller
-    runs `meanwhile` once it has rendered its share, while the worker may
-    still be rendering."""
+    tile, or new arrays. With two synthesis threads, several pieces are
+    split between the caller and a helper thread that lives for this call,
+    balanced by partials x samples; each piece is rendered by the same code,
+    so the samples do not depend on the split. The caller runs `meanwhile`
+    once it has rendered its share, while the helper may still be rendering."""
     if out is None:
         outs = [np.empty(piece.n) for piece in pieces]
     else:
         outs = np.split(out, np.cumsum([piece.n for piece in pieces[:-1]]))
     jobs = list(zip(pieces, outs))
-    worker = _claim_worker() if len(pieces) > 1 else None
-    if worker is None:
-        _render_jobs(jobs, np.empty(_BLOCK))
+    if len(pieces) < 2 or synthesis_threads() < 2:
+        _render_jobs(jobs)
         meanwhile()
         return outs
-    mine, theirs, lead = [], [], 0  # lead: the caller's work minus the worker's
+    mine, theirs, lead = [], [], 0  # lead: the caller's work minus the helper's
     for job in jobs:
         cost = job[0].phases.size * job[0].n
         if lead <= 0:
@@ -337,21 +285,28 @@ def _render(pieces: Sequence, out: Optional[np.ndarray] = None,
         else:
             theirs.append(job)
             lead -= cost
-    try:
-        worker.todo.put((theirs, np.empty(_BLOCK)))
+    failure: list[BaseException] = []
+
+    def render_theirs() -> None:
         try:
-            _render_jobs(mine, np.empty(_BLOCK))
-            meanwhile()
-        finally:
-            failure = worker.done.get()
+            _render_jobs(theirs)
+        except BaseException as exc:  # the caller raises it
+            failure.append(exc)
+
+    helper = threading.Thread(target=render_theirs, name="vicspeech-synthesis")
+    helper.start()
+    try:
+        _render_jobs(mine)
+        meanwhile()
     finally:
-        worker.lock.release()
-    if failure is not None:
-        raise failure
+        helper.join()
+    if failure:
+        raise failure[0]
     return outs
 
 
-def _render_jobs(jobs, scratch: np.ndarray) -> None:
+def _render_jobs(jobs) -> None:
+    scratch = np.empty(_BLOCK)
     for piece, out in jobs:
         piece.render(scratch, out)
 

@@ -107,26 +107,25 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    st: AdamState,
-    lr: float,
-    b1: float = 0.9,
-    b2: float = 0.98,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam update; returns new arrays."""
+_ADAM_B1 = 0.9
+_ADAM_B2 = 0.98
+_ADAM_EPS = 1e-8
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, st: AdamState,
+              lr: float) -> tuple[np.ndarray, AdamState]:
+    """Standard bias-corrected Adam update with b1 = 0.9, b2 = 0.98 and
+    eps = 1e-8; returns new arrays."""
     if params.shape != grads.shape or params.shape != st.m.shape:
         raise ValueError("parameter/gradient/state lengths misaligned")
     if not np.isfinite(grads).all():
         raise TrainingDivergedError("non-finite gradients")
     t = st.t + 1
-    m = b1 * st.m + (1.0 - b1) * grads
-    v = b2 * st.v + (1.0 - b2) * grads * grads
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = _ADAM_B1 * st.m + (1.0 - _ADAM_B1) * grads
+    v = _ADAM_B2 * st.v + (1.0 - _ADAM_B2) * grads * grads
+    m_hat = m / (1.0 - _ADAM_B1**t)
+    v_hat = v / (1.0 - _ADAM_B2**t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return new_params, AdamState(m=m, v=v, t=t)
 
 

@@ -271,6 +271,18 @@ class TestConfigErrorsBeforeRealInputs:
         assert "--teacher" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ablate_checks_the_config_keys_it_leaves_unused(self, pipeline_dir, tmp_path,
+                                                             capsys, no_reads):
+        """The teacher fixes the students' encoder, but a config file's
+        encoder keys are checked all the same."""
+        config = tmp_path / "run.cfg"
+        config.write_text("model_dim = 1\n")
+        out = tmp_path / "out"
+        argv = self._argv("ablate", pipeline_dir, out) + ["--config", str(config)]
+        assert run(argv) == 1
+        assert "model_dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_config_file(self, pipeline_dir, tmp_path, capsys, no_reads):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"steps = 5\n\xff\n")

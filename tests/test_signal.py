@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import vicspeech.signal as signal_mod
 from vicspeech.signal import (
     MAX_VOCAB_SIZE,
     NOISE_KINDS,
@@ -327,7 +326,8 @@ class TestPeakBound:
 
 def _in_forked_child(fn, timeout=60.0):
     """fn() run in a child forked from this process, which must answer
-    within `timeout` seconds: a child that inherits a dead worker hangs."""
+    within `timeout` seconds: a child that waits on a thread it did not
+    inherit hangs."""
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
 
@@ -363,11 +363,14 @@ def _one_cpu_synthesis():
     return synthesis_threads(), _synthesis_bytes()
 
 
+def _synthesis_helpers():
+    return [t for t in threading.enumerate() if t.name == "vicspeech-synthesis"]
+
+
 def _forked_synthesis():
     threads = synthesis_threads()
     data = _synthesis_bytes()
-    worker = signal_mod._worker
-    return threads, worker is not None and worker.thread.is_alive(), data
+    return threads, len(_synthesis_helpers()), data
 
 
 class _FailingPiece:
@@ -381,7 +384,7 @@ class _FailingPiece:
 
 
 class TestThreadedRender:
-    """The caller and worker render with the shared sinusoid kernel: the
+    """The caller and its helper render with the shared sinusoid kernel: the
     bytes equal the per-harmonic and per-frequency loops it replaced, at any
     thread count, across a fork, and with two callers at once."""
 
@@ -427,17 +430,26 @@ class TestThreadedRender:
         assert data == _synthesis_bytes()
 
     def test_forked_child_starts_its_own_worker(self):
-        """The worker runs in this process before the fork, and the child
-        synthesizes under a timeout."""
+        """This process has rendered with helpers before the fork; the child
+        synthesizes under a timeout and is left with no helper alive."""
         want = _synthesis_bytes()
-        threads, child_worker_alive, data = _in_forked_child(_forked_synthesis)
+        threads, child_helpers, data = _in_forked_child(_forked_synthesis)
         assert threads == synthesis_threads()
-        assert child_worker_alive == (threads == 2)
+        assert child_helpers == 0
         assert data == want
 
+    def test_no_synthesis_thread_outlives_its_call(self):
+        _synthesis_bytes()
+        assert _synthesis_helpers() == []
+        seg = _draw_segment(np.random.default_rng(0), 3, 2000)
+        for pieces in ([seg, _FailingPiece()], [_FailingPiece(), seg]):
+            with pytest.raises(RuntimeError, match="failing piece"):
+                _render(pieces)
+            assert _synthesis_helpers() == []
+
     def test_concurrent_callers_get_the_same_bytes(self):
-        """More callers than cores, switching often: while one caller holds
-        the worker, the others render alone, and no caller's pieces go to
+        """More callers than cores, switching often: each caller splits its
+        pieces with a helper of its own, and no caller's pieces go to
         another."""
         want = _synthesis_bytes()
         got = [None] * 4

@@ -51,8 +51,7 @@ class TestAdam:
     def test_first_step_bias_corrected_magnitude(self):
         """t=1, g=0.5: m_hat=0.5, v_hat=0.25, delta = -lr * 0.5/(0.5+eps)."""
         params = np.array([0.0])
-        new, _ = adam_step(params, np.array([0.5]), AdamState.zeros(1),
-                           lr=1e-3, b1=0.9, b2=0.98, eps=1e-8)
+        new, _ = adam_step(params, np.array([0.5]), AdamState.zeros(1), lr=1e-3)
         expected = -1e-3 * 0.5 / (0.5 + 1e-8)
         assert new[0] == pytest.approx(expected, rel=1e-12)
         assert new[0] == pytest.approx(-1e-3, rel=1e-6)
