@@ -49,6 +49,7 @@ _TAG_SAMPLE_STD = 103
 
 _PROBE_LR = 0.05  # the linear probe's Adam step size
 _HOOK_CONDITION = ("natural", 7.5, 0)  # the training-time eval's noise kind, SNR and seed
+_N_MODEL_COORDS = 220  # encoder coordinates the full-model gradcheck draws at random
 
 
 def _snr_str(snr_db: float) -> str:
@@ -446,7 +447,7 @@ def _full_model_loss_and_grad(seed: int):
     return (lambda vec: objective(vec)[0].l_tot), grad, vec0, enc_cfg
 
 
-def gradcheck_suite(seed: int = 0, step: float = 1e-5, n_model_coords: int = 220):
+def gradcheck_suite(seed: int = 0, step: float = 1e-5):
     """Central-difference checks for every analytic gradient: the loss terms,
     masked prediction, softmax cross-entropy, and the full encoder under the
     combined objective. Returns [(component_name, GradCheckReport)]."""
@@ -485,7 +486,8 @@ def gradcheck_suite(seed: int = 0, step: float = 1e-5, n_model_coords: int = 220
         lambda x: covariance(x.reshape(8, 5))[0], g5.ravel(), zp_c.ravel(), step)))
 
     loss_of, grad, vec0, cfg = _full_model_loss_and_grad(seed)
-    coords = set(rng.choice(vec0.size, size=min(n_model_coords, vec0.size), replace=False).tolist())
+    coords = set(rng.choice(vec0.size, size=min(_N_MODEL_COORDS, vec0.size),
+                            replace=False).tolist())
     offset = 0
     for name, shape in param_layout(cfg):
         size = int(np.prod(shape))

@@ -13,11 +13,13 @@ Binary layout, all integers little-endian:
 Round trips are lossless at float32. On load the magic, the version and
 then the CRC are checked before anything is parsed, so a truncated or
 tampered file, names included, never yields partial state. Version 1
-files, whose CRC covered the payloads only, are rejected.
+files, whose CRC covered the payloads only, are rejected, and so is a file
+that names a tensor twice. A `CheckpointError` starts with the file's path.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import fields
@@ -94,10 +96,15 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc.reason}") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        n_items = int(np.prod(dims)) if rank else 1
+        n_items = math.prod(dims)  # exact: a product past the file's size is truncation
         tensors[name] = np.frombuffer(take(4 * n_items), dtype="<f4").reshape(dims).copy()
     if pos != len(view):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint")
@@ -119,15 +126,19 @@ def save_encoder(path, state: EncoderState) -> None:
 def load_encoder(path) -> EncoderState:
     tensors = load_tensors(path)
     config_names = [n for n in tensors if n.startswith(_CONFIG_PREFIX)]
-    if not config_names:
-        raise CheckpointError(f"{path}: missing tensor {_CONFIG_PREFIX}*")
+    if len(config_names) != 1:
+        raise CheckpointError(f"{path}: expected one tensor {_CONFIG_PREFIX}*, "
+                              f"found {len(config_names)}")
     values = config_names[0][len(_CONFIG_PREFIX):].split("|")
     try:  # a wrong field count or a value its field's type cannot parse
         parsed = {f.name: type(f.default)(value)
                   for f, value in zip(fields(EncoderConfig), values, strict=True)}
     except ValueError:
         raise CheckpointError(f"{path}: malformed encoder config tensor name") from None
-    cfg = EncoderConfig(**parsed)
+    try:
+        cfg = EncoderConfig(**parsed)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     params = {}
     for name, shape in param_layout(cfg):
         if name not in tensors:
@@ -146,4 +157,7 @@ def load_codebook(path) -> Codebook:
     tensors = load_tensors(path)
     if "centroids" not in tensors:
         raise CheckpointError(f"{path}: missing tensor centroids")
-    return Codebook(centroids=tensors["centroids"].astype(np.float64))
+    try:
+        return Codebook(centroids=tensors["centroids"].astype(np.float64))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

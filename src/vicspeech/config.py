@@ -137,6 +137,7 @@ def load_config(path=None, overrides: Optional[dict[str, Any]] = None) -> LabCon
     """Defaults, then file values, then overrides (e.g. command-line flags)."""
     values: dict[str, Any] = {}
     if path is not None:
+        key_lines: dict[str, int] = {}  # the file line that sets each key
         try:
             lines = numbered_lines(path)
         except OSError as exc:
@@ -152,6 +153,9 @@ def load_config(path=None, overrides: Optional[dict[str, Any]] = None) -> LabCon
             key, raw = (part.strip() for part in stripped.split("=", 1))
             if key not in DEFAULTS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            if key in key_lines:
+                raise ConfigError(f"{path}:{ln}: key {key!r} repeats line {key_lines[key]}")
+            key_lines[key] = ln
             values[key] = _parse_value(key, raw, f"{path}:{ln}")
     if overrides:
         for key, val in overrides.items():

@@ -330,13 +330,8 @@ def _peak_bound(seg: _Segment) -> float:
 _FOLLOW_PROB = 0.7  # chance the next symbol is the fixed successor of the last
 
 
-def synth_utterance(
-    seed: int,
-    n_segments: int = 12,
-    vocab_size: int = 16,
-    *,
-    n_samples: Optional[int] = None,
-) -> Utterance:
+def synth_utterance(seed: int, n_segments: int, vocab_size: int, *,
+                    n_samples: Optional[int] = None) -> Utterance:
     """Concatenate `n_segments` harmonic segments with per-segment unit labels.
 
     Deterministic given (seed, arguments); same-symbol segments share their
@@ -529,13 +524,12 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=8)
-def _mel_filterbank(nfft: int) -> Matrix:
-    """Triangular mel-spaced filters over the rfft bins, shape
-    (N_FILTERS, nfft//2+1), cached and read-only."""
+def _mel_filterbank() -> Matrix:
+    """Triangular mel-spaced filters over the rfft bins of an ``_NFFT``-point
+    FFT, shape (N_FILTERS, _NFFT//2+1), read-only."""
     nyquist = SAMPLE_RATE / 2.0
     points = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(nyquist)), N_FILTERS + 2))
-    freqs = np.linspace(0.0, nyquist, nfft // 2 + 1)
+    freqs = np.linspace(0.0, nyquist, _NFFT // 2 + 1)
     fb = np.zeros((N_FILTERS, freqs.size))
     for m in range(N_FILTERS):
         lo, center, hi = points[m], points[m + 1], points[m + 2]
@@ -546,42 +540,47 @@ def _mel_filterbank(nfft: int) -> Matrix:
     return fb
 
 
-def frame_count(n_samples: int, frame_len: int, hop: int, what: str = "waveform") -> int:
-    """``1 + (n_samples - frame_len) // hop``, the frame count of `n_samples`
+# the front end, built once: a frame's Hann window, its FFT size (512) and the mel filters
+_NFFT = 1 << (FRAME_LEN - 1).bit_length()
+_WINDOW = np.hanning(FRAME_LEN)
+_WINDOW.setflags(write=False)
+_MEL_FILTERS = _mel_filterbank()
+
+
+def frame_count(n_samples: int, what: str = "waveform") -> int:
+    """``1 + (n_samples - FRAME_LEN) // HOP``, the frame count of `n_samples`
     samples; fewer samples than one frame raise a ValueError naming `what`."""
-    if n_samples < frame_len:
-        raise ValueError(f"{what} of {n_samples} samples is shorter than one frame ({frame_len})")
-    return 1 + (n_samples - frame_len) // hop
+    if n_samples < FRAME_LEN:
+        raise ValueError(f"{what} of {n_samples} samples is shorter than one frame ({FRAME_LEN})")
+    return 1 + (n_samples - FRAME_LEN) // HOP
 
 
 def check_utterance(utt: Utterance, what: str) -> None:
     """Reject `utt`, naming it as `what`, unless it holds at least one frame
     and has nonzero power: noise cannot be mixed into silence at any SNR."""
-    frame_count(len(utt.wave), FRAME_LEN, HOP, what)
+    frame_count(len(utt.wave), what)
     if _power(utt.wave.samples) == 0.0:
         raise ValueError(f"{what} is silent: no SNR is defined for it")
 
 
-def extract_features(wav: Waveform, frame_len: int = FRAME_LEN, hop: int = HOP) -> Matrix:
+def extract_features(wav: Waveform) -> Matrix:
     """The T x N_FILTERS log mel-filterbank features of `wav`: Hann window,
     power spectrum, triangular mel filters, then ``log(x + 1e-10)``; T is
-    ``frame_count(len(wav), frame_len, hop)``."""
+    ``frame_count(len(wav))``."""
     samples = wav.samples
-    n_frames = frame_count(samples.size, frame_len, hop)
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(frame_len)[None, :]
-    windows = samples[idx] * np.hanning(frame_len)
-    nfft = 1 << (frame_len - 1).bit_length()
-    power = np.abs(np.fft.rfft(windows, n=nfft, axis=1)) ** 2
-    fb = _mel_filterbank(nfft)
-    return np.log(power @ fb.T + _LOG_FLOOR)
+    n_frames = frame_count(samples.size)
+    idx = np.arange(n_frames)[:, None] * HOP + np.arange(FRAME_LEN)[None, :]
+    windows = samples[idx] * _WINDOW
+    power = np.abs(np.fft.rfft(windows, n=_NFFT, axis=1)) ** 2
+    return np.log(power @ _MEL_FILTERS.T + _LOG_FLOOR)
 
 
-def frame_labels(utt: Utterance, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
+def frame_labels(utt: Utterance) -> np.ndarray:
     """The symbol of the segment covering each frame's center sample."""
     if not utt.unit_labels:
         raise ValueError(f"utterance {utt.id} has no unit labels")
-    n_frames = frame_count(len(utt.wave), frame_len, hop, f"utterance {utt.id}")
-    centers = np.arange(n_frames) * hop + frame_len // 2
+    n_frames = frame_count(len(utt.wave), f"utterance {utt.id}")
+    centers = np.arange(n_frames) * HOP + FRAME_LEN // 2
     segments = np.array(utt.unit_labels, dtype=np.int64)  # rows (symbol, start, end)
     return segments[np.searchsorted(segments[:, 1], centers, side="right") - 1, 0]
 
@@ -674,13 +673,8 @@ def load_manifest(path) -> list[tuple[int, ManifestEntry]]:
     return entries
 
 
-def build_corpus(
-    out_dir,
-    n_utterances: int,
-    corpus_seed: int,
-    vocab_size: int = 16,
-    n_segments: int = 12,
-) -> Path:
+def build_corpus(out_dir, n_utterances: int, corpus_seed: int, vocab_size: int,
+                 n_segments: int) -> Path:
     """Synthesize a corpus under `out_dir` and return the manifest path.
 
     Per-utterance seeds are ``corpus_seed ^ index``, so utterances can also be

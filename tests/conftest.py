@@ -27,12 +27,10 @@ from vicspeech.signal import build_corpus
 from vicspeech.trainer import Corpus, TrainConfig
 
 
-@pytest.fixture(scope="session")
-def spans():
-    """perfbench/spans.py, whose `FUNCTIONS` table names each package
-    function the benchmark rebinds and the modules it rebinds it in."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+def _perfbench_module(stem: str):
+    """perfbench/<stem>.py, loaded as a module of its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -40,6 +38,19 @@ def spans():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="session")
+def spans():
+    """perfbench/spans.py, whose `FUNCTIONS` table names each package
+    function the benchmark rebinds and the modules it rebinds it in."""
+    return _perfbench_module("spans")
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench/workloads.py, the benchmark's inputs and timed passes."""
+    return _perfbench_module("workloads")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import re
 import struct
 import tempfile
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,6 +24,16 @@ from vicspeech.checkpoint import (
 )
 from vicspeech.codebook import Codebook
 from vicspeech.model import EncoderConfig, init_encoder
+
+
+def _rename_in_place(path, old: bytes, new: bytes) -> None:
+    """Replace tensor name `old` with `new` of the same length in the
+    checkpoint at `path`, and write a CRC that matches the edit."""
+    assert len(old) == len(new)
+    body = path.read_bytes()[:-4]
+    assert body.count(old) == 1
+    body = body.replace(old, new)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 class TestContainer:
@@ -83,6 +94,33 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError):
             load_tensors(path)
+
+    def test_non_utf8_tensor_name_named_with_path(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        save_tensors(path, {"ab": np.zeros(2)})
+        _rename_in_place(path, b"ab", b"\xff\xfe")
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: tensor name is not UTF-8")):
+            load_tensors(path)
+
+    def test_dims_whose_product_overflows_are_truncation(self, tmp_path):
+        """Dims of 2^31 x 2^31 x 4 items wrap around in int64; their exact
+        product runs past the file's end."""
+        path = tmp_path / "o.ckpt"
+        body = (b"HVIC" + struct.pack("<IIH", 2, 1, 1) + b"t" + struct.pack("<I", 3)
+                + struct.pack("<3I", 2**31, 2**31, 4) + bytes(16))
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated")):
+            load_tensors(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        """Two tensors of one name are an error, not a silent choice of one."""
+        path = tmp_path / "d.ckpt"
+        save_tensors(path, {"centroids": np.eye(3), "centroidz": 2.0 * np.eye(3)})
+        _rename_in_place(path, b"centroidz", b"centroids")
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: tensor 'centroids' appears twice")):
+            load_codebook(path)
 
 
 _tensors = st.dictionaries(
@@ -175,6 +213,37 @@ class TestEncoderCheckpoints:
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: malformed encoder")):
             load_encoder(path)
 
+    @pytest.mark.parametrize("old, new, reason", [
+        ("|40|64|", "|40|1|", "invalid encoder config: model_dim must be >= 2"),
+        ("|0.08|", "|1.5|", "mask_start_prob must be in [0, 1]")],
+        ids=["model_dim", "mask_start_prob"])
+    def test_invalid_config_value_named_with_path(self, tmp_path, old, new, reason):
+        """A config name that parses to values the encoder rejects is a
+        checkpoint error that names the file."""
+        path = tmp_path / "enc.ckpt"
+        save_encoder(path, init_encoder(EncoderConfig(), 0))
+        tensors = {name.replace(old, new, 1): value
+                   for name, value in load_tensors(path).items()}
+        save_tensors(path, tensors)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {reason}")):
+            load_encoder(path)
+
+    @pytest.mark.parametrize("n_configs", [0, 2])
+    def test_one_config_tensor_required(self, tmp_path, n_configs):
+        """No config tensor, or two that disagree, leaves the encoder undefined."""
+        path = tmp_path / "enc.ckpt"
+        save_encoder(path, init_encoder(EncoderConfig(), 0))
+        tensors = load_tensors(path)
+        config = next(name for name in tensors if name.startswith("meta."))
+        if n_configs == 0:
+            del tensors[config]
+        else:
+            tensors = {config.replace("|0.08|", "|0.5|"): np.zeros(0), **tensors}
+        save_tensors(path, tensors)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: expected one tensor ")
+                           + f".*found {n_configs}"):
+            load_encoder(path)
+
     def test_teacher_and_fresh_student_checkpoints_byte_identical(self, tmp_path):
         """Stage-1 initialization contract: the student copy saves to the
         same bytes as the teacher."""
@@ -198,3 +267,14 @@ class TestCodebookCheckpoints:
         back = load_codebook(path)
         assert np.array_equal(back.centroids, cb.centroids)
         assert back.k == 4 and back.feature_dim == 5
+
+    @pytest.mark.parametrize("centroids, reason", [
+        (np.arange(5.0), "centroids must be 2-D"),
+        (np.ones((1, 3)), "codebook needs k >= 2"),
+        (np.ones((3, 2)), "codebook contains duplicate centroids")],
+        ids=["1-D", "one row", "duplicates"])
+    def test_invalid_centroids_named_with_path(self, tmp_path, centroids, reason):
+        path = tmp_path / "cb.ckpt"
+        save_tensors(path, {"centroids": centroids})
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {reason}")):
+            load_codebook(path)

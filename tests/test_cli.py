@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vicspeech import analysis, cli
-from vicspeech.checkpoint import load_codebook, load_encoder, save_codebook
+from vicspeech.checkpoint import load_codebook, load_encoder, load_tensors, save_codebook, \
+    save_tensors
 from vicspeech.cli import build_parser, run
 from vicspeech.codebook import Codebook
 from vicspeech.signal import Waveform, build_corpus, synthesis_threads, write_wav
@@ -281,6 +282,15 @@ class TestConfigErrorsBeforeRealInputs:
         argv = self._argv("ablate", pipeline_dir, out) + ["--config", str(config)]
         assert run(argv) == 1
         assert "model_dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_key(self, pipeline_dir, tmp_path, capsys, no_reads):
+        config = tmp_path / "run.cfg"
+        config.write_text("steps = 10\nsteps = 20\n")
+        out = tmp_path / "out"
+        argv = self._argv("pretrain", pipeline_dir, out) + ["--config", str(config)]
+        assert run(argv) == 1
+        assert f"config error: {config}:2: key 'steps' repeats line 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_config_file(self, pipeline_dir, tmp_path, capsys, no_reads):
@@ -781,6 +791,39 @@ class TestUnlabelledProbeCorpus:
                     "--eval-noise-kinds", "natural", "--snr-levels", "5,inf"]
         assert run(argv + ["--out", str(out)]) == 2
         assert "utt0003" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestInvalidCheckpointInput:
+    """`vic-pretrain` and `ablate` exit 2 on a checkpoint whose CRC holds but
+    whose contents are invalid, name the file, and write nothing."""
+
+    @pytest.mark.parametrize("command", ["vic-pretrain", "ablate"])
+    @pytest.mark.parametrize("bad_input", ["codebook", "teacher"])
+    def test_exit_2_names_the_file(self, pipeline_dir, tmp_path, capsys, command, bad_input):
+        inputs = {"codebook": str(pipeline_dir / "cb.ckpt"),
+                  "teacher": str(pipeline_dir / "teacher.ckpt")}
+        bad = str(tmp_path / f"bad_{bad_input}.ckpt")
+        if bad_input == "codebook":  # duplicate centroids
+            save_tensors(bad, {"centroids": np.ones((3, 40))})
+        else:  # model_dim 1, the second value of the config name
+            tensors = {}
+            for name, value in load_tensors(inputs["teacher"]).items():
+                parts = name.split("|")
+                if len(parts) > 2:
+                    parts[2] = "1"
+                tensors["|".join(parts)] = value
+            save_tensors(bad, tensors)
+        inputs[bad_input] = bad
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(pipeline_dir / "corpus" / "manifest.tsv"),
+                "--codebook", inputs["codebook"], "--teacher", inputs["teacher"],
+                "--steps", "2", "--batch-utterances", "2", "--noise-kinds", "natural",
+                "--out", str(out)]
+        if command == "ablate":
+            argv += ["--seeds", "1", "--eval-noise-kinds", "natural", "--snr-levels", "5,inf"]
+        assert run(argv) == 2
+        assert f"{bad}: " in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -66,6 +66,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r":2"):
             load_config(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        """A key set twice is an error, not a silent choice of the last."""
+        path = tmp_path / "twice.cfg"
+        path.write_text("steps = 10\n# a comment\nlambda = 2\nsteps = 20\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}:4: key 'steps' repeats line 1")):
+            load_config(path)
+
     def test_bad_value_names_line_and_key(self, tmp_path):
         path = tmp_path / "d.cfg"
         path.write_text("gamma = abc\n")

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vicspeech.signal import (
+    FRAME_LEN,
     MAX_VOCAB_SIZE,
     NOISE_KINDS,
     SAMPLE_RATE,
@@ -571,7 +572,7 @@ class TestMeasureSnr:
 class TestExtractFeatures:
     def test_frame_count(self):
         wav = Waveform(0.1 * np.sin(np.arange(16000) * 0.1))
-        feats = extract_features(wav, frame_len=400, hop=160)
+        feats = extract_features(wav)
         assert feats.shape == (98, 40)
 
     def test_silence_hits_log_floor(self):
@@ -600,26 +601,23 @@ class TestExtractFeatures:
             assert labels[t] == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(n_samples=st.integers(1, 3000), frame_len=st.integers(1, 600),
-           hop=st.integers(1, 400), data=st.data())
-    def test_one_label_per_feature_row(self, n_samples, frame_len, hop, data):
+    @given(n_samples=st.integers(1, 3000), data=st.data())
+    def test_one_label_per_feature_row(self, n_samples, data):
         """`frame_labels` gives exactly one label per row of `extract_features`
-        at every length, frame length and hop, and both reject a waveform
-        shorter than one frame."""
+        at every length, and both reject a waveform shorter than one frame."""
         cuts = sorted(data.draw(st.sets(st.integers(1, n_samples - 1), max_size=6))
                       if n_samples > 1 else [])
         bounds = [0, *cuts, n_samples]
         segments = [(k % 3, a, b) for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
         rng = np.random.default_rng(n_samples)
         utt = Utterance("u", Waveform(rng.uniform(-0.5, 0.5, n_samples)), segments)
-        if n_samples < frame_len:
-            for call in (lambda: extract_features(utt.wave, frame_len, hop),
-                         lambda: frame_labels(utt, frame_len, hop)):
+        if n_samples < FRAME_LEN:
+            for call in (lambda: extract_features(utt.wave), lambda: frame_labels(utt)):
                 with pytest.raises(ValueError, match="shorter than one frame"):
                     call()
             return
-        labels = frame_labels(utt, frame_len, hop)
-        assert labels.shape == (extract_features(utt.wave, frame_len, hop).shape[0],)
+        labels = frame_labels(utt)
+        assert labels.shape == (extract_features(utt.wave).shape[0],)
         assert labels.dtype == np.int64
 
     def test_frame_labels_of_unlabelled_utterance_name_it(self):
@@ -629,7 +627,7 @@ class TestExtractFeatures:
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            extract_features(Waveform(np.zeros(100)), frame_len=400)
+            extract_features(Waveform(np.zeros(100)))
 
 
 class TestWavIO:

@@ -2,7 +2,7 @@
 module reaches into another's private (``_``-prefixed) names, and the math
 layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
 package modules below them, every ``config.DEFAULTS`` key has a reader, and
-the sample rate is known to ``signal`` alone.
+the sample rate and the frame length and hop are known to ``signal`` alone.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -228,22 +228,38 @@ def test_an_unread_config_key_is_found():
     assert _unread_keys(config, cli) == ["n_filters"]
 
 
+def _mentions(source: str, module: str, parameters: set[str], names: set[str]) -> list[str]:
+    """Where package module `module` names one of `names`: in signal.py a
+    parameter in `parameters`; elsewhere any of `names` as a name,
+    attribute, parameter, keyword, import or string."""
+    if module == "signal":
+        wanted, kinds = parameters, (ast.arg,)
+    else:
+        wanted, kinds = names, (ast.arg, ast.Name, ast.Attribute, ast.keyword, ast.alias,
+                                ast.Constant)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, kinds):
+            names_here = {getattr(node, field, None) for field in ("arg", "id", "attr", "name",
+                                                                    "asname", "value")}
+            found += [(node.lineno, name) for name in wanted & names_here]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 def _rate_mentions(source: str, module: str) -> list[str]:
     """Where package module `module` names the sample rate: in signal.py a
     ``sample_rate`` parameter; elsewhere any ``sample_rate`` or
     ``SAMPLE_RATE`` name, attribute, parameter, keyword, import or string."""
-    if module == "signal":
-        wanted, kinds = {"sample_rate"}, (ast.arg,)
-    else:
-        wanted, kinds = {"sample_rate", "SAMPLE_RATE"}, (ast.arg, ast.Name, ast.Attribute,
-                                                          ast.keyword, ast.alias, ast.Constant)
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, kinds):
-            names = {getattr(node, field, None) for field in ("arg", "id", "attr", "name",
-                                                               "asname", "value")}
-            found += [(node.lineno, name) for name in wanted & names]
-    return [f"line {line}: {name}" for line, name in sorted(found)]
+    return _mentions(source, module, {"sample_rate"}, {"sample_rate", "SAMPLE_RATE"})
+
+
+def _frame_mentions(source: str, module: str) -> list[str]:
+    """Where package module `module` names the frame length or the hop: in
+    signal.py a ``frame_len`` or ``hop`` parameter; elsewhere any
+    ``frame_len``, ``FRAME_LEN``, ``hop`` or ``HOP`` name, attribute,
+    parameter, keyword, import or string."""
+    return _mentions(source, module, {"frame_len", "hop"},
+                     {"frame_len", "FRAME_LEN", "hop", "HOP"})
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -265,3 +281,25 @@ def test_a_rate_mention_is_found():
               "def _music(rng, n, *, sample_rate):\n"
               "    return rng\n")
     assert _rate_mentions(inside, "signal") == ["line 2: sample_rate", "line 4: sample_rate"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_frame_geometry_is_known_to_signal_alone(path):
+    assert _frame_mentions(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_a_frame_mention_is_found():
+    outside = ("from .signal import FRAME_LEN as N, HOP, extract_features\n"
+               "def f(wav, cfg, frame_len):\n"
+               "    feats = extract_features(wav, frame_len=N, hop=signal.HOP)\n"
+               "    return feats, cfg['hop'], 'a hop'\n")
+    assert _frame_mentions(outside, "trainer") == [
+        "line 1: FRAME_LEN", "line 1: HOP", "line 2: frame_len", "line 3: HOP",
+        "line 3: frame_len", "line 3: hop", "line 4: hop"]
+    inside = ("FRAME_LEN, HOP = 400, 160\n"
+              "def extract_features(wav, frame_len=FRAME_LEN, *, hop=HOP):\n"
+              "    return wav[:FRAME_LEN:HOP], 'hop'\n"
+              "def frame_labels(utt, hop):\n"
+              "    return utt\n")
+    assert _frame_mentions(inside, "signal") == [
+        "line 2: frame_len", "line 2: hop", "line 4: hop"]
