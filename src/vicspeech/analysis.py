@@ -175,10 +175,10 @@ def _probe_counts(probe: LinearProbe, corpus: Corpus, encoded) -> tuple[int, int
 def fit_linear_probe(enc: EncoderState, train_corpus: Corpus,
                      iters: int = 300) -> tuple[LinearProbe, Matrix, np.ndarray]:
     """Softmax regression from frozen clean representations to unit symbols.
-    Returns the probe and the pooled representations and labels it was fitted
-    on, in corpus order."""
+    Returns the probe and the pooled representations, cast to float64, and
+    labels it was fitted on, in corpus order."""
     y = np.concatenate([train_corpus.frame_labels(i) for i in range(len(train_corpus))])
-    x = np.concatenate(list(_encode(enc, train_corpus)))
+    x = np.concatenate(list(_encode(enc, train_corpus)), dtype=np.float64)
     return _fit_softmax_regression(x, y, iters, _PROBE_LR), x, y
 
 
@@ -411,7 +411,8 @@ def ablation_run(
 def _full_model_loss_and_grad(seed: int):
     """`step_objective` on two utterances of unequal length, with fewer VIC
     samples than pooled frames, as a function of the student's parameter
-    vector. Returns (loss_of, grad at vec0, vec0, encoder config)."""
+    vector. That vector is float64, so the encoder computes in float64.
+    Returns (loss_of, grad at vec0, vec0, encoder config)."""
     enc_cfg = EncoderConfig(feature_dim=10, model_dim=16, n_blocks=2, mlp_hidden=24,
                             k_codewords=8, mask_start_prob=0.25, mask_span=3)
     rng = np.random.default_rng(seed)
@@ -420,7 +421,7 @@ def _full_model_loss_and_grad(seed: int):
     specs = [MaskSpec(np.array([1, 2, 5, 6, 9])), MaskSpec(np.array([0, 3, 4, 7]))]
     teacher = init_encoder(enc_cfg, seed + 1)
     teacher_reps = [forward(teacher, x)[0] for x in feats]
-    vec0 = init_encoder(enc_cfg, seed + 2).to_vector()
+    vec0 = init_encoder(enc_cfg, seed + 2).to_vector().astype(np.float64)
     n_sample, sample_seed = 12, seed + 3
 
     def masked_inputs(st: EncoderState) -> list[Matrix]:

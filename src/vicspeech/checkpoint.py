@@ -10,11 +10,13 @@ Binary layout, all integers little-endian:
         payload float32 LE (row-major)
     crc32   u32      CRC-32 of every byte before it
 
-Round trips are lossless at float32. On load the magic, the version and
-then the CRC are checked before anything is parsed, so a truncated or
-tampered file, names included, never yields partial state. Version 1
-files, whose CRC covered the payloads only, are rejected, and so is a file
-that names a tensor twice. A `CheckpointError` starts with the file's path.
+Round trips are lossless at float32, so an encoder, whose parameters are
+float32 (``model.PARAM_DTYPE``), loads back byte for byte. On load the
+magic, the version and then the CRC are checked before anything is parsed,
+so a truncated or tampered file, names included, never yields partial
+state. Version 1 files, whose CRC covered the payloads only, are rejected,
+and so is a file that names a tensor twice. A `CheckpointError` starts with
+the file's path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import Codebook
-from .model import EncoderConfig, EncoderState, param_layout
+from .model import PARAM_DTYPE, EncoderConfig, EncoderState, param_layout
 
 __all__ = [
     "CheckpointError",
@@ -145,7 +147,7 @@ def load_encoder(path) -> EncoderState:
             raise CheckpointError(f"{path}: missing tensor {name}")
         if tensors[name].shape != shape:
             raise CheckpointError(f"{path}: tensor {name} has shape {tensors[name].shape}, expected {shape}")
-        params[name] = tensors[name].astype(np.float64)
+        params[name] = tensors[name].astype(PARAM_DTYPE)
     return EncoderState(config=cfg, params=params)
 
 

@@ -4,12 +4,16 @@ Subcommands: synth, features, kmeans, pretrain, vic-pretrain, probe,
 analyze-variance, ablate, gradcheck. Exit codes: 0 success, 1 usage or
 config error, 2 runtime/divergence error. :func:`run` parses, checks and
 echoes every value before a subcommand touches any file, and reruns with
-the same seeds reproduce outputs byte for byte.
+the same seeds reproduce outputs byte for byte. Output bytes depend on the
+BLAS thread count, so :func:`run` sets numpy's OpenBLAS to one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import os
 import sys
 from pathlib import Path
@@ -27,6 +31,38 @@ from .trainer import Corpus, TrainLog, pretrain_clean, pretrain_noisy
 
 GRADCHECK_THRESHOLD = 1e-4
 
+# the thread-count setters of numpy's bundled OpenBLAS, by build
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads")
+
+
+@functools.cache
+def _openblas_setter():
+    """The thread-count setter of the OpenBLAS that numpy ships with, looked
+    up once per process, or None where there is none (numpy built against
+    another BLAS, or a system OpenBLAS)."""
+    pattern = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")
+    for lib in sorted(glob.glob(pattern)):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SETTERS:
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def _pin_blas() -> bool:
+    """Set OpenBLAS to one thread; False where no setter is found, which
+    leaves the thread count to the environment."""
+    setter = _openblas_setter()
+    if setter is not None:
+        setter(1)
+    return setter is not None
+
 
 def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]) -> None:
     for key in keys:
@@ -41,12 +77,16 @@ def _resolve(args) -> LabConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _echo(cfg: LabConfig) -> None:
+def _echo(cfg: LabConfig, blas_pinned: bool) -> None:
     # output bytes depend on the BLAS thread count, so the run records it
     print("# resolved config")
     print(f"# numpy {np.__version__}")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        print(f"# {var} = {os.environ.get(var, 'unset')}")
+    if blas_pinned:
+        print("# BLAS threads = 1 (OpenBLAS, pinned)")
+    else:
+        print("# BLAS threads not pinned: no OpenBLAS handle found, the environment sets them")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            print(f"# {var} = {os.environ.get(var, 'unset')}")
     print(f"# synthesis threads = {synthesis_threads()}")  # output bytes do not depend on it
     print(cfg.echo())
 
@@ -381,7 +421,7 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = _resolve(args)
-        _echo(cfg)
+        _echo(cfg, _pin_blas())
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

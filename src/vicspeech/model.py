@@ -12,6 +12,11 @@ Masking replaces whole rows of a frames matrix with a learned embedding.
 ``forward`` takes the already-substituted frames matrix plus the mask; it
 only needs the masked row indices so the input gradient of those rows can be
 routed into the mask-embedding gradient.
+
+``forward``, ``predict_codewords`` and ``backward`` compute in the dtype of
+the parameters they are given: ``PARAM_DTYPE`` (float32) for every encoder
+that ``init_encoder`` builds or a checkpoint holds, and float64 in the
+gradient checks, which cast the parameter vector to it.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
 ]
 
 LN_EPS = 1e-5
+PARAM_DTYPE = np.float32  # the encoder trains, saves and loads in this dtype
 
 
 class TrainingDivergedError(RuntimeError):
@@ -111,7 +117,8 @@ class EncoderState:
 
     @classmethod
     def from_vector(cls, cfg: EncoderConfig, vec: np.ndarray) -> "EncoderState":
-        vec = np.asarray(vec, dtype=np.float64)
+        """The state whose `to_vector` is `vec`, in `vec`'s dtype."""
+        vec = np.asarray(vec)
         params = {}
         offset = 0
         for name, shape in param_layout(cfg):
@@ -130,22 +137,20 @@ def init_encoder(cfg: EncoderConfig, seed: int) -> EncoderState:
     """Scaled-uniform init: weights U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     layer-norm gains 1, all biases 0. The prediction head uses a 10x smaller
     bound so initial logits are near zero and the masked loss starts at ln k.
-    Deterministic given `seed`."""
+    Deterministic given `seed`; the draws are float64, rounded to
+    ``PARAM_DTYPE``."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_layout(cfg):
         if name.endswith(".gain"):
-            params[name] = np.ones(shape)
-        elif len(shape) == 2:
+            params[name] = np.ones(shape, PARAM_DTYPE)
+        elif len(shape) == 2 or name == "mask_embedding":
             bound = 1.0 / math.sqrt(shape[0])
             if name == "head.weight":
                 bound *= 0.1
-            params[name] = rng.uniform(-bound, bound, size=shape)
-        elif name == "mask_embedding":
-            bound = 1.0 / math.sqrt(shape[0])
-            params[name] = rng.uniform(-bound, bound, size=shape)
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(PARAM_DTYPE)
         else:
-            params[name] = np.zeros(shape)
+            params[name] = np.zeros(shape, PARAM_DTYPE)
     return EncoderState(config=cfg, params=params)
 
 
@@ -156,23 +161,26 @@ def _sinusoid_table(n_frames: int, dim: int) -> Matrix:
     pe = np.zeros((n_frames, dim))
     pe[:, 0::2] = np.sin(angle[:, 0::2])
     pe[:, 1::2] = np.cos(angle[:, 1::2])
-    pe.setflags(write=False)
     return pe
 
 
-# dim -> read-only table, rebuilt when a longer sequence than it holds arrives
-_positional_tables: dict[int, Matrix] = {}
+# (dim, dtype) -> read-only table, rebuilt when a longer sequence than it holds arrives
+_positional_tables: dict[tuple[int, np.dtype], Matrix] = {}
 
 
-def positional_encoding(n_frames: int, dim: int) -> Matrix:
-    """Fixed sinusoidal position table, shape (n_frames, dim), read-only.
+def positional_encoding(n_frames: int, dim: int, dtype) -> Matrix:
+    """Fixed sinusoidal position table, shape (n_frames, dim), read-only,
+    computed in float64 and cast once to `dtype`.
 
     Entry (t, i) depends on t and i alone, so the prefix of a longer table
     is bit-identical to a table built at ``n_frames``.
     """
-    table = _positional_tables.get(dim)
+    key = (dim, np.dtype(dtype))
+    table = _positional_tables.get(key)
     if table is None or table.shape[0] < n_frames:
-        table = _positional_tables[dim] = _sinusoid_table(n_frames, dim)
+        table = _sinusoid_table(n_frames, dim).astype(dtype)
+        table.setflags(write=False)
+        _positional_tables[key] = table
     return table[:n_frames]
 
 
@@ -208,11 +216,11 @@ def apply_mask(
     seed: int,
     mask_embedding: np.ndarray,
 ) -> tuple[Matrix, MaskSpec]:
-    """A copy of `frames` with the masked rows replaced by the learned mask
-    embedding, and the mask."""
+    """A copy of `frames` in the mask embedding's dtype with the masked rows
+    replaced by the embedding, and the mask."""
     spec = sample_mask(frames.shape[0], cfg, seed)
-    masked = np.array(frames, dtype=np.float64)
-    masked[spec.masked_frames] = np.asarray(mask_embedding, dtype=np.float64)
+    masked = np.array(frames, dtype=mask_embedding.dtype)
+    masked[spec.masked_frames] = mask_embedding
     return masked, spec
 
 
@@ -255,21 +263,24 @@ def forward(
 ) -> tuple[Matrix, dict]:
     """Input projection of the T x F frames `x` + positional encoding, then
     pre-norm attention/MLP blocks with residuals. Returns (reps, cache); the
-    cache holds what `backward` reads.
+    cache holds what `backward` reads. The frames are cast once to the
+    parameters' dtype, and every result has that dtype.
 
     Teacher mode is simply ``training=False`` with no mask: there is no
     dropout anywhere, so `training` changes nothing in the result. `mask`
     marks rows whose content is the mask embedding, which routes their input
     gradient into the embedding's gradient.
     """
-    x_in = as_matrix(x, "frames")
     cfg = state.config
+    p = state.params
+    dtype = p["in_proj.weight"].dtype
+    x_in = as_matrix(x, "frames", dtype)
     if x_in.shape[1] != cfg.feature_dim:
         raise ValueError(f"feature dim {x_in.shape[1]} != config {cfg.feature_dim}")
-    p = state.params
     scale = 1.0 / math.sqrt(cfg.model_dim)
 
-    h0 = x_in @ p["in_proj.weight"] + p["in_proj.bias"] + positional_encoding(x_in.shape[0], cfg.model_dim)
+    h0 = (x_in @ p["in_proj.weight"] + p["in_proj.bias"]
+          + positional_encoding(x_in.shape[0], cfg.model_dim, dtype))
     x = h0
     blocks = []
     for b in range(cfg.n_blocks):
@@ -312,25 +323,27 @@ def backward(
 
     `grad_reps` is the upstream gradient at the final representations (the
     regularizer path); `grad_logits` is the upstream at the head output (the
-    masked-prediction path). Either may be None.
+    masked-prediction path). Either may be None. Both are cast once to the
+    parameters' dtype, which is the dtype of the result.
     """
     state: EncoderState = cache["state"]
     cfg = state.config
     p = state.params
     reps = cache["reps"]
     scale = 1.0 / math.sqrt(cfg.model_dim)
-    grads = {name: np.zeros(shape) for name, shape in param_layout(cfg)}
+    grads: dict[str, np.ndarray] = {}  # set once each, so one widened entry widens the result
 
     g = np.zeros_like(reps)
     if grad_reps is not None:
         if grad_reps.shape != reps.shape:
             raise ValueError("grad_reps shape mismatch")
-        g = g + grad_reps
+        g = g + grad_reps.astype(reps.dtype, copy=False)
     if grad_logits is not None:
         if grad_logits.shape != (reps.shape[0], cfg.k_codewords):
             raise ValueError("grad_logits shape mismatch")
-        grads["head.weight"] += reps.T @ grad_logits
-        grads["head.bias"] += grad_logits.sum(axis=0)
+        grad_logits = grad_logits.astype(reps.dtype, copy=False)
+        grads["head.weight"] = reps.T @ grad_logits
+        grads["head.bias"] = grad_logits.sum(axis=0)
         g = g + grad_logits @ p["head.weight"].T
 
     for b in reversed(range(cfg.n_blocks)):
@@ -338,37 +351,38 @@ def backward(
         c = cache["blocks"][b]
         # MLP sub-block: x_out = x_mid + tanh(m_in W1 + b1) W2 + b2
         g_hact = g @ p[pre + "mlp.w2"].T
-        grads[pre + "mlp.w2"] += c["h_act"].T @ g
-        grads[pre + "mlp.b2"] += g.sum(axis=0)
+        grads[pre + "mlp.w2"] = c["h_act"].T @ g
+        grads[pre + "mlp.b2"] = g.sum(axis=0)
         g_hpre = g_hact * (1.0 - c["h_act"] ** 2)
-        grads[pre + "mlp.w1"] += c["m_in"].T @ g_hpre
-        grads[pre + "mlp.b1"] += g_hpre.sum(axis=0)
+        grads[pre + "mlp.w1"] = c["m_in"].T @ g_hpre
+        grads[pre + "mlp.b1"] = g_hpre.sum(axis=0)
         g_min = g_hpre @ p[pre + "mlp.w1"].T
-        g_ln2, gg2, gb2 = _layer_norm_backward(g_min, c["xhat2"], c["inv_std2"], p[pre + "ln2.gain"])
-        grads[pre + "ln2.gain"] += gg2
-        grads[pre + "ln2.bias"] += gb2
+        g_ln2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_backward(
+            g_min, c["xhat2"], c["inv_std2"], p[pre + "ln2.gain"])
         g_xmid = g + g_ln2
         # attention sub-block: x_mid = x + (softmax(q k^T scale) v) Wo
         g_o = g_xmid
-        grads[pre + "attn.wo"] += c["att_out"].T @ g_o
+        grads[pre + "attn.wo"] = c["att_out"].T @ g_o
         g_attout = g_o @ p[pre + "attn.wo"].T
         g_attn = g_attout @ c["v"].T
         g_v = c["attn"].T @ g_attout
         g_scores = c["attn"] * (g_attn - (g_attn * c["attn"]).sum(axis=1, keepdims=True))
         g_q = g_scores @ c["k"] * scale
         g_k = g_scores.T @ c["q"] * scale
-        grads[pre + "attn.wq"] += c["a_in"].T @ g_q
-        grads[pre + "attn.wk"] += c["a_in"].T @ g_k
-        grads[pre + "attn.wv"] += c["a_in"].T @ g_v
+        grads[pre + "attn.wq"] = c["a_in"].T @ g_q
+        grads[pre + "attn.wk"] = c["a_in"].T @ g_k
+        grads[pre + "attn.wv"] = c["a_in"].T @ g_v
         g_ain = g_q @ p[pre + "attn.wq"].T + g_k @ p[pre + "attn.wk"].T + g_v @ p[pre + "attn.wv"].T
-        g_ln1, gg1, gb1 = _layer_norm_backward(g_ain, c["xhat1"], c["inv_std1"], p[pre + "ln1.gain"])
-        grads[pre + "ln1.gain"] += gg1
-        grads[pre + "ln1.bias"] += gb1
+        g_ln1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_backward(
+            g_ain, c["xhat1"], c["inv_std1"], p[pre + "ln1.gain"])
         g = g_xmid + g_ln1
 
-    grads["in_proj.weight"] += cache["x_in"].T @ g
-    grads["in_proj.bias"] += g.sum(axis=0)
+    grads["in_proj.weight"] = cache["x_in"].T @ g
+    grads["in_proj.bias"] = g.sum(axis=0)
     if cache["mask"] is not None and cache["mask"].size:
         g_input = g @ p["in_proj.weight"].T
-        grads["mask_embedding"] += g_input[cache["mask"]].sum(axis=0)
-    return np.concatenate([grads[name].ravel() for name, _ in param_layout(cfg)])
+        grads["mask_embedding"] = g_input[cache["mask"]].sum(axis=0)
+    layout = param_layout(cfg)
+    for name, shape in layout:  # a path not taken (no logits, no mask) has zero gradient
+        grads.setdefault(name, np.zeros(shape, reps.dtype))
+    return np.concatenate([grads[name].ravel() for name, _ in layout])

@@ -1,8 +1,10 @@
-"""Dense float64 matrix primitives and a finite-difference gradient checker.
+"""Dense matrix primitives and a finite-difference gradient checker.
 
-Everything downstream works in row-major float64: frames are rows, channels
-are columns. Every hand-derived backward pass in the package is validated
-against :func:`grad_check`.
+Matrices are row-major: frames are rows, channels are columns. The encoder
+computes in its parameters' dtype (float32 in training); the losses, the
+probe, the variance report and the gradient checks work in float64. Every
+hand-derived backward pass in the package is validated against
+:func:`grad_check` on float64 inputs.
 """
 
 from __future__ import annotations
@@ -14,16 +16,17 @@ import numpy as np
 
 __all__ = ["Matrix", "GradCheckReport", "as_matrix", "softmax_xent", "grad_check"]
 
-# A "Matrix" throughout the package is a 2-D C-contiguous float64 ndarray
+# A "Matrix" throughout the package is a 2-D C-contiguous floating ndarray
 # with finite entries; `as_matrix` is the validating constructor.
 Matrix = np.ndarray
 
 REL_ERROR_FLOOR = 1e-12  # denominator floor, avoids 0/0 at exactly-zero gradients
 
 
-def as_matrix(a, name: str = "matrix") -> Matrix:
-    """Coerce `a` to a 2-D C-contiguous float64 array, rejecting bad input."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
+def as_matrix(a, name: str = "matrix", dtype=np.float64) -> Matrix:
+    """Coerce `a` to a 2-D C-contiguous array of `dtype`, rejecting bad input;
+    `a` itself is returned when it already is one."""
+    out = np.ascontiguousarray(a, dtype=dtype)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.isfinite(out).all():

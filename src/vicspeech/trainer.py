@@ -115,7 +115,9 @@ _ADAM_EPS = 1e-8
 def adam_step(params: np.ndarray, grads: np.ndarray, st: AdamState,
               lr: float) -> tuple[np.ndarray, AdamState]:
     """Standard bias-corrected Adam update with b1 = 0.9, b2 = 0.98 and
-    eps = 1e-8; returns new arrays."""
+    eps = 1e-8; returns new arrays. The moments and the update are float64;
+    the new parameters are rounded to `params`' dtype, with no float64
+    master copy, and may overflow it to inf."""
     if params.shape != grads.shape or params.shape != st.m.shape:
         raise ValueError("parameter/gradient/state lengths misaligned")
     if not np.isfinite(grads).all():
@@ -126,6 +128,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, st: AdamState,
     m_hat = m / (1.0 - _ADAM_B1**t)
     v_hat = v / (1.0 - _ADAM_B2**t)
     new_params = params - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    with np.errstate(over="ignore"):
+        new_params = new_params.astype(params.dtype, copy=False)
     return new_params, AdamState(m=m, v=v, t=t)
 
 
@@ -403,6 +407,8 @@ def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
     run.log.steps.append(breakdown)
 
     vec, run.adam = adam_step(run.state.to_vector(), grad_vec, run.adam, cfg.learning_rate)
+    if not np.isfinite(vec).all():
+        raise TrainingDivergedError(f"parameters overflowed {vec.dtype} at step {step}")
     run.state = EncoderState.from_vector(enc_cfg, vec)
 
     if cfg.eval_interval and eval_hook and (step + 1) % cfg.eval_interval == 0:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vicspeech import analysis
+from vicspeech.checkpoint import load_encoder, save_encoder
 from vicspeech.losses import sample_frames
 from vicspeech.model import forward, init_encoder
 from vicspeech.trainer import AdamState, Corpus, EvalRow, TrainConfig, adam_step, derive_seed, \
@@ -179,7 +180,7 @@ class TestSoftmaxRegression:
         got, x, y = analysis.fit_linear_probe(trained_encoder, mini_corpus)
         assert x.tobytes() == np.concatenate(
             [forward(trained_encoder, mini_corpus.clean_features(i))[0]
-             for i in range(len(mini_corpus))]).tobytes()
+             for i in range(len(mini_corpus))]).astype(np.float64).tobytes()
         assert np.array_equal(y, np.concatenate([mini_corpus.frame_labels(i)
                                                  for i in range(len(mini_corpus))]))
         want_w, want_b = _reference_softmax_regression(x, y, 300, 0.05)
@@ -269,6 +270,24 @@ class TestAblationRun:
         with pytest.raises(ValueError, match="duplicate seeds"):
             analysis.ablation_run(tiny_encoder, cfg, mini_corpus, mini_codebook, (1, 1),
                                   [("clean", float("inf"))])
+
+    def test_a_reloaded_teacher_gives_the_same_ablation(self, trained_encoder, mini_corpus,
+                                                        mini_codebook, tmp_path):
+        """`ablate --teacher` reads its teacher from a checkpoint. Its run
+        equals, bit for bit, the run from the teacher still in memory."""
+        path = tmp_path / "teacher.ckpt"
+        save_encoder(path, trained_encoder)
+        cfg = TrainConfig(steps=2, batch_utterances=3, seed=4, noise_kinds=("music", "natural"))
+        conditions = [("natural", 5.0), ("clean", float("inf"))]
+        mem, disk = (analysis.ablation_run(teacher, cfg, mini_corpus, mini_codebook, (1,),
+                                           conditions)
+                     for teacher in (trained_encoder, load_encoder(path)))
+        assert mem.students.keys() == disk.students.keys()
+        for key, student in mem.students.items():
+            assert student.to_vector().tobytes() == disk.students[key].to_vector().tobytes(), key
+        assert mem.logs == disk.logs
+        assert mem.probe_results == disk.probe_results
+        assert mem.rows == disk.rows
 
 
 class TestGradcheckSuite:

@@ -2,9 +2,12 @@
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import io
 import itertools
 import math
+import os
 import shutil
 from pathlib import Path
 
@@ -383,19 +386,49 @@ class TestSynth:
 
     def test_echoes_resolved_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         run(["synth", "--out", str(tmp_path / "c2"), "--n-utterances", "2",
              "--vocab-size", "4", "--n-segments", "3"])
         captured = capsys.readouterr()
         assert "n_utterances = 2" in captured.out
         assert "lambda = 5.0" in captured.out
         assert f"# numpy {np.__version__}\n" in captured.out
+        assert "# BLAS threads = 1 (OpenBLAS, pinned)\n" in captured.out
+        assert "NUM_THREADS" not in captured.out + captured.err
+        assert f"# synthesis threads = {synthesis_threads()}\n" in captured.out
+        assert "synthesis threads" not in captured.err
+
+    def test_echoes_the_environment_where_blas_is_not_pinned(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_setter", lambda: None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run(["synth", "--out", str(tmp_path / "c2"), "--n-utterances", "2",
+             "--vocab-size", "4", "--n-segments", "3"])
+        captured = capsys.readouterr()
+        assert "# BLAS threads not pinned: no OpenBLAS handle found" in captured.out
         assert "# OPENBLAS_NUM_THREADS = 3\n" in captured.out
         assert "# MKL_NUM_THREADS = unset\n" in captured.out
         assert "# OMP_NUM_THREADS = " in captured.out
         assert "NUM_THREADS" not in captured.err
-        assert f"# synthesis threads = {synthesis_threads()}\n" in captured.out
-        assert "synthesis threads" not in captured.err
+
+    def test_run_pins_openblas_to_one_thread(self, tmp_path):
+        """Whatever the thread count before, a command runs on one BLAS thread."""
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs",
+                                      "*openblas*"))
+        getters = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+                   for lib in libs]
+        get_threads = next((fn for fn in getters if fn is not None), None)
+        if get_threads is None or cli._openblas_setter() is None:
+            pytest.skip("numpy here does not ship scipy-openblas")
+        cli._openblas_setter()(2)
+        try:
+            if get_threads() != 2:
+                pytest.skip("OpenBLAS here runs one thread at most")
+            assert run(["synth", "--out", str(tmp_path / "c2"), "--n-utterances", "2",
+                        "--vocab-size", "4", "--n-segments", "3"]) == 0
+            assert get_threads() == 1
+        finally:
+            cli._openblas_setter()(1)
 
 
 def _set_manifest_field(manifest, row, col, value):

@@ -1,5 +1,6 @@
 """Encoder init, masking, forward determinism, and the analytic backward."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,12 @@ def small_cfg():
 @pytest.fixture
 def small_state(small_cfg):
     return init_encoder(small_cfg, seed=0)
+
+
+def as_float64(state):
+    """`state` with its parameters widened to float64, so that the encoder
+    computes in float64, as the gradient checks need."""
+    return EncoderState.from_vector(state.config, state.to_vector().astype(np.float64))
 
 
 def random_feats(cfg, n_frames=12, seed=5):
@@ -165,15 +172,16 @@ class TestForward:
             forward(small_state, np.zeros((5, 3)))
 
 
-def _reference_positional_encoding(n_frames, dim):
-    """The table built afresh for each call, as before it was cached."""
+def _reference_positional_encoding(n_frames, dim, dtype):
+    """The table built afresh for each call, as before it was cached, then
+    cast to `dtype`."""
     pos = np.arange(n_frames)[:, None].astype(np.float64)
     i = np.arange(dim)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
     pe = np.zeros((n_frames, dim))
     pe[:, 0::2] = np.sin(angle[:, 0::2])
     pe[:, 1::2] = np.cos(angle[:, 1::2])
-    return pe
+    return pe.astype(dtype)
 
 
 class TestPositionalEncoding:
@@ -190,9 +198,9 @@ class TestPositionalEncoding:
 
     def test_table_is_read_only_prefix(self, monkeypatch):
         monkeypatch.setattr(model, "_positional_tables", {})
-        for t in self.LENGTHS:
-            pe = positional_encoding(t, 16)
-            assert pe.tobytes() == _reference_positional_encoding(t, 16).tobytes()
+        for t, dtype in itertools.product(self.LENGTHS, (np.float64, np.float32)):
+            pe = positional_encoding(t, 16, dtype)
+            assert pe.tobytes() == _reference_positional_encoding(t, 16, dtype).tobytes()
             assert not pe.flags.writeable
             with pytest.raises(ValueError):
                 pe[0, 0] = 1.0
@@ -209,7 +217,7 @@ class TestPredictCodewords:
         assert predict_codewords(small_state, reps).shape == (6, small_cfg.k_codewords)
 
     def test_head_gradient_matches_finite_differences(self, small_cfg):
-        state = init_encoder(small_cfg, 2)
+        state = as_float64(init_encoder(small_cfg, 2))
         feats = random_feats(small_cfg)
         labels = np.random.default_rng(1).integers(small_cfg.k_codewords, size=12)
         spec = MaskSpec(np.array([0, 3, 7]))
@@ -237,6 +245,38 @@ class TestPredictCodewords:
         assert report.max_rel_error <= 1e-6
 
 
+class TestDtype:
+    """The parameters' dtype is the dtype of every result: one operand of
+    another dtype would quietly widen the arithmetic, and no value test
+    would see it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_result_has_the_parameters_dtype(self, small_state, small_cfg, dtype):
+        state = EncoderState.from_vector(small_cfg, small_state.to_vector().astype(dtype))
+        feats = random_feats(small_cfg)  # float64 frames
+        masked, spec = apply_mask(feats, small_cfg, seed=2,
+                                  mask_embedding=state.params["mask_embedding"])
+        assert len(spec) > 0 and masked.dtype == dtype
+        reps, cache = forward(state, masked, training=True, mask=spec)
+        assert reps.dtype == dtype
+        assert cache["x_in"].dtype == dtype
+        for block in cache["blocks"]:
+            for key, value in block.items():
+                assert value.dtype == dtype, key
+        logits = predict_codewords(state, reps)
+        assert logits.dtype == dtype
+        labels = np.random.default_rng(1).integers(small_cfg.k_codewords, size=len(feats))
+        _, grad_logits = masked_prediction_loss(logits, labels, spec)  # float64 upstream
+        grad_reps = np.random.default_rng(2).standard_normal(reps.shape)
+        assert backward(cache, grad_reps=grad_reps, grad_logits=grad_logits).dtype == dtype
+        assert backward(cache, grad_logits=grad_logits).dtype == dtype
+        assert backward(cache, grad_reps=grad_reps).dtype == dtype
+
+    def test_init_gives_float32(self, small_state):
+        assert model.PARAM_DTYPE == np.float32
+        assert {value.dtype for value in small_state.params.values()} == {np.dtype(np.float32)}
+
+
 class TestBackward:
     def test_null_upstream_gives_zero_gradients(self, small_state, small_cfg):
         feats = random_feats(small_cfg)
@@ -249,7 +289,7 @@ class TestBackward:
     def test_upstream_paths_are_additive(self, small_state, small_cfg):
         rng = np.random.default_rng(8)
         feats = random_feats(small_cfg)
-        reps, cache = forward(small_state, feats)
+        reps, cache = forward(as_float64(small_state), feats)
         g_reps = rng.standard_normal(reps.shape)
         g_logits = rng.standard_normal((12, small_cfg.k_codewords))
         joint = backward(cache, grad_reps=g_reps, grad_logits=g_logits)
@@ -297,12 +337,16 @@ class TestBackward:
 
 class TestSerializationRoundTrip:
     def test_lossless_at_float32(self, small_state, tmp_path):
+        """The encoder's parameters are float32, so a save and a load give
+        back the same bytes."""
         from vicspeech.checkpoint import load_encoder, save_encoder
 
         path = tmp_path / "enc.ckpt"
         save_encoder(path, small_state)
         back = load_encoder(path)
         assert back.config == small_state.config
-        for name in small_state.params:
-            expected = small_state.params[name].astype(np.float32).astype(np.float64)
-            assert np.array_equal(back.params[name], expected)
+        assert back.params.keys() == small_state.params.keys()
+        for name, value in small_state.params.items():
+            assert value.dtype == model.PARAM_DTYPE
+            assert back.params[name].dtype == value.dtype
+            assert back.params[name].tobytes() == value.tobytes()

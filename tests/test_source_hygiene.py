@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, no package
 module reaches into another's private (``_``-prefixed) names, and the math
 layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
-package modules below them, every ``config.DEFAULTS`` key has a reader, and
-the sample rate and the frame length and hop are known to ``signal`` alone.
+package modules below them, every ``config.DEFAULTS`` key has a reader,
+the sample rate and the frame length and hop are known to ``signal`` alone,
+and float32 is named only by ``model``'s parameter dtype and by
+``checkpoint``'s on-disk format.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -228,15 +230,12 @@ def test_an_unread_config_key_is_found():
     assert _unread_keys(config, cli) == ["n_filters"]
 
 
-def _mentions(source: str, module: str, parameters: set[str], names: set[str]) -> list[str]:
-    """Where package module `module` names one of `names`: in signal.py a
-    parameter in `parameters`; elsewhere any of `names` as a name,
-    attribute, parameter, keyword, import or string."""
-    if module == "signal":
-        wanted, kinds = parameters, (ast.arg,)
-    else:
-        wanted, kinds = names, (ast.arg, ast.Name, ast.Attribute, ast.keyword, ast.alias,
-                                ast.Constant)
+_ANY_USE = (ast.arg, ast.Name, ast.Attribute, ast.keyword, ast.alias, ast.Constant)
+
+
+def _named(source: str, wanted: set[str], kinds: tuple = _ANY_USE) -> list[str]:
+    """Where `source` names one of `wanted` as one of the node `kinds`: by
+    default a name, attribute, parameter, keyword, import or string."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, kinds):
@@ -244,6 +243,15 @@ def _mentions(source: str, module: str, parameters: set[str], names: set[str]) -
                                                                     "asname", "value")}
             found += [(node.lineno, name) for name in wanted & names_here]
     return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def _mentions(source: str, module: str, parameters: set[str], names: set[str]) -> list[str]:
+    """Where package module `module` names one of `names`: in signal.py a
+    parameter in `parameters`; elsewhere any of `names` as a name,
+    attribute, parameter, keyword, import or string."""
+    if module == "signal":
+        return _named(source, parameters, (ast.arg,))
+    return _named(source, names)
 
 
 def _rate_mentions(source: str, module: str) -> list[str]:
@@ -303,3 +311,34 @@ def test_a_frame_mention_is_found():
               "    return utt\n")
     assert _frame_mentions(inside, "signal") == [
         "line 2: frame_len", "line 2: hop", "line 4: hop"]
+
+
+def _float32_mentions(source: str) -> list[str]:
+    """Where `source` names float32: ``float32`` as a name, attribute,
+    parameter, keyword or import, or the strings ``"float32"`` and ``"<f4"``."""
+    return _named(source, {"float32", "<f4"})
+
+
+# the modules that may name float32, and how often (None: any number of times)
+FLOAT32_NAMERS = {"model": 1, "checkpoint": None}  # the parameter dtype; the file format
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_parameter_dtype_is_named_in_one_place(path):
+    found = _float32_mentions(path.read_text(encoding="utf-8"))
+    if path.stem not in FLOAT32_NAMERS:
+        assert found == []
+    elif FLOAT32_NAMERS[path.stem] is not None:
+        assert len(found) == FLOAT32_NAMERS[path.stem], found
+
+
+def test_a_float32_mention_is_found():
+    source = ("import numpy as np\n"
+              "from numpy import float32 as f32\n"
+              "def f(x, float32=None):\n"
+              "    '''float32 in prose is not a mention'''\n"
+              "    y = x.astype(np.float32) + np.zeros(3, dtype='float32')\n"
+              "    return y.view('<f4'), np.dtype('f8'), 'float32 in text'\n")
+    assert _float32_mentions(source) == [
+        "line 2: float32", "line 3: float32", "line 5: float32", "line 5: float32",
+        "line 6: <f4"]
