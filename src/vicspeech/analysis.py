@@ -277,7 +277,7 @@ def make_train_eval_hook(corpus: Corpus, probe_iters: int = 100):
         probe, x, y = fit_linear_probe(state, corpus, iters=probe_iters)
         noisy = list(_encode(state, corpus, *_HOOK_CONDITION, _TAG_EVAL_NOISE))
         correct_n, total = _probe_counts(probe, corpus, noisy)
-        pooled = np.concatenate(noisy)
+        pooled = np.concatenate(noisy, dtype=np.float64)
         return EvalRow(step=step, probe_acc_clean=int((probe.predict(x) == y).sum()) / total,
                        probe_acc_noisy=correct_n / total,
                        mean_channel_std=float(pooled.std(axis=0, ddof=1).mean()))

@@ -73,7 +73,8 @@ def grad_check(
     """Compare `analytic_grad` against central differences of `f` at `point`.
 
     Per coordinate i the numeric gradient is ``(f(x + h e_i) - f(x - h e_i)) / 2h``
-    and the relative error is ``|a - n| / max(|a|, |n|, 1e-12)``. `indices`
+    and the relative error is ``|a - n| / max(|a|, |n|, 1e-12)``, or inf where
+    the analytic gradient or the central difference is not finite. `indices`
     restricts the sweep to a coordinate subset, which keeps the check cheap on
     large parameter vectors. Never raises; the report carries the verdict.
     """
@@ -93,7 +94,10 @@ def grad_check(
         f_minus = float(f(x))
         x[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * step)
-        rel = abs(g[i] - numeric) / max(abs(g[i]), abs(numeric), REL_ERROR_FLOOR)
+        if np.isfinite(g[i]) and np.isfinite(numeric):
+            rel = abs(g[i] - numeric) / max(abs(g[i]), abs(numeric), REL_ERROR_FLOOR)
+        else:  # a NaN would never compare greater than `worst`
+            rel = np.inf
         if rel > worst:
             worst = rel
             worst_index = int(i)

@@ -10,22 +10,23 @@ function of its seed.
 
 Each babble voice is the first ``n`` samples of an utterance that is
 peak-normalized as a whole, so the voice's scale is set by segments past
-the crop. ``synth_utterance(..., n_samples=n)`` returns exactly those
-samples and renders a later segment only when a cheap upper bound on its
-peak exceeds the peak found so far: with G = 128 phases psi_g over one
-period of the segment's f0, the bound is
+the crop. ``_babble`` renders the segments that cover those samples, and a
+later segment only when a cheap upper bound on its peak exceeds the peak of
+its voice found so far: with G = 128 phases psi_g over one period of the
+segment's f0, the bound is
 ``gain * (max_g |sum_h a_h sin(h psi_g + phi_h)| + (pi/G) sum_h a_h h)``,
 widened by x(1 + 1e-6) and +1e-9 for rounding. Every harmonic is a multiple
 of f0, so the sum over h of a_h h bounds the slope in psi, and the fades
-and the gain only shrink a segment: the normalizing peak, and so every
-output sample, is the same as rendering the whole utterance.
+and the gain only shrink a segment: each voice's normalizing peak, and so
+every output sample, is the same as rendering the whole utterance.
 
 Speech segments and music chords are sums of sinusoids, all rendered by one
 kernel. When the process may run on two or more CPUs (``synthesis_threads``)
-the pieces of each call, speech segments or halves of chords, are split
-between the caller and a helper thread that lives for that call, and the
-peak search renders its candidates in pairs. No thread outlives the call
-that started it. Every sample is the same at either thread count.
+the pieces of each call are split between the caller and a helper thread
+that lives for that call: all segments of an utterance, the covering
+segments of every babble voice at once, then one peak-search candidate per
+voice in each round, or the halves of music chords. No thread outlives the
+call that started it. Every sample is the same at either thread count.
 
 On-disk formats: WAV is PCM 16-bit signed little-endian mono at 16 kHz
 (``SAMPLE_RATE``); the corpus manifest is a UTF-8 TSV with rows
@@ -330,26 +331,10 @@ def _peak_bound(seg: _Segment) -> float:
 _FOLLOW_PROB = 0.7  # chance the next symbol is the fixed successor of the last
 
 
-def synth_utterance(seed: int, n_segments: int, vocab_size: int, *,
-                    n_samples: Optional[int] = None) -> Utterance:
-    """Concatenate `n_segments` harmonic segments with per-segment unit labels.
-
-    Deterministic given (seed, arguments); same-symbol segments share their
-    (f0, formant) voicing and therefore their filterbank footprint. Symbol
-    sequences follow a first-order chain (each symbol's successor follows
-    with probability 0.7, otherwise uniform), so masked segments are partly
-    predictable from context, as phone sequences are in speech.
-
-    The whole utterance is peak-normalized to 0.95. With `n_samples` in
-    [1, full length] the result is exactly the first `n_samples` samples of
-    the full utterance, labels clipped to them, still scaled by the full
-    utterance's peak. The segments that cover those samples are rendered;
-    a later segment is rendered only if its peak bound
-    ``gain * (max_g |sum_h a_h sin(h psi_g + phi_h)| + (pi/128) sum_h a_h h)
-    * (1 + 1e-6) + 1e-9`` (psi_g: 128 phases over one f0 period) exceeds the
-    largest peak found so far, which the bound shows it cannot otherwise
-    change.
-    """
+def _plan_utterance(seed: int, n_segments: int,
+                    vocab_size: int) -> tuple[list[_Segment], list[tuple[int, int, int]]]:
+    """The drawn segments of utterance `seed` and their unit labels: the
+    symbol chain, each segment's duration, then its phases and gain."""
     if not 2 <= vocab_size <= MAX_VOCAB_SIZE:
         raise ValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
     if n_segments < 1:
@@ -369,40 +354,63 @@ def synth_utterance(seed: int, n_segments: int, vocab_size: int, *,
             sym = (sym + 1) % vocab_size
         else:
             sym = int(rng.integers(vocab_size))
-    keep = pos if n_samples is None else n_samples
-    if not 1 <= keep <= pos:
-        raise ValueError(f"n_samples must be in [1, {pos}], got {n_samples}")
-    n_cover = sum(start < keep for _, start, _ in labels)
-    samples = np.empty(labels[n_cover - 1][2])
-    bounds: list[tuple[float, _Segment]] = []
-    _render(plan[:n_cover], samples,
-            meanwhile=lambda: bounds.extend((_peak_bound(seg), seg) for seg in plan[n_cover:]))
-    peak = max(samples.max(), -samples.min())  # max |sample|, without an |samples| copy
-    # A later segment can only raise the normalizing peak: try the loudest
-    # first, one per synthesis thread at a time. The second of a pair may turn
-    # out needless, but its peak is at most its bound, so at most the peak.
-    rest = sorted(bounds, key=lambda pair: pair[0], reverse=True)
-    width = synthesis_threads()
-    for first in range(0, len(rest), width):
-        tried = [seg for bound, seg in rest[first : first + width] if bound > peak]
-        if not tried:
-            break
-        peak = max(peak, *(np.abs(x).max() for x in _render(tried)))
-    samples = samples[:keep]
-    samples *= _PEAK / peak
-    labels = [(sym, start, min(end, keep)) for sym, start, end in labels[:n_cover]]
+    return plan, labels
+
+
+def _peak(samples: np.ndarray) -> float:
+    return max(samples.max(), -samples.min())  # max |sample|, without an |samples| copy
+
+
+def synth_utterance(seed: int, n_segments: int, vocab_size: int) -> Utterance:
+    """Concatenate `n_segments` harmonic segments with per-segment unit labels.
+
+    Deterministic given (seed, arguments); same-symbol segments share their
+    (f0, formant) voicing and therefore their filterbank footprint. Symbol
+    sequences follow a first-order chain (each symbol's successor follows
+    with probability 0.7, otherwise uniform), so masked segments are partly
+    predictable from context, as phone sequences are in speech. The whole
+    utterance is peak-normalized to 0.95.
+    """
+    plan, labels = _plan_utterance(seed, n_segments, vocab_size)
+    samples = np.empty(labels[-1][2])
+    _render(plan, samples)
+    samples *= _PEAK / _peak(samples)
     return Utterance(id=f"u{seed}", wave=Waveform(samples), unit_labels=labels)
 
 
 def _babble(rng: np.random.Generator, n: int) -> np.ndarray:
-    # each voice is the start of a speech-like utterance long enough to crop
+    """The sum of 3-8 voices, each the first `n` samples of an 8-symbol
+    utterance scaled by that whole utterance's peak (see the module docstring)."""
     n_voices = int(rng.integers(3, 9))
     n_segments = math.ceil(n / (_SEGMENT_MIN_S * SAMPLE_RATE)) + 1
-    x = np.zeros(n)
+    covers: list[list[_Segment]] = []  # per voice, the segments that cover its n samples
+    rests: list[list[_Segment]] = []  # and the later ones
     for _ in range(n_voices):
-        voice = synth_utterance(int(rng.integers(2**31)), n_segments=n_segments, vocab_size=8,
-                                n_samples=n)
-        x += voice.wave.samples
+        plan, labels = _plan_utterance(int(rng.integers(2**31)), n_segments, 8)
+        n_cover = sum(start < n for _, start, _ in labels)
+        covers.append(plan[:n_cover])
+        rests.append(plan[n_cover:])
+    lengths = [sum(seg.n for seg in cover) for cover in covers]
+    samples = np.empty(sum(lengths))
+    queues: list[list[tuple[float, _Segment]]] = []  # per voice, (bound, later segment) rising
+    _render([seg for cover in covers for seg in cover], samples,
+            meanwhile=lambda: queues.extend(
+                sorted(((_peak_bound(seg), seg) for seg in rest), key=lambda pair: pair[0])
+                for rest in rests))
+    voices = np.split(samples, np.cumsum(lengths[:-1]))
+    peaks = [_peak(voice) for voice in voices]
+    # A later segment can only raise its voice's peak. Each round renders the
+    # loudest untried segment of every voice whose bound exceeds its peak.
+    while True:
+        tried = [k for k, queue in enumerate(queues) if queue and queue[-1][0] > peaks[k]]
+        if not tried:
+            break
+        rendered = _render([queues[k].pop()[1] for k in tried])
+        for k, out in zip(tried, rendered):
+            peaks[k] = max(peaks[k], np.abs(out).max())
+    x = np.zeros(n)
+    for voice, peak in zip(voices, peaks):
+        x += voice[:n] * (_PEAK / peak)
     return x
 
 

@@ -218,7 +218,8 @@ def _reference_train_eval_hook(corpus, probe_iters):
     """`make_train_eval_hook` before it scored the clean condition on the
     fit's pooled representations: it encoded the clean utterances again.
     Kept verbatim as the reference, but for taking the probe out of the
-    tuple `fit_linear_probe` now returns."""
+    tuple `fit_linear_probe` now returns and pooling the noisy
+    representations in float64."""
 
     def hook(step, state):
         probe = analysis.fit_linear_probe(state, corpus, iters=probe_iters)[0]
@@ -226,7 +227,7 @@ def _reference_train_eval_hook(corpus, probe_iters):
         noisy = list(analysis._encode(state, corpus, *analysis._HOOK_CONDITION,
                                       analysis._TAG_EVAL_NOISE))
         correct_n, _ = analysis._probe_counts(probe, corpus, noisy)
-        pooled = np.concatenate(noisy)
+        pooled = np.concatenate(noisy, dtype=np.float64)
         return EvalRow(step=step, probe_acc_clean=correct_c / total,
                        probe_acc_noisy=correct_n / total,
                        mean_channel_std=float(pooled.std(axis=0, ddof=1).mean()))

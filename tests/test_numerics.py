@@ -77,6 +77,28 @@ class TestGradCheck:
                             grad, np.array([1.0, 1.0]), 1e-5)
         assert report.worst_index == 1
 
+    def test_nan_central_difference_fails(self):
+        report = grad_check(lambda x: float("nan"), np.ones(3), np.zeros(3))
+        assert report.max_rel_error == math.inf
+        assert report.worst_index == 0
+
+    def test_non_finite_analytic_gradient_fails(self):
+        report = grad_check(lambda x: float(x[0] ** 2 + x[1] ** 2),
+                            np.array([2.0, np.inf]), np.array([1.0, 1.0]), 1e-5)
+        assert (report.max_rel_error, report.worst_index) == (math.inf, 1)
+
+    def test_covariance_at_a_huge_step_fails(self):
+        """At step 1e200 the covariance term overflows and its central
+        difference is NaN, which is a failure, not a match."""
+        from vicspeech.losses import covariance
+
+        zp = np.random.default_rng(0).standard_normal((8, 5))
+        _, grad = covariance(zp)
+        with np.errstate(all="ignore"):
+            report = grad_check(lambda x: covariance(x.reshape(8, 5))[0],
+                                grad.ravel(), zp.ravel(), 1e200)
+        assert report.max_rel_error == math.inf
+
     def test_subset_indices(self):
         grad = np.array([2.0, 999.0])
         report = grad_check(lambda x: float(x[0] ** 2 + x[1] ** 2),

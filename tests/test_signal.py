@@ -100,12 +100,6 @@ class TestSynthUtterance:
         with pytest.raises(ValueError):
             synth_utterance(0, n_segments=1, vocab_size=MAX_VOCAB_SIZE + 1)
 
-    def test_n_samples_is_keyword_only(self):
-        """A fourth positional argument, once the sample rate, is refused
-        rather than read as a length."""
-        with pytest.raises(TypeError):
-            synth_utterance(0, 4, 8, 16000)
-
     def test_every_symbol_has_its_own_voicing(self):
         voicings = {_voice_params(sym) for sym in range(MAX_VOCAB_SIZE)}
         assert len(voicings) == MAX_VOCAB_SIZE
@@ -254,7 +248,11 @@ class TestPartialRenderIsBitwise:
     @example(seed=0, n=1, at_boundary=False)
     @example(seed=5, n=500, at_boundary=False)
     @example(seed=7, n=1, at_boundary=True)
+    @example(seed=11, n=23520, at_boundary=False)  # 3 voices
+    @example(seed=0, n=23520, at_boundary=False)  # 8 voices
     def test_babble_equals_reference(self, seed, n, at_boundary):
+        """Each voice's crop, and its peak found in rounds across the voices,
+        equal the whole-utterance renderer's."""
         if at_boundary:
             n = _first_voice_first_end(seed, SAMPLE_RATE)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,22 +271,6 @@ class TestPartialRenderIsBitwise:
         samples, labels = _ref_synth_utterance(seed, n_segments, vocab_size, SAMPLE_RATE)
         assert utt.wave.samples.tobytes() == samples.tobytes()
         assert utt.unit_labels == labels
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=_SEEDS, n_segments=st.integers(1, 12), data=st.data())
-    def test_prefix_equals_full_utterance_start(self, seed, n_segments, data):
-        full = synth_utterance(seed, n_segments, 8)
-        ends = [end for _, _, end in full.unit_labels]
-        n = data.draw(st.one_of(st.integers(1, len(full.wave)), st.sampled_from(ends)))
-        part = synth_utterance(seed, n_segments, 8, n_samples=n)
-        assert part.wave.samples.tobytes() == full.wave.samples[:n].tobytes()
-        assert part.unit_labels == [(sym, start, min(end, n))
-                                    for sym, start, end in full.unit_labels if start < n]
-
-    @pytest.mark.parametrize("n_samples", [0, -1, 10**6])
-    def test_n_samples_out_of_range_rejected(self, n_samples):
-        with pytest.raises(ValueError, match="n_samples"):
-            synth_utterance(3, n_segments=4, vocab_size=8, n_samples=n_samples)
 
 
 class TestPeakBound:
@@ -352,10 +334,11 @@ def _in_forked_child(fn, timeout=60.0):
 
 
 def _synthesis_bytes():
-    """Babble, music and a cropped utterance, enough pieces for both threads."""
+    """Babble, music and an utterance, enough pieces for both threads."""
     out = [synth_noise(kind, seed, 6000).samples.tobytes()
            for kind in ("babble", "music") for seed in (3, 4)]
-    out.append(synth_utterance(9, 20, 8, n_samples=5000).wave.samples.tobytes())
+    out.append(synth_utterance(9, 20, 8).wave.samples.tobytes())
+    out.append(synth_noise("babble", 9, 5000).samples.tobytes())
     return out
 
 
@@ -385,9 +368,12 @@ class _FailingPiece:
 
 
 class TestThreadedRender:
-    """The caller and its helper render with the shared sinusoid kernel: the
-    bytes equal the per-harmonic and per-frequency loops it replaced, at any
-    thread count, across a fork, and with two callers at once."""
+    """The caller and its helper render with the shared sinusoid kernel,
+    each call's pieces split between them: an utterance's segments, every
+    babble voice's covering segments and then its peak-search candidates,
+    or music's half-chords. The bytes equal the per-harmonic and
+    per-frequency loops it replaced, at any thread count, across a fork,
+    and with two callers at once."""
 
     @settings(max_examples=15, deadline=None)
     @given(pieces=st.lists(st.tuples(st.integers(0, MAX_VOCAB_SIZE - 1), st.integers(1, 6000),
@@ -398,17 +384,6 @@ class TestThreadedRender:
         want = [_ref_harmonic_segment(np.random.default_rng(seed), sym, n, SAMPLE_RATE)
                 for sym, n, seed in pieces]
         assert [x.tobytes() for x in _render(segs)] == [x.tobytes() for x in want]
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=_SEEDS, n_segments=st.integers(2, 30), data=st.data())
-    def test_paired_peak_search_equals_reference(self, seed, n_segments, data):
-        """A short crop of a long utterance leaves many segments to the peak
-        search, which tries them in pairs."""
-        samples, labels = _ref_synth_utterance(seed, n_segments, 8, SAMPLE_RATE)
-        n = data.draw(st.one_of(st.integers(1, labels[1][2]),
-                                st.sampled_from([end for _, _, end in labels])))
-        part = synth_utterance(seed, n_segments, 8, n_samples=n)
-        assert part.wave.samples.tobytes() == samples[:n].tobytes()
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 60000))

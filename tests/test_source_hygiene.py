@@ -3,8 +3,9 @@ module reaches into another's private (``_``-prefixed) names, and the math
 layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
 package modules below them, every ``config.DEFAULTS`` key has a reader,
 the sample rate and the frame length and hop are known to ``signal`` alone,
-and float32 is named only by ``model``'s parameter dtype and by
-``checkpoint``'s on-disk format.
+float32 is named only by ``model``'s parameter dtype and by
+``checkpoint``'s on-disk format, and only ``signal._render`` and
+``cli._echo`` ask how many synthesis threads there are.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -342,3 +343,55 @@ def test_a_float32_mention_is_found():
     assert _float32_mentions(source) == [
         "line 2: float32", "line 3: float32", "line 5: float32", "line 5: float32",
         "line 6: <f4"]
+
+
+# the one function of each module that may call ``synthesis_threads()``: the
+# renderer that splits its pieces, and the echo that records the count
+THREAD_COUNT_READERS = {"signal": "_render", "cli": "_echo"}
+
+
+def _thread_count_calls(source: str, module: str) -> list[str]:
+    """Where package module `module` calls ``synthesis_threads()``, by name
+    or as a module attribute, outside the function that
+    ``THREAD_COUNT_READERS`` allows it, with the innermost function around
+    the call (``<module>`` at top level)."""
+    allowed = THREAD_COUNT_READERS.get(module)
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and "synthesis_threads" in {getattr(child.func, "id", None),
+                                                getattr(child.func, "attr", None)}
+                    and where != allowed):
+                found.append((child.lineno, where))
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else where)
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {where}" for line, where in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_thread_count_is_read_by_the_renderer_and_the_echo_alone(path):
+    assert _thread_count_calls(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_a_thread_count_call_is_found():
+    outside = ("from . import signal\n"
+               "from .signal import synthesis_threads\n"
+               "WIDTH = synthesis_threads()\n"
+               "def _echo():\n"
+               "    print(signal.synthesis_threads())\n"
+               "def _render(pieces):\n"
+               "    return synthesis_threads\n")
+    assert _thread_count_calls(outside, "trainer") == ["line 3: <module>", "line 5: _echo"]
+    assert _thread_count_calls(outside, "cli") == ["line 3: <module>"]
+    inside = ("def _render(pieces):\n"
+              "    def helper():\n"
+              "        return synthesis_threads()\n"
+              "    return synthesis_threads() < 2, helper\n"
+              "def synth_utterance(seed):\n"
+              "    width = synthesis_threads()\n")
+    assert _thread_count_calls(inside, "signal") == ["line 3: helper", "line 6: synth_utterance"]
