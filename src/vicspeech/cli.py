@@ -26,7 +26,7 @@ from .checkpoint import CheckpointError, load_codebook, load_encoder, save_codeb
 from .codebook import fit_kmeans
 from .config import ConfigError, LabConfig, load_config
 from .model import TrainingDivergedError
-from .signal import N_FILTERS, NOISE_KINDS, SNR_LIMIT_DB, build_corpus, synthesis_threads
+from .signal import N_FILTERS, NOISE_KINDS, SNR_LIMIT_DB, build_corpus
 from .trainer import Corpus, TrainLog, pretrain_clean, pretrain_noisy
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -87,7 +87,6 @@ def _echo(cfg: LabConfig, blas_pinned: bool) -> None:
         print("# BLAS threads not pinned: no OpenBLAS handle found, the environment sets them")
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             print(f"# {var} = {os.environ.get(var, 'unset')}")
-    print(f"# synthesis threads = {synthesis_threads()}")  # output bytes do not depend on it
     print(cfg.echo())
 
 

@@ -21,7 +21,7 @@ from vicspeech.checkpoint import load_codebook, load_encoder, load_tensors, save
     save_tensors
 from vicspeech.cli import build_parser, run
 from vicspeech.codebook import Codebook
-from vicspeech.signal import Waveform, build_corpus, synthesis_threads, write_wav
+from vicspeech.signal import Waveform, build_corpus, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -394,8 +394,7 @@ class TestSynth:
         assert f"# numpy {np.__version__}\n" in captured.out
         assert "# BLAS threads = 1 (OpenBLAS, pinned)\n" in captured.out
         assert "NUM_THREADS" not in captured.out + captured.err
-        assert f"# synthesis threads = {synthesis_threads()}\n" in captured.out
-        assert "synthesis threads" not in captured.err
+        assert "synthesis threads" not in captured.out + captured.err
 
     def test_echoes_the_environment_where_blas_is_not_pinned(self, tmp_path, capsys,
                                                              monkeypatch):

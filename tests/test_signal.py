@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vicspeech.cli import _openblas_setter
 from vicspeech.signal import (
     FRAME_LEN,
     MAX_VOCAB_SIZE,
@@ -31,7 +32,6 @@ from vicspeech.signal import (
     read_wav,
     synth_noise,
     synth_utterance,
-    synthesis_threads,
     write_manifest,
     write_wav,
     ManifestEntry,
@@ -41,6 +41,7 @@ from vicspeech.signal import (
     _harmonics,
     _peak_bound,
     _render,
+    _sinusoids,
     _voice_params,
 )
 
@@ -142,19 +143,21 @@ class TestSynthNoise:
             assert np.abs(wav.samples).max() <= 1.0
 
 
-# The renderer before partial rendering, kept verbatim as the bitwise
-# reference: every segment is rendered and the whole stream normalized.
+# References with the plain structure the renderer replaced: every segment of
+# an utterance drawn, rendered and faded on its own, every babble voice
+# rendered and normalized whole, every music chord written in place. Their
+# sums of sinusoids go through the package's kernel, so they equal the
+# package bit for bit; TestSinusoidKernel holds the kernel itself to the
+# per-sample loop it replaced.
 
 def _ref_harmonic_segment(rng, symbol, n, sample_rate):
     f0, formant = _voice_params(symbol)
-    t = np.arange(n) / sample_rate
     n_harm = max(1, min(int(3800.0 / f0), 24))
     h = np.arange(1, n_harm + 1)
     amps = np.exp(-0.5 * ((h * f0 - formant) / 260.0) ** 2) + 0.10 / h
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_harm)
-    x = np.zeros(n)
-    for i in range(n_harm):
-        x += amps[i] * np.sin(2.0 * math.pi * f0 * h[i] * t + phases[i])
+    x = np.empty(n)
+    _sinusoids(2.0 * math.pi * f0 * h, amps, phases, x)
     x *= rng.uniform(0.5, 1.0)
     fade = max(1, min(int(0.005 * sample_rate), n // 4))
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
@@ -211,13 +214,13 @@ def _first_voice_first_end(seed, sample_rate):
 
 
 def _ref_music(seed, n):
-    """synth_noise("music", ...) through the per-frequency loop that the
-    shared sinusoid kernel replaced, kept verbatim as the bitwise reference."""
+    """synth_noise("music", ...) with each chord written in place as two
+    halves, the second from sample `half` of the chord."""
     rng = np.random.default_rng(seed)
     roots = 110.0 * 2.0 ** (np.array([0, 3, 5, 7, 10, 12]) / 12.0)
     ratios = np.array([1.0, 1.25, 1.5])
     harmonics = np.arange(1, 6)
-    x = np.zeros(n)
+    x = np.empty(n)
     pos = 0
     while pos < n:
         dur = min(int(rng.uniform(0.6, 1.4) * SAMPLE_RATE), n - pos)
@@ -227,11 +230,9 @@ def _ref_music(seed, n):
         keep = freqs < 4000.0
         freqs, amps = freqs[keep], amps[keep]
         phases = rng.uniform(0.0, 2.0 * math.pi, size=freqs.size)
-        t = np.arange(dur) / SAMPLE_RATE
-        seg = np.zeros(dur)
-        for i in range(freqs.size):
-            seg += amps[i] * np.sin(2.0 * math.pi * freqs[i] * t + phases[i])
-        x[pos : pos + dur] = seg
+        omega, half = 2.0 * math.pi * freqs, dur // 2
+        _sinusoids(omega, amps, phases, x[pos : pos + half])
+        _sinusoids(omega, amps, phases, x[pos + half : pos + dur], half)
         pos += dur
     t_all = np.arange(n) / SAMPLE_RATE
     lfo = rng.uniform(0.3, 1.0)
@@ -273,6 +274,51 @@ class TestPartialRenderIsBitwise:
         assert utt.unit_labels == labels
 
 
+def _loop_sinusoids(omega, amps, phases, n, first, dtype):
+    """The per-sample loop that the kernel replaced, in `dtype`: one `sin`
+    per partial per sample, the partials added in order."""
+    t = np.arange(first, first + n).astype(dtype) / dtype(SAMPLE_RATE)
+    x = np.zeros(n, dtype)
+    for w, a, p in zip(omega.astype(dtype), amps.astype(dtype), phases.astype(dtype)):
+        x += a * np.sin(w * t + p)
+    return x
+
+
+def _kernel_draws():
+    """(omega, amps, phases, n, first): 20 speech segments of 1 to 3200
+    samples, then 20 music half-chords of up to 11200 samples from a first
+    sample of 1 to 11200, as `_music` draws them."""
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        omega, _, amps = _harmonics(int(rng.integers(MAX_VOCAB_SIZE)))
+        yield omega, amps, rng.uniform(0.0, 2.0 * math.pi, omega.size), \
+            int(rng.integers(1, 3201)), 0
+    for _ in range(20):
+        root = 110.0 * 2.0 ** (rng.choice([0, 3, 5, 7, 10, 12]) / 12.0) * rng.choice([1.0, 2.0])
+        freqs = (root * np.outer([1.0, 1.25, 1.5], np.arange(1, 6))).ravel()
+        amps = np.tile(1.0 / np.arange(1, 6), 3)[freqs < 4000.0]
+        omega = 2.0 * math.pi * freqs[freqs < 4000.0]
+        yield omega, amps, rng.uniform(0.0, 2.0 * math.pi, omega.size), \
+            int(rng.integers(1, 11201)), int(rng.integers(1, 11201))
+
+
+# The bound on the kernel's error. Over `_kernel_draws` the kernel's largest
+# error was 8.0e-13 on speech and 3.3e-12 on music, and that of the float64
+# per-sample loop it replaced 1.0e-12 and 2.5e-12 (x86-64, numpy 2.4.6):
+# both are the rounding of sin arguments of up to 2 pi 4000 Hz x 1.4 s.
+_KERNEL_ERROR = 1e-11
+
+
+class TestSinusoidKernel:
+    def test_within_the_bound_of_the_long_double_loop(self):
+        """Speech segments, and music chords from a later first sample."""
+        for omega, amps, phases, n, first in _kernel_draws():
+            out = np.empty(n)
+            _sinusoids(omega, amps, phases, out, first)
+            exact = _loop_sinusoids(omega, amps, phases, n, first, np.longdouble)
+            assert float(np.abs(out - exact).max()) <= _KERNEL_ERROR, (n, first)
+
+
 class TestPeakBound:
     @settings(max_examples=40, deadline=None)
     @given(symbol=st.integers(0, MAX_VOCAB_SIZE - 1), phase_seed=st.integers(0, 2**32 - 1),
@@ -309,8 +355,7 @@ class TestPeakBound:
 
 def _in_forked_child(fn, timeout=60.0):
     """fn() run in a child forked from this process, which must answer
-    within `timeout` seconds: a child that waits on a thread it did not
-    inherit hangs."""
+    within `timeout` seconds."""
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
 
@@ -334,52 +379,31 @@ def _in_forked_child(fn, timeout=60.0):
 
 
 def _synthesis_bytes():
-    """Babble, music and an utterance, enough pieces for both threads."""
+    """Babble, music and an utterance; the 23520-sample music has
+    half-chords long enough for OpenBLAS to split their products across
+    threads."""
     out = [synth_noise(kind, seed, 6000).samples.tobytes()
            for kind in ("babble", "music") for seed in (3, 4)]
+    out.append(synth_noise("music", 5, 23520).samples.tobytes())
     out.append(synth_utterance(9, 20, 8).wave.samples.tobytes())
     out.append(synth_noise("babble", 9, 5000).samples.tobytes())
     return out
 
 
-def _one_cpu_synthesis():
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    return synthesis_threads(), _synthesis_bytes()
-
-
-def _synthesis_helpers():
-    return [t for t in threading.enumerate() if t.name == "vicspeech-synthesis"]
-
-
-def _forked_synthesis():
-    threads = synthesis_threads()
-    data = _synthesis_bytes()
-    return threads, len(_synthesis_helpers()), data
-
-
-class _FailingPiece:
-    """A piece whose rendering raises, wherever it is rendered."""
-
-    n = 100
-    phases = np.zeros(1)
-
-    def render(self, scratch, out):
-        raise RuntimeError("failing piece")
+def _synthesis_bytes_at_default_blas_threads():
+    _openblas_setter()(os.cpu_count() or 1)
+    return _synthesis_bytes()
 
 
 class TestThreadedRender:
-    """The caller and its helper render with the shared sinusoid kernel,
-    each call's pieces split between them: an utterance's segments, every
-    babble voice's covering segments and then its peak-search candidates,
-    or music's half-chords. The bytes equal the per-harmonic and
-    per-frequency loops it replaced, at any thread count, across a fork,
-    and with two callers at once."""
+    """The kernel's matrix product runs in BLAS, and synthesis may be called
+    from several threads: the bytes equal the references above at any BLAS
+    thread count and with several callers at once."""
 
     @settings(max_examples=15, deadline=None)
     @given(pieces=st.lists(st.tuples(st.integers(0, MAX_VOCAB_SIZE - 1), st.integers(1, 6000),
                                      st.integers(0, 2**32 - 1)), min_size=1, max_size=9))
     def test_segments_equal_reference(self, pieces):
-        """Lengths past 0.2 s run the kernel over several sample blocks."""
         segs = [_draw_segment(np.random.default_rng(seed), sym, n) for sym, n, seed in pieces]
         want = [_ref_harmonic_segment(np.random.default_rng(seed), sym, n, SAMPLE_RATE)
                 for sym, n, seed in pieces]
@@ -393,40 +417,19 @@ class TestThreadedRender:
     @example(seed=3, n=23520)
     @example(seed=4, n=23520)
     @example(seed=5, n=23520)
-    def test_music_equals_per_frequency_loop(self, seed, n):
+    @example(seed=6, n=1)  # a one-sample chord: its first half is empty
+    def test_music_equals_its_half_chords(self, seed, n):
         assert synth_noise("music", seed, n).samples.tobytes() == _ref_music(seed, n).tobytes()
 
-    def test_threads_follow_the_cpus_the_process_may_use(self):
-        assert synthesis_threads() == min(2, len(os.sched_getaffinity(0)))
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-    def test_one_cpu_runs_the_serial_path_with_the_same_bytes(self):
-        threads, data = _in_forked_child(_one_cpu_synthesis)
-        assert threads == 1
-        assert data == _synthesis_bytes()
-
-    def test_forked_child_starts_its_own_worker(self):
-        """This process has rendered with helpers before the fork; the child
-        synthesizes under a timeout and is left with no helper alive."""
-        want = _synthesis_bytes()
-        threads, child_helpers, data = _in_forked_child(_forked_synthesis)
-        assert threads == synthesis_threads()
-        assert child_helpers == 0
-        assert data == want
-
-    def test_no_synthesis_thread_outlives_its_call(self):
-        _synthesis_bytes()
-        assert _synthesis_helpers() == []
-        seg = _draw_segment(np.random.default_rng(0), 3, 2000)
-        for pieces in ([seg, _FailingPiece()], [_FailingPiece(), seg]):
-            with pytest.raises(RuntimeError, match="failing piece"):
-                _render(pieces)
-            assert _synthesis_helpers() == []
+    @pytest.mark.skipif(_openblas_setter() is None, reason="numpy here has no bundled OpenBLAS")
+    def test_blas_threads_move_no_byte(self):
+        """One BLAS thread, as `cli.run` and this suite pin it, and
+        OpenBLAS's default of one per CPU, in a forked child."""
+        assert _in_forked_child(_synthesis_bytes_at_default_blas_threads) == _synthesis_bytes()
 
     def test_concurrent_callers_get_the_same_bytes(self):
-        """More callers than cores, switching often: each caller splits its
-        pieces with a helper of its own, and no caller's pieces go to
-        another."""
+        """More callers than cores, switching often: synthesis keeps no
+        state that one caller could change under another."""
         want = _synthesis_bytes()
         got = [None] * 4
 
@@ -445,15 +448,6 @@ class TestThreadedRender:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert got == [want] * len(got)
-
-    def test_a_failing_piece_raises_in_the_caller_and_the_worker_lives_on(self):
-        segs = [_draw_segment(np.random.default_rng(seed), 3, 2000) for seed in range(3)]
-        for pieces in ([segs[0], _FailingPiece()], [_FailingPiece(), segs[0]]):
-            with pytest.raises(RuntimeError, match="failing piece"):
-                _render(pieces)
-        want = [_ref_harmonic_segment(np.random.default_rng(seed), 3, 2000, SAMPLE_RATE)
-                for seed in range(3)]
-        assert [x.tobytes() for x in _render(segs)] == [x.tobytes() for x in want]
 
 
 class TestMixAtSnr:
@@ -511,8 +505,7 @@ class TestMixAtSnr:
         assert ns.peak_scale >= 1.0
 
 
-# about 0.3 s of audio: babble costs about 60 ms per 1.5 s utterance (2-core x86 host, two
-# synthesis threads)
+# about 0.3 s of audio: babble costs about 16 ms per 1.5 s utterance (2-core x86 host)
 _SHORT_CLEAN = synth_utterance(5, n_segments=2, vocab_size=4).wave
 
 

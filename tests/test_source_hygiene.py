@@ -4,8 +4,8 @@ layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
 package modules below them, every ``config.DEFAULTS`` key has a reader,
 the sample rate and the frame length and hop are known to ``signal`` alone,
 float32 is named only by ``model``'s parameter dtype and by
-``checkpoint``'s on-disk format, and only ``signal._render`` and
-``cli._echo`` ask how many synthesis threads there are.
+``checkpoint``'s on-disk format, and synthesis runs on the calling thread:
+``signal`` imports no ``threading`` and no module names ``synthesis_threads``.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -345,53 +345,38 @@ def test_a_float32_mention_is_found():
         "line 6: <f4"]
 
 
-# the one function of each module that may call ``synthesis_threads()``: the
-# renderer that splits its pieces, and the echo that records the count
-THREAD_COUNT_READERS = {"signal": "_render", "cli": "_echo"}
-
-
-def _thread_count_calls(source: str, module: str) -> list[str]:
-    """Where package module `module` calls ``synthesis_threads()``, by name
-    or as a module attribute, outside the function that
-    ``THREAD_COUNT_READERS`` allows it, with the innermost function around
-    the call (``<module>`` at top level)."""
-    allowed = THREAD_COUNT_READERS.get(module)
-    found = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call)
-                    and "synthesis_threads" in {getattr(child.func, "id", None),
-                                                getattr(child.func, "attr", None)}
-                    and where != allowed):
-                found.append((child.lineno, where))
-            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     else where)
-            visit(child, inner)
-
-    visit(ast.parse(source), "<module>")
-    return [f"line {line}: {where}" for line, where in sorted(found)]
+def _thread_mentions(source: str, module: str) -> list[str]:
+    """Where package module `module` defines or names ``synthesis_threads``
+    (as a name, attribute, parameter, keyword, import or string), and, in
+    signal.py, where it imports from ``threading``."""
+    found = _named(source, {"synthesis_threads"}, _ANY_USE + (ast.FunctionDef,))
+    if module == "signal":
+        tree = ast.parse(source)
+        imported = [(node.lineno, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [(node.lineno, node.module) for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0]
+        found += [f"line {line}: threading" for line, name in imported
+                  if name.split(".")[0] == "threading"]
+    return found
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_the_thread_count_is_read_by_the_renderer_and_the_echo_alone(path):
-    assert _thread_count_calls(path.read_text(encoding="utf-8"), path.stem) == []
+def test_synthesis_runs_on_the_calling_thread(path):
+    assert _thread_mentions(path.read_text(encoding="utf-8"), path.stem) == []
 
 
-def test_a_thread_count_call_is_found():
-    outside = ("from . import signal\n"
-               "from .signal import synthesis_threads\n"
-               "WIDTH = synthesis_threads()\n"
-               "def _echo():\n"
-               "    print(signal.synthesis_threads())\n"
-               "def _render(pieces):\n"
-               "    return synthesis_threads\n")
-    assert _thread_count_calls(outside, "trainer") == ["line 3: <module>", "line 5: _echo"]
-    assert _thread_count_calls(outside, "cli") == ["line 3: <module>"]
-    inside = ("def _render(pieces):\n"
-              "    def helper():\n"
-              "        return synthesis_threads()\n"
-              "    return synthesis_threads() < 2, helper\n"
-              "def synth_utterance(seed):\n"
-              "    width = synthesis_threads()\n")
-    assert _thread_count_calls(inside, "signal") == ["line 3: helper", "line 6: synth_utterance"]
+def test_a_synthesis_thread_mention_is_found():
+    source = ("import threading as th\n"
+              "from threading import Thread\n"
+              "from .signal import synthesis_threads\n"
+              "__all__ = ['synthesis_threads']\n"
+              "def synthesis_threads():\n"
+              "    return signal.synthesis_threads() + th.active_count()\n"
+              "'''threading and synthesis_threads in prose are not mentions'''\n")
+    assert _thread_mentions(source, "cli") == [
+        "line 3: synthesis_threads", "line 4: synthesis_threads", "line 5: synthesis_threads",
+        "line 6: synthesis_threads"]
+    assert _thread_mentions(source, "signal") == [
+        "line 3: synthesis_threads", "line 4: synthesis_threads", "line 5: synthesis_threads",
+        "line 6: synthesis_threads", "line 1: threading", "line 2: threading"]
