@@ -395,6 +395,15 @@ def _synthesis_bytes_at_default_blas_threads():
     return _synthesis_bytes()
 
 
+class _FailingPiece:
+    """A piece whose rendering raises."""
+
+    n = 100
+
+    def render(self, out):
+        raise RuntimeError("failing piece")
+
+
 class TestThreadedRender:
     """The kernel's matrix product runs in BLAS, and synthesis may be called
     from several threads: the bytes equal the references above at any BLAS
@@ -448,6 +457,17 @@ class TestThreadedRender:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert got == [want] * len(got)
+
+    def test_a_failing_piece_raises_in_the_caller_and_the_worker_lives_on(self):
+        """The renderer, which works on the calling thread, hands a piece's
+        exception to its caller and renders the next call's pieces as before."""
+        segs = [_draw_segment(np.random.default_rng(seed), 3, 2000) for seed in range(3)]
+        for pieces in ([segs[0], _FailingPiece()], [_FailingPiece(), segs[0]]):
+            with pytest.raises(RuntimeError, match="failing piece"):
+                _render(pieces)
+        want = [_ref_harmonic_segment(np.random.default_rng(seed), 3, 2000, SAMPLE_RATE)
+                for seed in range(3)]
+        assert [x.tobytes() for x in _render(segs)] == [x.tobytes() for x in want]
 
 
 class TestMixAtSnr:

@@ -366,6 +366,20 @@ def test_synthesis_runs_on_the_calling_thread(path):
     assert _thread_mentions(path.read_text(encoding="utf-8"), path.stem) == []
 
 
+def test_a_thread_count_call_is_found():
+    """A ``synthesis_threads()`` call is found in every function, the
+    renderer and the echo included."""
+    source = ("from . import signal\n"
+              "WIDTH = synthesis_threads()\n"
+              "def _echo():\n"
+              "    print(signal.synthesis_threads())\n"
+              "def _render(pieces):\n"
+              "    return synthesis_threads() < 2\n")
+    want = ["line 2: synthesis_threads", "line 4: synthesis_threads", "line 6: synthesis_threads"]
+    assert _thread_mentions(source, "cli") == want
+    assert _thread_mentions(source, "signal") == want
+
+
 def test_a_synthesis_thread_mention_is_found():
     source = ("import threading as th\n"
               "from threading import Thread\n"
