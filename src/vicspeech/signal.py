@@ -18,15 +18,25 @@ segment's f0, the bound is
 widened by x(1 + 1e-6) and +1e-9 for rounding. Every harmonic is a multiple
 of f0, so the sum over h of a_h h bounds the slope in psi, and the fades
 and the gain only shrink a segment: each voice's normalizing peak, and so
-every output sample, is the same as rendering the whole utterance.
+every output sample, is the same as rendering the whole utterance. The
+sin and cos of h psi_g are one module constant, so by angle addition the
+grid is two matrix-vector products with a_h cos(phi_h) and a_h sin(phi_h).
 
-Speech segments and music chords are sums of sinusoids, all rendered on the
-calling thread by one kernel, ``_sinusoids``. It cuts a piece into blocks
-of b = max(8, isqrt(n)) samples and uses angle addition,
+Speech segments, music chords and the music's tremolo are sums of
+sinusoids, all rendered on the calling thread by one kernel,
+``_sinusoids``. It cuts a piece into blocks of b samples and uses angle
+addition twice. A sample is
 ``sin(w(t0 + tau) + phi) = sin(w tau) cos(w t0 + phi) + cos(w tau) sin(w t0 + phi)``,
 so one matrix product of per-block coefficients and a per-offset table
-gives every sample from about 4 sqrt(n) `sin`/`cos` values per partial,
-instead of n. A sample is within about 1e-12 of the exact sum.
+gives every sample; and a block's coefficients,
+``a cos(w t0 + phi) = cos(w t0) a cos(phi) - sin(w t0) a sin(phi)`` and its
+sine twin, come from a table of block starts and the piece's a cos(phi) and
+a sin(phi). Both tables depend on the partials' frequencies and on b alone.
+Every speech segment, of at most 3200 samples, has b = isqrt(3200) = 56, so
+its tables are cached per symbol and a segment costs 2 `sin`/`cos` values
+per partial. A music chord or the tremolo has b = isqrt(n) and builds its
+own, about 4 sqrt(n) values per partial instead of n. A sample is within
+about 1e-12 of the exact sum.
 
 On-disk formats: WAV is PCM 16-bit signed little-endian mono at 16 kHz
 (``SAMPLE_RATE``); the corpus manifest is a UTF-8 TSV with rows
@@ -105,8 +115,7 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         if not np.isfinite(self.samples).all():
             raise ValueError("waveform contains non-finite samples")
-        # max |sample| without an |samples| copy
-        if self.samples.size and max(self.samples.max(), -self.samples.min()) > 1.0 + 1e-12:
+        if self.samples.size and _peak(self.samples) > 1.0 + 1e-12:
             raise ValueError("waveform exceeds [-1, 1]; peak-normalize first")
 
     def __len__(self) -> int:
@@ -180,20 +189,67 @@ def _harmonics(symbol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return omega, h, amps
 
 
-def _sinusoids(omega: np.ndarray, amps: np.ndarray, phases: np.ndarray,
-               out: np.ndarray, first: int = 0) -> None:
-    """Write ``sum_i amps[i] * sin(omega[i] * t + phases[i])`` into `out`;
-    t is the time of samples `first`, `first` + 1, ... Block j starts at
-    sample t0 = `first` + j b, and its sample t0 + tau is row j of
-    ``coef = [a cos(w t0 + phi), a sin(w t0 + phi)]`` times column tau of
-    ``table = [sin(w tau); cos(w tau)]`` (see the module docstring)."""
-    n = out.size
-    b = max(8, math.isqrt(n))
-    offsets = np.multiply.outer(omega, np.arange(b) / SAMPLE_RATE)
-    table = np.concatenate((np.sin(offsets), np.cos(offsets)))
-    starts = np.multiply.outer(np.arange(first, first + n, b) / SAMPLE_RATE, omega) + phases
-    coef = np.concatenate((amps * np.cos(starts), amps * np.sin(starts)), axis=1)
-    out[...] = (coef @ table).ravel()[:n]
+def _tables(omega: np.ndarray, b: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's read-only tables for partials of angular frequencies
+    `omega` in blocks of `b` samples: ``[sin(w tau); cos(w tau)]`` at the
+    offsets tau < b, shape (2P, b), and ``[cos(w t0), sin(w t0)]`` at the
+    `n_blocks` block starts t0 = j b, shape (n_blocks, 2P)."""
+    tau = np.multiply.outer(omega, np.arange(b) / SAMPLE_RATE)
+    t0 = np.multiply.outer(np.arange(0, n_blocks * b, b) / SAMPLE_RATE, omega)
+    offsets = np.concatenate((np.sin(tau), np.cos(tau)))
+    starts = np.concatenate((np.cos(t0), np.sin(t0)), axis=1)
+    for table in (offsets, starts):
+        table.setflags(write=False)
+    return offsets, starts
+
+
+# Every speech segment, of at most _SEGMENT_MAX_N samples, is cut into blocks of
+# the same width, so its tables depend on its symbol alone.
+_SEGMENT_MAX_N = round(_SEGMENT_MAX_S * SAMPLE_RATE)
+_SEGMENT_BLOCK = math.isqrt(_SEGMENT_MAX_N)  # 56 samples
+_SEGMENT_BLOCKS = -(-_SEGMENT_MAX_N // _SEGMENT_BLOCK)  # 58 block starts
+
+
+@lru_cache(maxsize=MAX_VOCAB_SIZE)
+def _segment_tables(symbol: int) -> tuple[np.ndarray, np.ndarray]:
+    return _tables(_harmonics(symbol)[0], _SEGMENT_BLOCK, _SEGMENT_BLOCKS)
+
+
+def _phasors(amps: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a cos(phi), a sin(phi))``: a piece's 2P `sin`/`cos` values."""
+    return amps * np.cos(phases), amps * np.sin(phases)
+
+
+def _sinusoids(tables: tuple[np.ndarray, np.ndarray],
+               phasors: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> None:
+    """Write ``sum_i a_i sin(w_i t + phi_i)`` into `out`, t the time of
+    samples 0, 1, ..., from ``_tables(w, b, k)`` with k b >= `out`.size and
+    ``_phasors(a, phi)``. Block j starts at sample t0 = j b, and its sample
+    t0 + tau is row j of ``coef = [a cos(w t0 + phi), a sin(w t0 + phi)]``,
+    formed by angle addition, times column tau of the offset table (see the
+    module docstring)."""
+    offsets, starts = tables
+    n, b = out.size, offsets.shape[1]
+    k = -(-n // b)
+    if k > starts.shape[0]:
+        raise ValueError(f"a piece of {n} samples is longer than its tables "
+                         f"({starts.shape[0] * b} samples)")
+    a_cos, a_sin = phasors
+    cos_t0, sin_t0 = starts[:k, :a_cos.size], starts[:k, a_cos.size:]
+    coef = np.concatenate((cos_t0 * a_cos - sin_t0 * a_sin, sin_t0 * a_cos + cos_t0 * a_sin),
+                          axis=1)
+    out[...] = (coef @ offsets).ravel()[:n]
+
+
+_FADE = int(0.005 * SAMPLE_RATE)  # a segment's longest fade: 5 ms
+
+
+@lru_cache(maxsize=_FADE)
+def _fade_ramp(fade: int) -> np.ndarray:
+    """The read-only raised-cosine fade-in of `fade` samples."""
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
+    ramp.setflags(write=False)
+    return ramp
 
 
 @dataclass
@@ -206,13 +262,12 @@ class _Segment:
     gain: float
 
     def render(self, out: np.ndarray) -> None:
-        omega, _, amps = _harmonics(self.symbol)
-        _sinusoids(omega, amps, self.phases, out)
+        _, _, amps = _harmonics(self.symbol)
+        _sinusoids(_segment_tables(self.symbol), _phasors(amps, self.phases), out)
         out *= self.gain
-        fade = max(1, min(int(0.005 * SAMPLE_RATE), self.n // 4))
-        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
-        out[:fade] *= ramp
-        out[-fade:] *= ramp[::-1]
+        ramp = _fade_ramp(max(1, min(_FADE, self.n // 4)))
+        out[:ramp.size] *= ramp
+        out[-ramp.size:] *= ramp[::-1]
 
 
 def _draw_segment(rng: np.random.Generator, symbol: int, n: int) -> _Segment:
@@ -223,17 +278,18 @@ def _draw_segment(rng: np.random.Generator, symbol: int, n: int) -> _Segment:
 
 @dataclass
 class _Chord:
-    """`n` samples of a drawn music chord, from its sample `first` on, and
-    its partials' angular frequencies, amplitudes and phases."""
+    """`n` samples of a sum of sinusoids from t = 0, a music chord or its
+    tremolo: its partials' angular frequencies, amplitudes and phases. The
+    kernel's blocks are isqrt(n) samples wide."""
 
     n: int
     omega: np.ndarray
     amps: np.ndarray
     phases: np.ndarray
-    first: int
 
     def render(self, out: np.ndarray) -> None:
-        _sinusoids(self.omega, self.amps, self.phases, out, self.first)
+        b = math.isqrt(self.n)
+        _sinusoids(_tables(self.omega, b, -(-self.n // b)), _phasors(self.amps, self.phases), out)
 
 
 def _render(pieces: Sequence, out: Optional[np.ndarray] = None) -> list[np.ndarray]:
@@ -248,8 +304,17 @@ def _render(pieces: Sequence, out: Optional[np.ndarray] = None) -> list[np.ndarr
     return outs
 
 
+def _peak(samples: np.ndarray) -> float:
+    return max(samples.max(), -samples.min())  # max |sample|, without an |samples| copy
+
+
 _BOUND_GRID = 128
-_GRID_PHASES = 2.0 * math.pi * np.arange(_BOUND_GRID) / _BOUND_GRID
+# [sin(h psi_g); cos(h psi_g)] at the G phases psi_g = 2 pi g / G over one
+# period and every harmonic number h, shape (2, G, _MAX_HARMONICS)
+_GRID = np.multiply.outer(2.0 * math.pi * np.arange(_BOUND_GRID) / _BOUND_GRID,
+                          np.arange(1, _MAX_HARMONICS + 1))
+_GRID = np.stack((np.sin(_GRID), np.cos(_GRID)))
+_GRID.setflags(write=False)
 
 
 def _peak_bound(seg: _Segment) -> float:
@@ -258,9 +323,11 @@ def _peak_bound(seg: _Segment) -> float:
     margin, x(1 + 1e-6) and +1e-9, covers the rounding of the grid and of
     the kernel, whose error of about 1e-12 is well inside it."""
     _, h, amps = _harmonics(seg.symbol)
-    on_grid = np.sin(np.multiply.outer(_GRID_PHASES, h) + seg.phases) @ amps
+    a_cos, a_sin = _phasors(amps, seg.phases)
+    # sin(h psi + phi) by angle addition
+    on_grid = _GRID[0, :, :h.size] @ a_cos + _GRID[1, :, :h.size] @ a_sin
     slope = float(amps @ h)
-    bound = seg.gain * (float(np.abs(on_grid).max()) + math.pi / _BOUND_GRID * slope)
+    bound = seg.gain * (float(_peak(on_grid)) + math.pi / _BOUND_GRID * slope)
     return bound * (1.0 + 1e-6) + 1e-9
 
 
@@ -291,10 +358,6 @@ def _plan_utterance(seed: int, n_segments: int,
         else:
             sym = int(rng.integers(vocab_size))
     return plan, labels
-
-
-def _peak(samples: np.ndarray) -> float:
-    return max(samples.max(), -samples.min())  # max |sample|, without an |samples| copy
 
 
 def synth_utterance(seed: int, n_segments: int, vocab_size: int) -> Utterance:
@@ -342,7 +405,7 @@ def _babble(rng: np.random.Generator, n: int) -> np.ndarray:
             break
         rendered = _render([queues[k].pop()[1] for k in tried])
         for k, out in zip(tried, rendered):
-            peaks[k] = max(peaks[k], np.abs(out).max())
+            peaks[k] = max(peaks[k], _peak(out))
     x = np.zeros(n)
     for voice, peak in zip(voices, peaks):
         x += voice[:n] * (_PEAK / peak)
@@ -363,18 +426,16 @@ def _music(rng: np.random.Generator, n: int) -> np.ndarray:
         keep = freqs < 4000.0
         freqs, amps = freqs[keep], amps[keep]
         phases = rng.uniform(0.0, 2.0 * math.pi, size=freqs.size)
-        omega = 2.0 * math.pi * freqs
-        # two halves: the kernel's block grid, and so the last bits of every
-        # sample, follow how a chord is cut
-        half = dur // 2
-        chords += [_Chord(half, omega, amps, phases, 0),
-                   _Chord(dur - half, omega, amps, phases, half)]
+        chords.append(_Chord(dur, 2.0 * math.pi * freqs, amps, phases))
         pos += dur
     x = np.empty(n)
     _render(chords, x)
-    t_all = np.arange(n) / SAMPLE_RATE
-    lfo = rng.uniform(0.3, 1.0)
-    x *= 0.55 + 0.45 * np.sin(2.0 * math.pi * lfo * t_all + rng.uniform(0.0, 2.0 * math.pi))
+    # the tremolo 0.55 + 0.45 sin(2 pi f t + phi), rendered as a one-partial piece
+    omega = np.array([2.0 * math.pi * rng.uniform(0.3, 1.0)])
+    tremolo = _Chord(n, omega, np.array([0.45]), np.array([rng.uniform(0.0, 2.0 * math.pi)]))
+    envelope = _render([tremolo])[0]
+    envelope += 0.55
+    x *= envelope
     return x
 
 
@@ -408,7 +469,7 @@ def synth_noise(kind: str, seed: int, n_samples: int) -> Waveform:
         x = _natural(rng, n_samples)
     else:
         raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
-    peak = np.abs(x).max()
+    peak = _peak(x)
     if peak == 0.0:
         raise ValueError(f"{kind} noise of {n_samples} samples from seed {seed} is silent")
     x = x * (_PEAK / peak)
@@ -451,7 +512,7 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> NoisySample:
         raise ValueError("SNR undefined for silent input")
     gain = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
     mixed_pre = clean.samples + gain * n
-    peak = float(np.abs(mixed_pre).max())
+    peak = float(_peak(mixed_pre))
     scale = peak if peak > 1.0 else 1.0
     return NoisySample(Waveform(mixed_pre / scale), gain, scale)
 

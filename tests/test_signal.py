@@ -38,10 +38,14 @@ from vicspeech.signal import (
     _BOUND_GRID,
     _Segment,
     _draw_segment,
+    _fade_ramp,
     _harmonics,
     _peak_bound,
+    _phasors,
     _render,
+    _segment_tables,
     _sinusoids,
+    _tables,
     _voice_params,
 )
 
@@ -145,10 +149,22 @@ class TestSynthNoise:
 
 # References with the plain structure the renderer replaced: every segment of
 # an utterance drawn, rendered and faded on its own, every babble voice
-# rendered and normalized whole, every music chord written in place. Their
-# sums of sinusoids go through the package's kernel, so they equal the
-# package bit for bit; TestSinusoidKernel holds the kernel itself to the
-# per-sample loop it replaced.
+# rendered and normalized whole, every music chord and the tremolo written in
+# place. Their sums of sinusoids go through the package's kernel, with tables
+# built afresh for each piece, so they equal the package bit for bit;
+# TestSinusoidKernel holds the kernel itself to the per-sample loop it replaced.
+
+# a speech segment's blocks: isqrt of its longest length (3200 samples) wide,
+# and enough of them to cover it
+_SEGMENT_BLOCK = math.isqrt(round(0.20 * SAMPLE_RATE))
+_SEGMENT_BLOCKS = -(-round(0.20 * SAMPLE_RATE) // _SEGMENT_BLOCK)
+
+
+def _whole_piece_tables(omega, n):
+    # a music chord's or the tremolo's: blocks of isqrt(n) samples
+    b = math.isqrt(n)
+    return _tables(omega, b, -(-n // b))
+
 
 def _ref_harmonic_segment(rng, symbol, n, sample_rate):
     f0, formant = _voice_params(symbol)
@@ -157,7 +173,8 @@ def _ref_harmonic_segment(rng, symbol, n, sample_rate):
     amps = np.exp(-0.5 * ((h * f0 - formant) / 260.0) ** 2) + 0.10 / h
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_harm)
     x = np.empty(n)
-    _sinusoids(2.0 * math.pi * f0 * h, amps, phases, x)
+    tables = _tables(2.0 * math.pi * f0 * h, _SEGMENT_BLOCK, _SEGMENT_BLOCKS)
+    _sinusoids(tables, _phasors(amps, phases), x)
     x *= rng.uniform(0.5, 1.0)
     fade = max(1, min(int(0.005 * sample_rate), n // 4))
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
@@ -214,8 +231,8 @@ def _first_voice_first_end(seed, sample_rate):
 
 
 def _ref_music(seed, n):
-    """synth_noise("music", ...) with each chord written in place as two
-    halves, the second from sample `half` of the chord."""
+    """synth_noise("music", ...) with each whole chord written in place, then
+    the tremolo."""
     rng = np.random.default_rng(seed)
     roots = 110.0 * 2.0 ** (np.array([0, 3, 5, 7, 10, 12]) / 12.0)
     ratios = np.array([1.0, 1.25, 1.5])
@@ -230,13 +247,14 @@ def _ref_music(seed, n):
         keep = freqs < 4000.0
         freqs, amps = freqs[keep], amps[keep]
         phases = rng.uniform(0.0, 2.0 * math.pi, size=freqs.size)
-        omega, half = 2.0 * math.pi * freqs, dur // 2
-        _sinusoids(omega, amps, phases, x[pos : pos + half])
-        _sinusoids(omega, amps, phases, x[pos + half : pos + dur], half)
+        omega = 2.0 * math.pi * freqs
+        _sinusoids(_whole_piece_tables(omega, dur), _phasors(amps, phases), x[pos : pos + dur])
         pos += dur
-    t_all = np.arange(n) / SAMPLE_RATE
-    lfo = rng.uniform(0.3, 1.0)
-    x *= 0.55 + 0.45 * np.sin(2.0 * math.pi * lfo * t_all + rng.uniform(0.0, 2.0 * math.pi))
+    omega = np.array([2.0 * math.pi * rng.uniform(0.3, 1.0)])
+    phase = np.array([rng.uniform(0.0, 2.0 * math.pi)])
+    tremolo = np.empty(n)
+    _sinusoids(_whole_piece_tables(omega, n), _phasors(np.array([0.45]), phase), tremolo)
+    x *= tremolo + 0.55
     return x * (0.95 / np.abs(x).max())
 
 
@@ -274,49 +292,79 @@ class TestPartialRenderIsBitwise:
         assert utt.unit_labels == labels
 
 
-def _loop_sinusoids(omega, amps, phases, n, first, dtype):
+def _loop_sinusoids(omega, amps, phases, n, dtype):
     """The per-sample loop that the kernel replaced, in `dtype`: one `sin`
     per partial per sample, the partials added in order."""
-    t = np.arange(first, first + n).astype(dtype) / dtype(SAMPLE_RATE)
+    t = np.arange(n).astype(dtype) / dtype(SAMPLE_RATE)
     x = np.zeros(n, dtype)
     for w, a, p in zip(omega.astype(dtype), amps.astype(dtype), phases.astype(dtype)):
         x += a * np.sin(w * t + p)
     return x
 
 
+# speech segment lengths at the edges of the tables: one sample, one block,
+# one block and a sample, the shortest and the longest segment
+_TABLE_EDGES = (1, _SEGMENT_BLOCK, _SEGMENT_BLOCK + 1, round(0.08 * SAMPLE_RATE),
+                round(0.20 * SAMPLE_RATE))
+
+
 def _kernel_draws():
-    """(omega, amps, phases, n, first): 20 speech segments of 1 to 3200
-    samples, then 20 music half-chords of up to 11200 samples from a first
-    sample of 1 to 11200, as `_music` draws them."""
+    """(tables, omega, amps, phases, n): speech segments of every length in
+    `_TABLE_EDGES` and 20 more of 1 to 3200 samples, on the symbols' cached
+    tables; then 20 whole music chords of 0.6 to 1.4 s and 5 tremolos of up
+    to 60000 samples, as `_music` draws them, on tables of their own."""
     rng = np.random.default_rng(2024)
-    for _ in range(20):
-        omega, _, amps = _harmonics(int(rng.integers(MAX_VOCAB_SIZE)))
-        yield omega, amps, rng.uniform(0.0, 2.0 * math.pi, omega.size), \
-            int(rng.integers(1, 3201)), 0
+    lengths = [*_TABLE_EDGES, *rng.integers(1, 3201, 20)]
+    for n in lengths:
+        symbol = int(rng.integers(MAX_VOCAB_SIZE))
+        omega, _, amps = _harmonics(symbol)
+        yield _segment_tables(symbol), omega, amps, \
+            rng.uniform(0.0, 2.0 * math.pi, omega.size), int(n)
     for _ in range(20):
         root = 110.0 * 2.0 ** (rng.choice([0, 3, 5, 7, 10, 12]) / 12.0) * rng.choice([1.0, 2.0])
         freqs = (root * np.outer([1.0, 1.25, 1.5], np.arange(1, 6))).ravel()
         amps = np.tile(1.0 / np.arange(1, 6), 3)[freqs < 4000.0]
         omega = 2.0 * math.pi * freqs[freqs < 4000.0]
-        yield omega, amps, rng.uniform(0.0, 2.0 * math.pi, omega.size), \
-            int(rng.integers(1, 11201)), int(rng.integers(1, 11201))
+        n = int(rng.uniform(0.6, 1.4) * SAMPLE_RATE)
+        yield _whole_piece_tables(omega, n), omega, amps, \
+            rng.uniform(0.0, 2.0 * math.pi, omega.size), n
+    for _ in range(5):
+        omega, n = np.array([2.0 * math.pi * rng.uniform(0.3, 1.0)]), int(rng.integers(1, 60001))
+        yield _whole_piece_tables(omega, n), omega, np.array([0.45]), \
+            rng.uniform(0.0, 2.0 * math.pi, 1), n
 
 
 # The bound on the kernel's error. Over `_kernel_draws` the kernel's largest
-# error was 8.0e-13 on speech and 3.3e-12 on music, and that of the float64
-# per-sample loop it replaced 1.0e-12 and 2.5e-12 (x86-64, numpy 2.4.6):
-# both are the rounding of sin arguments of up to 2 pi 4000 Hz x 1.4 s.
+# error was 9.9e-13 on speech, 3.3e-12 on music chords and 6.6e-16 on
+# tremolos, and that of the float64 per-sample loop it replaced 1.1e-12 on
+# speech and 4.5e-12 on chords (x86-64, numpy 2.4.6): both are the rounding
+# of sin arguments of up to 2 pi 4000 Hz x 1.4 s.
 _KERNEL_ERROR = 1e-11
 
 
 class TestSinusoidKernel:
     def test_within_the_bound_of_the_long_double_loop(self):
-        """Speech segments, and music chords from a later first sample."""
-        for omega, amps, phases, n, first in _kernel_draws():
+        """Speech segments at the tables' edges, whole music chords and tremolos."""
+        for tables, omega, amps, phases, n in _kernel_draws():
             out = np.empty(n)
-            _sinusoids(omega, amps, phases, out, first)
-            exact = _loop_sinusoids(omega, amps, phases, n, first, np.longdouble)
-            assert float(np.abs(out - exact).max()) <= _KERNEL_ERROR, (n, first)
+            _sinusoids(tables, _phasors(amps, phases), out)
+            exact = _loop_sinusoids(omega, amps, phases, n, np.longdouble)
+            assert float(np.abs(out - exact).max()) <= _KERNEL_ERROR, (n, omega.size)
+
+    def test_a_segment_longer_than_the_tables_is_rejected_by_length(self):
+        n = _SEGMENT_BLOCK * _SEGMENT_BLOCKS + 1
+        seg = _draw_segment(np.random.default_rng(0), 5, n)
+        with pytest.raises(ValueError, match=f"a piece of {n} samples is longer than its tables"):
+            _render([seg])
+
+    def test_cached_tables_are_read_only(self):
+        offsets, starts = _segment_tables(5)
+        assert offsets.shape == (2 * _harmonics(5)[0].size, _SEGMENT_BLOCK)
+        assert starts.shape == (_SEGMENT_BLOCKS, 2 * _harmonics(5)[0].size)
+        for table in (offsets, starts, _fade_ramp(80)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
 
 class TestPeakBound:
@@ -336,6 +384,12 @@ class TestPeakBound:
         for n in lengths:
             seg = _Segment(symbol, n, phases, gain)
             assert np.abs(_render([seg])[0]).max() <= _peak_bound(seg)
+
+    def test_bound_covers_the_longest_segment_of_every_symbol(self):
+        rng = np.random.default_rng(3200)
+        for symbol in range(MAX_VOCAB_SIZE):
+            seg = _draw_segment(rng, symbol, round(0.20 * SAMPLE_RATE))
+            assert np.abs(_render([seg])[0]).max() <= _peak_bound(seg), symbol
 
     @settings(max_examples=10, deadline=None)
     @given(symbol=st.integers(0, MAX_VOCAB_SIZE - 1), phase_seed=st.integers(0, 2**32 - 1),
@@ -379,9 +433,8 @@ def _in_forked_child(fn, timeout=60.0):
 
 
 def _synthesis_bytes():
-    """Babble, music and an utterance; the 23520-sample music has
-    half-chords long enough for OpenBLAS to split their products across
-    threads."""
+    """Babble, music and an utterance; the 23520-sample music has chords
+    long enough for OpenBLAS to split their products across threads."""
     out = [synth_noise(kind, seed, 6000).samples.tobytes()
            for kind in ("babble", "music") for seed in (3, 4)]
     out.append(synth_noise("music", 5, 23520).samples.tobytes())
@@ -410,8 +463,9 @@ class TestThreadedRender:
     thread count and with several callers at once."""
 
     @settings(max_examples=15, deadline=None)
-    @given(pieces=st.lists(st.tuples(st.integers(0, MAX_VOCAB_SIZE - 1), st.integers(1, 6000),
+    @given(pieces=st.lists(st.tuples(st.integers(0, MAX_VOCAB_SIZE - 1), st.integers(1, 3200),
                                      st.integers(0, 2**32 - 1)), min_size=1, max_size=9))
+    @example(pieces=[(0, 3200, 0), (47, 1, 1), (5, 56, 2), (12, 57, 3)])  # the tables' edges
     def test_segments_equal_reference(self, pieces):
         segs = [_draw_segment(np.random.default_rng(seed), sym, n) for sym, n, seed in pieces]
         want = [_ref_harmonic_segment(np.random.default_rng(seed), sym, n, SAMPLE_RATE)
@@ -426,8 +480,8 @@ class TestThreadedRender:
     @example(seed=3, n=23520)
     @example(seed=4, n=23520)
     @example(seed=5, n=23520)
-    @example(seed=6, n=1)  # a one-sample chord: its first half is empty
-    def test_music_equals_its_half_chords(self, seed, n):
+    @example(seed=6, n=1)  # a one-sample chord and tremolo
+    def test_music_equals_its_whole_chords(self, seed, n):
         assert synth_noise("music", seed, n).samples.tobytes() == _ref_music(seed, n).tobytes()
 
     @pytest.mark.skipif(_openblas_setter() is None, reason="numpy here has no bundled OpenBLAS")

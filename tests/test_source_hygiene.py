@@ -4,8 +4,10 @@ layers (``numerics``, ``model``, ``losses``, ``codebook``) import only the
 package modules below them, every ``config.DEFAULTS`` key has a reader,
 the sample rate and the frame length and hop are known to ``signal`` alone,
 float32 is named only by ``model``'s parameter dtype and by
-``checkpoint``'s on-disk format, and synthesis runs on the calling thread:
-``signal`` imports no ``threading`` and no module names ``synthesis_threads``.
+``checkpoint``'s on-disk format, synthesis runs on the calling thread:
+``signal`` imports no ``threading`` and no module names ``synthesis_threads``,
+and in ``signal`` only the synthesis tables and the peak-bound grid take a
+``sin`` or ``cos``, so no per-sample trigonometry comes back.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -394,3 +396,53 @@ def test_a_synthesis_thread_mention_is_found():
     assert _thread_mentions(source, "signal") == [
         "line 3: synthesis_threads", "line 4: synthesis_threads", "line 5: synthesis_threads",
         "line 6: synthesis_threads", "line 1: threading", "line 2: threading"]
+
+
+# the functions of signal.py that build the synthesis tables, and its
+# peak-bound grid constant: the only places there that take a sin or cos
+TRIG_BUILDERS = {"_tables", "_phasors", "_fade_ramp"}
+TRIG_CONSTANTS = {"_GRID"}
+
+
+def _trig_uses(source: str) -> list[str]:
+    """Where `source` names ``sin`` or ``cos`` (``np.sin``, ``math.cos``, a
+    bare ``sin``, called or not), outside the top-level functions in
+    `TRIG_BUILDERS` and the top-level assignments to `TRIG_CONSTANTS`."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in TRIG_BUILDERS:
+            continue
+        if isinstance(stmt, ast.Assign) and all(getattr(target, "id", None) in TRIG_CONSTANTS
+                                                 for target in stmt.targets):
+            continue
+        for node in ast.walk(stmt):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in ("sin", "cos"):
+                found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_signal_takes_sin_and_cos_only_in_its_tables():
+    assert _trig_uses((PACKAGE / "signal.py").read_text(encoding="utf-8")) == []
+
+
+def test_a_trig_use_is_found():
+    source = ("import math\n"
+              "import numpy as np\n"
+              "from math import sin\n"
+              "_GRID = np.sin(np.arange(4))\n"
+              "_OTHER = _GRID + np.cos(np.arange(4))\n"
+              "def _tables(w):\n"
+              "    return np.sin(w), np.cos(w)\n"
+              "def _music(w, t):\n"
+              "    return np.sin(w * t) + math.cos(t) + sin(t)\n"
+              "class _Chord:\n"
+              "    def render(self, out):\n"
+              "        out[:] = np.sin(self.t)\n"
+              "        def _tables():\n"
+              "            return list(map(np.cos, self.t))\n"
+              "'sin and cos in prose are not uses'\n")
+    assert _trig_uses(source) == [
+        "line 5: cos", "line 9: cos", "line 9: sin", "line 9: sin", "line 12: sin",
+        "line 14: cos"]
