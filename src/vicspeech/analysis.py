@@ -122,12 +122,19 @@ def channel_variance_report(
     model_tag: str = "model",
 ) -> VarianceReport:
     """Per-channel variance of final-layer representations, pooled over the
-    eval set, for each (noise kind, SNR) cell; SNR inf is the clean sentinel."""
+    eval set, for each (noise kind, SNR) cell; SNR inf is the clean sentinel.
+    The clean reps do not depend on the noise kind, so every kind's clean row
+    shares one read-only per-channel vector."""
     report = VarianceReport()
+    cells: dict[object, np.ndarray] = {}
     for kind in noise_kinds:
         for snr in snr_levels_db:
-            per_channel = pooled_channel_variance(
-                list(_encode(enc, eval_corpus, kind, snr, seed, _TAG_EVAL_NOISE)))
+            key = "clean" if snr == np.inf else (kind, snr)
+            if key not in cells:
+                cells[key] = pooled_channel_variance(
+                    list(_encode(enc, eval_corpus, kind, snr, seed, _TAG_EVAL_NOISE)))
+                cells[key].setflags(write=False)
+            per_channel = cells[key]
             report.rows.append(VarianceRow(
                 model_tag=model_tag, noise_kind=kind, snr_db=float(snr),
                 mean_channel_variance=float(per_channel.mean()), per_channel=per_channel))

@@ -17,10 +17,20 @@ routed into the mask-embedding gradient.
 the parameters they are given: ``PARAM_DTYPE`` (float32) for every encoder
 that ``init_encoder`` builds or a checkpoint holds, and float64 in the
 gradient checks, which cast the parameter vector to it.
+
+At this model's width (rows of a few dozen entries) a numpy reduction costs
+more than the arithmetic it reduces, so every sum the encoder takes is one
+BLAS product with a cached ones vector (:func:`_row_sums`,
+:func:`_col_sums`): the layer-norm statistics, the softmax denominator, the
+bias gradients and the row dots of the backward pass. Their float32 results
+differ from numpy's pairwise sums at rounding level. Both passes also work
+in place on the arrays they have just allocated, and never write into their
+inputs, the parameters or the cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -104,6 +114,18 @@ def param_layout(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
+@functools.lru_cache(maxsize=None)
+def _packing(cfg: EncoderConfig) -> tuple[tuple[tuple[str, tuple[int, ...], slice], ...], int]:
+    """Each parameter's (name, shape, slice of the packed vector), in
+    `param_layout` order, and the vector's length."""
+    table, offset = [], 0
+    for name, shape in param_layout(cfg):
+        size = math.prod(shape)
+        table.append((name, shape, slice(offset, offset + size)))
+        offset += size
+    return tuple(table), offset
+
+
 @dataclass
 class EncoderState:
     config: EncoderConfig
@@ -113,21 +135,19 @@ class EncoderState:
         return sum(p.size for p in self.params.values())
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.params[name].ravel() for name, _ in param_layout(self.config)])
+        table, _ = _packing(self.config)
+        return np.concatenate([self.params[name].ravel() for name, _, _ in table])
 
     @classmethod
     def from_vector(cls, cfg: EncoderConfig, vec: np.ndarray) -> "EncoderState":
-        """The state whose `to_vector` is `vec`, in `vec`'s dtype."""
-        vec = np.asarray(vec)
-        params = {}
-        offset = 0
-        for name, shape in param_layout(cfg):
-            size = int(np.prod(shape))
-            params[name] = vec[offset : offset + size].reshape(shape).copy()
-            offset += size
-        if offset != vec.size:
-            raise ValueError(f"vector length {vec.size} != parameter count {offset}")
-        return cls(config=cfg, params=params)
+        """The state whose `to_vector` is `vec`, in `vec`'s dtype. Its
+        parameters are views of one copy of `vec`."""
+        table, n = _packing(cfg)
+        vec = np.array(vec)
+        if vec.size != n:
+            raise ValueError(f"vector length {vec.size} != parameter count {n}")
+        return cls(config=cfg, params={name: vec[part].reshape(shape)
+                                       for name, shape, part in table})
 
     def copy(self) -> "EncoderState":
         return EncoderState(config=self.config, params={k: v.copy() for k, v in self.params.items()})
@@ -228,31 +248,63 @@ def apply_mask(
 # forward / backward
 # ----------------------------------------------------------------------
 
+# dtype -> read-only ones vector, rebuilt when a longer sum than it holds arrives
+_ones_vectors: dict[np.dtype, np.ndarray] = {}
+
+
+def _ones(n: int, dtype) -> np.ndarray:
+    ones = _ones_vectors.get(np.dtype(dtype))
+    if ones is None or ones.size < n:
+        ones = np.ones(n, dtype)
+        ones.setflags(write=False)
+        _ones_vectors[ones.dtype] = ones
+    return ones[:n]
+
+
+def _row_sums(x: Matrix) -> Matrix:
+    """The sum of each row of `x`, shape (rows, 1), as one BLAS product."""
+    return (x @ _ones(x.shape[1], x.dtype))[:, None]
+
+
+def _col_sums(x: Matrix) -> np.ndarray:
+    """The sum of each column of `x`, shape (cols,), as one BLAS product."""
+    return _ones(x.shape[0], x.dtype) @ x
+
+
 def _layer_norm(x: Matrix, gain: np.ndarray, bias: np.ndarray):
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mean) * inv_std
-    return gain * xhat + bias, xhat, inv_std
+    d = x.shape[1]
+    xhat = x - _row_sums(x) / d
+    inv_std = 1.0 / np.sqrt(_row_sums(xhat * xhat) / d + LN_EPS)
+    xhat *= inv_std
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv_std
 
 
 def _layer_norm_backward(g_out: Matrix, xhat: Matrix, inv_std: Matrix, gain: np.ndarray):
-    g_gain = (g_out * xhat).sum(axis=0)
-    g_bias = g_out.sum(axis=0)
-    g_xhat = g_out * gain
+    """The gradients of `_layer_norm`'s input, gain and bias; the input's is
+    written over `g_out`."""
     d = xhat.shape[1]
-    g_x = inv_std * (
-        g_xhat
-        - g_xhat.mean(axis=1, keepdims=True)
-        - xhat * (g_xhat * xhat).sum(axis=1, keepdims=True) / d
-    )
+    prod = g_out * xhat
+    g_gain = _col_sums(prod)
+    g_bias = _col_sums(g_out)
+    g_x = g_out
+    g_x *= gain  # the gradient at xhat
+    np.multiply(g_x, xhat, out=prod)
+    np.multiply(xhat, _row_sums(prod), out=prod)
+    prod /= d
+    g_x -= _row_sums(g_x) / d
+    g_x -= prod
+    g_x *= inv_std
     return g_x, g_gain, g_bias
 
 
 def _softmax_rows(x: Matrix) -> Matrix:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of `x`, written over `x`."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= _row_sums(x)
+    return x
 
 
 def forward(
@@ -279,9 +331,9 @@ def forward(
         raise ValueError(f"feature dim {x_in.shape[1]} != config {cfg.feature_dim}")
     scale = 1.0 / math.sqrt(cfg.model_dim)
 
-    h0 = (x_in @ p["in_proj.weight"] + p["in_proj.bias"]
-          + positional_encoding(x_in.shape[0], cfg.model_dim, dtype))
-    x = h0
+    x = x_in @ p["in_proj.weight"]
+    x += p["in_proj.bias"]
+    x += positional_encoding(x_in.shape[0], cfg.model_dim, dtype)
     blocks = []
     for b in range(cfg.n_blocks):
         pre = f"block{b}."
@@ -289,17 +341,22 @@ def forward(
         q = a_in @ p[pre + "attn.wq"]
         k = a_in @ p[pre + "attn.wk"]
         v = a_in @ p[pre + "attn.wv"]
-        attn = _softmax_rows(q @ k.T * scale)
+        scores = q @ k.T
+        scores *= scale
+        attn = _softmax_rows(scores)
         att_out = attn @ v
-        o = att_out @ p[pre + "attn.wo"]
-        x_mid = x + o
+        x_mid = att_out @ p[pre + "attn.wo"]
+        x_mid += x
         m_in, xhat2, inv_std2 = _layer_norm(x_mid, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-        h_act = np.tanh(m_in @ p[pre + "mlp.w1"] + p[pre + "mlp.b1"])
-        x_out = x_mid + h_act @ p[pre + "mlp.w2"] + p[pre + "mlp.b2"]
+        h_act = m_in @ p[pre + "mlp.w1"]
+        h_act += p[pre + "mlp.b1"]
+        np.tanh(h_act, out=h_act)
+        x = x_mid
+        x += h_act @ p[pre + "mlp.w2"]
+        x += p[pre + "mlp.b2"]
         blocks.append(dict(xhat1=xhat1, inv_std1=inv_std1, a_in=a_in, q=q, k=k, v=v,
                            attn=attn, att_out=att_out, xhat2=xhat2, inv_std2=inv_std2,
                            m_in=m_in, h_act=h_act))
-        x = x_out
     if not np.isfinite(x).all():
         raise TrainingDivergedError("non-finite activations in encoder forward")
     cache = dict(state=state, x_in=x_in, blocks=blocks, reps=x,
@@ -331,58 +388,67 @@ def backward(
     p = state.params
     reps = cache["reps"]
     scale = 1.0 / math.sqrt(cfg.model_dim)
-    grads: dict[str, np.ndarray] = {}  # set once each, so one widened entry widens the result
+    grads: dict[str, np.ndarray] = {}
 
     g = np.zeros_like(reps)
     if grad_reps is not None:
         if grad_reps.shape != reps.shape:
             raise ValueError("grad_reps shape mismatch")
-        g = g + grad_reps.astype(reps.dtype, copy=False)
+        g += grad_reps.astype(reps.dtype, copy=False)
     if grad_logits is not None:
         if grad_logits.shape != (reps.shape[0], cfg.k_codewords):
             raise ValueError("grad_logits shape mismatch")
         grad_logits = grad_logits.astype(reps.dtype, copy=False)
         grads["head.weight"] = reps.T @ grad_logits
-        grads["head.bias"] = grad_logits.sum(axis=0)
-        g = g + grad_logits @ p["head.weight"].T
+        grads["head.bias"] = _col_sums(grad_logits)
+        g += grad_logits @ p["head.weight"].T
 
     for b in reversed(range(cfg.n_blocks)):
         pre = f"block{b}."
         c = cache["blocks"][b]
         # MLP sub-block: x_out = x_mid + tanh(m_in W1 + b1) W2 + b2
-        g_hact = g @ p[pre + "mlp.w2"].T
+        g_hpre = g @ p[pre + "mlp.w2"].T
         grads[pre + "mlp.w2"] = c["h_act"].T @ g
-        grads[pre + "mlp.b2"] = g.sum(axis=0)
-        g_hpre = g_hact * (1.0 - c["h_act"] ** 2)
+        grads[pre + "mlp.b2"] = _col_sums(g)
+        dtanh = np.square(c["h_act"])
+        np.subtract(1.0, dtanh, out=dtanh)
+        g_hpre *= dtanh
         grads[pre + "mlp.w1"] = c["m_in"].T @ g_hpre
-        grads[pre + "mlp.b1"] = g_hpre.sum(axis=0)
-        g_min = g_hpre @ p[pre + "mlp.w1"].T
-        g_ln2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_backward(
-            g_min, c["xhat2"], c["inv_std2"], p[pre + "ln2.gain"])
-        g_xmid = g + g_ln2
+        grads[pre + "mlp.b1"] = _col_sums(g_hpre)
+        g_xmid, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_backward(
+            g_hpre @ p[pre + "mlp.w1"].T, c["xhat2"], c["inv_std2"], p[pre + "ln2.gain"])
+        g_xmid += g
         # attention sub-block: x_mid = x + (softmax(q k^T scale) v) Wo
-        g_o = g_xmid
-        grads[pre + "attn.wo"] = c["att_out"].T @ g_o
-        g_attout = g_o @ p[pre + "attn.wo"].T
-        g_attn = g_attout @ c["v"].T
+        grads[pre + "attn.wo"] = c["att_out"].T @ g_xmid
+        g_attout = g_xmid @ p[pre + "attn.wo"].T
+        g_scores = g_attout @ c["v"].T
         g_v = c["attn"].T @ g_attout
-        g_scores = c["attn"] * (g_attn - (g_attn * c["attn"]).sum(axis=1, keepdims=True))
-        g_q = g_scores @ c["k"] * scale
-        g_k = g_scores.T @ c["q"] * scale
+        g_scores -= _row_sums(g_scores * c["attn"])
+        g_scores *= c["attn"]
+        g_q = g_scores @ c["k"]
+        g_q *= scale
+        g_k = g_scores.T @ c["q"]
+        g_k *= scale
         grads[pre + "attn.wq"] = c["a_in"].T @ g_q
         grads[pre + "attn.wk"] = c["a_in"].T @ g_k
         grads[pre + "attn.wv"] = c["a_in"].T @ g_v
-        g_ain = g_q @ p[pre + "attn.wq"].T + g_k @ p[pre + "attn.wk"].T + g_v @ p[pre + "attn.wv"].T
-        g_ln1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_backward(
+        g_ain = g_q @ p[pre + "attn.wq"].T
+        g_ain += g_k @ p[pre + "attn.wk"].T
+        g_ain += g_v @ p[pre + "attn.wv"].T
+        g, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_backward(
             g_ain, c["xhat1"], c["inv_std1"], p[pre + "ln1.gain"])
-        g = g_xmid + g_ln1
+        g += g_xmid
 
     grads["in_proj.weight"] = cache["x_in"].T @ g
-    grads["in_proj.bias"] = g.sum(axis=0)
+    grads["in_proj.bias"] = _col_sums(g)
     if cache["mask"] is not None and cache["mask"].size:
         g_input = g @ p["in_proj.weight"].T
-        grads["mask_embedding"] = g_input[cache["mask"]].sum(axis=0)
-    layout = param_layout(cfg)
-    for name, shape in layout:  # a path not taken (no logits, no mask) has zero gradient
-        grads.setdefault(name, np.zeros(shape, reps.dtype))
-    return np.concatenate([grads[name].ravel() for name, _ in layout])
+        grads["mask_embedding"] = _col_sums(g_input[cache["mask"]])
+    # A path not taken (no logits, no mask) has zero gradient, and one
+    # widened entry widens the result.
+    table, n = _packing(cfg)
+    flat = np.zeros(n, np.result_type(*grads.values()))
+    for name, _, part in table:
+        if name in grads:
+            flat[part] = grads[name].ravel()
+    return flat

@@ -52,6 +52,31 @@ class TestChannelVarianceReport:
         row = report.cell("music", float("inf"))
         assert np.array_equal(row.per_channel, expected)
 
+    def test_clean_rows_are_encoded_once(self, trained_encoder, mini_corpus, monkeypatch):
+        """Every kind's clean row is the one read-only vector of a single
+        clean encoding of the corpus, equal to a report of that kind alone."""
+        kinds, snrs = ["music", "natural", "babble"], [float("inf"), 5.0]
+        calls = []
+        forward = analysis.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "forward", counted)
+        report = analysis.channel_variance_report(trained_encoder, mini_corpus, kinds, snrs,
+                                                  seed=4)
+        assert len(calls) == (1 + len(kinds)) * len(mini_corpus)
+        clean = [report.cell(kind, float("inf")).per_channel for kind in kinds]
+        assert all(row is clean[0] for row in clean)
+        assert not clean[0].flags.writeable
+        for kind in kinds:
+            alone = analysis.channel_variance_report(trained_encoder, mini_corpus, [kind],
+                                                     snrs, seed=4)
+            for snr in snrs:
+                assert (report.cell(kind, snr).per_channel.tobytes()
+                        == alone.cell(kind, snr).per_channel.tobytes())
+
     def test_mean_equals_mean_of_per_channel(self, trained_encoder, mini_corpus):
         report = analysis.channel_variance_report(
             trained_encoder, mini_corpus, ["music", "natural"], [5.0, float("inf")], seed=4)

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from vicspeech import model
 from vicspeech.losses import masked_prediction_loss
 from vicspeech.model import (
+    LN_EPS,
     EncoderConfig,
     EncoderState,
     MaskSpec,
+    TrainingDivergedError,
     apply_mask,
     backward,
     forward,
@@ -23,7 +25,7 @@ from vicspeech.model import (
     predict_codewords,
     sample_mask,
 )
-from vicspeech.numerics import grad_check
+from vicspeech.numerics import as_matrix, grad_check
 
 
 @pytest.fixture
@@ -350,3 +352,271 @@ class TestSerializationRoundTrip:
             assert value.dtype == model.PARAM_DTYPE
             assert back.params[name].dtype == value.dtype
             assert back.params[name].tobytes() == value.tobytes()
+
+
+# ----------------------------------------------------------------------
+# references: the encoder as it was before its sums went through BLAS and
+# its arithmetic went in place, kept verbatim
+# ----------------------------------------------------------------------
+
+def _ref_layer_norm(x, gain, bias):
+    mean = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mean) * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def _ref_layer_norm_backward(g_out, xhat, inv_std, gain):
+    g_gain = (g_out * xhat).sum(axis=0)
+    g_bias = g_out.sum(axis=0)
+    g_xhat = g_out * gain
+    d = xhat.shape[1]
+    g_x = inv_std * (
+        g_xhat
+        - g_xhat.mean(axis=1, keepdims=True)
+        - xhat * (g_xhat * xhat).sum(axis=1, keepdims=True) / d
+    )
+    return g_x, g_gain, g_bias
+
+
+def _ref_softmax_rows(x):
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_forward(state, x, training=False, mask=None):
+    cfg = state.config
+    p = state.params
+    dtype = p["in_proj.weight"].dtype
+    x_in = as_matrix(x, "frames", dtype)
+    if x_in.shape[1] != cfg.feature_dim:
+        raise ValueError(f"feature dim {x_in.shape[1]} != config {cfg.feature_dim}")
+    scale = 1.0 / math.sqrt(cfg.model_dim)
+
+    h0 = (x_in @ p["in_proj.weight"] + p["in_proj.bias"]
+          + positional_encoding(x_in.shape[0], cfg.model_dim, dtype))
+    x = h0
+    blocks = []
+    for b in range(cfg.n_blocks):
+        pre = f"block{b}."
+        a_in, xhat1, inv_std1 = _ref_layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        q = a_in @ p[pre + "attn.wq"]
+        k = a_in @ p[pre + "attn.wk"]
+        v = a_in @ p[pre + "attn.wv"]
+        attn = _ref_softmax_rows(q @ k.T * scale)
+        att_out = attn @ v
+        o = att_out @ p[pre + "attn.wo"]
+        x_mid = x + o
+        m_in, xhat2, inv_std2 = _ref_layer_norm(x_mid, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        h_act = np.tanh(m_in @ p[pre + "mlp.w1"] + p[pre + "mlp.b1"])
+        x_out = x_mid + h_act @ p[pre + "mlp.w2"] + p[pre + "mlp.b2"]
+        blocks.append(dict(xhat1=xhat1, inv_std1=inv_std1, a_in=a_in, q=q, k=k, v=v,
+                           attn=attn, att_out=att_out, xhat2=xhat2, inv_std2=inv_std2,
+                           m_in=m_in, h_act=h_act))
+        x = x_out
+    if not np.isfinite(x).all():
+        raise TrainingDivergedError("non-finite activations in encoder forward")
+    cache = dict(state=state, x_in=x_in, blocks=blocks, reps=x,
+                 mask=None if mask is None else mask.masked_frames)
+    return x, cache
+
+
+def _ref_backward(cache, grad_reps=None, grad_logits=None):
+    state = cache["state"]
+    cfg = state.config
+    p = state.params
+    reps = cache["reps"]
+    scale = 1.0 / math.sqrt(cfg.model_dim)
+    grads = {}  # set once each, so one widened entry widens the result
+
+    g = np.zeros_like(reps)
+    if grad_reps is not None:
+        if grad_reps.shape != reps.shape:
+            raise ValueError("grad_reps shape mismatch")
+        g = g + grad_reps.astype(reps.dtype, copy=False)
+    if grad_logits is not None:
+        if grad_logits.shape != (reps.shape[0], cfg.k_codewords):
+            raise ValueError("grad_logits shape mismatch")
+        grad_logits = grad_logits.astype(reps.dtype, copy=False)
+        grads["head.weight"] = reps.T @ grad_logits
+        grads["head.bias"] = grad_logits.sum(axis=0)
+        g = g + grad_logits @ p["head.weight"].T
+
+    for b in reversed(range(cfg.n_blocks)):
+        pre = f"block{b}."
+        c = cache["blocks"][b]
+        # MLP sub-block: x_out = x_mid + tanh(m_in W1 + b1) W2 + b2
+        g_hact = g @ p[pre + "mlp.w2"].T
+        grads[pre + "mlp.w2"] = c["h_act"].T @ g
+        grads[pre + "mlp.b2"] = g.sum(axis=0)
+        g_hpre = g_hact * (1.0 - c["h_act"] ** 2)
+        grads[pre + "mlp.w1"] = c["m_in"].T @ g_hpre
+        grads[pre + "mlp.b1"] = g_hpre.sum(axis=0)
+        g_min = g_hpre @ p[pre + "mlp.w1"].T
+        g_ln2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _ref_layer_norm_backward(
+            g_min, c["xhat2"], c["inv_std2"], p[pre + "ln2.gain"])
+        g_xmid = g + g_ln2
+        # attention sub-block: x_mid = x + (softmax(q k^T scale) v) Wo
+        g_o = g_xmid
+        grads[pre + "attn.wo"] = c["att_out"].T @ g_o
+        g_attout = g_o @ p[pre + "attn.wo"].T
+        g_attn = g_attout @ c["v"].T
+        g_v = c["attn"].T @ g_attout
+        g_scores = c["attn"] * (g_attn - (g_attn * c["attn"]).sum(axis=1, keepdims=True))
+        g_q = g_scores @ c["k"] * scale
+        g_k = g_scores.T @ c["q"] * scale
+        grads[pre + "attn.wq"] = c["a_in"].T @ g_q
+        grads[pre + "attn.wk"] = c["a_in"].T @ g_k
+        grads[pre + "attn.wv"] = c["a_in"].T @ g_v
+        g_ain = g_q @ p[pre + "attn.wq"].T + g_k @ p[pre + "attn.wk"].T + g_v @ p[pre + "attn.wv"].T
+        g_ln1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _ref_layer_norm_backward(
+            g_ain, c["xhat1"], c["inv_std1"], p[pre + "ln1.gain"])
+        g = g_xmid + g_ln1
+
+    grads["in_proj.weight"] = cache["x_in"].T @ g
+    grads["in_proj.bias"] = g.sum(axis=0)
+    if cache["mask"] is not None and cache["mask"].size:
+        g_input = g @ p["in_proj.weight"].T
+        grads["mask_embedding"] = g_input[cache["mask"]].sum(axis=0)
+    layout = param_layout(cfg)
+    for name, shape in layout:  # a path not taken (no logits, no mask) has zero gradient
+        grads.setdefault(name, np.zeros(shape, reps.dtype))
+    return np.concatenate([grads[name].ravel() for name, _ in layout])
+
+
+def _numpy_row_sums(x):
+    return x.sum(axis=1, keepdims=True)
+
+
+def _numpy_col_sums(x):
+    return x.sum(axis=0)
+
+
+UPSTREAMS = list(itertools.product((False, True), repeat=2))  # (grad_reps, grad_logits) given
+
+
+def _encoder_case(n_frames, model_dim, masked, mask_prob, seed, dtype):
+    """A state with every parameter moved off its init, in `dtype`; frames
+    in `dtype` (so that `forward` reads them in place), with the masked rows
+    substituted when `masked`; the mask or None; and both upstreams, each
+    with a -0.0 entry."""
+    cfg = EncoderConfig(feature_dim=10, model_dim=model_dim, n_blocks=2, mlp_hidden=24,
+                        k_codewords=8, mask_start_prob=mask_prob, mask_span=4)
+    rng = np.random.default_rng(seed)
+    vec = init_encoder(cfg, seed).to_vector().astype(np.float64)
+    state = EncoderState.from_vector(cfg, (vec + 0.1 * rng.standard_normal(vec.size)).astype(dtype))
+    frames = rng.standard_normal((n_frames, cfg.feature_dim)).astype(dtype)
+    spec = None
+    if masked:
+        frames, spec = apply_mask(frames, cfg, seed, state.params["mask_embedding"])
+    grad_reps = rng.standard_normal((n_frames, model_dim)).astype(dtype)
+    grad_logits = rng.standard_normal((n_frames, cfg.k_codewords)).astype(dtype)
+    grad_reps[0, -1] = grad_logits[-1, 0] = -0.0
+    return state, frames, spec, grad_reps, grad_logits
+
+
+def _upstream(given, grad_reps, grad_logits):
+    return dict(grad_reps=grad_reps if given[0] else None,
+                grad_logits=grad_logits if given[1] else None)
+
+
+def _cache_arrays(cache):
+    """Every array of a forward cache, by a name of its own."""
+    out = {"x_in": cache["x_in"], "reps": cache["reps"]}
+    if cache["mask"] is not None:
+        out["mask"] = cache["mask"]
+    for b, block in enumerate(cache["blocks"]):
+        out.update({f"block{b}.{key}": value for key, value in block.items()})
+    return out
+
+
+ENCODER_CASES = dict(n_frames=st.integers(1, 320), model_dim=st.sampled_from([8, 12, 20, 32]),
+                     masked=st.booleans(), mask_prob=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                     seed=st.integers(0, 2**32 - 1))
+
+
+class TestEncoderEqualsReference:
+    """The encoder against the references above: bit for bit when its sums
+    are numpy's, and within float32 rounding with the sums it ships."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**ENCODER_CASES)
+    def test_bitwise_with_numpy_sums(self, n_frames, model_dim, masked, mask_prob, seed):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(model, "_row_sums", _numpy_row_sums)
+            m.setattr(model, "_col_sums", _numpy_col_sums)
+            for dtype in (np.float32, np.float64):
+                state, frames, spec, grad_reps, grad_logits = _encoder_case(
+                    n_frames, model_dim, masked, mask_prob, seed, dtype)
+                reps, cache = forward(state, frames, mask=spec)
+                want_reps, want_cache = _ref_forward(state, frames, mask=spec)
+                assert reps.tobytes() == want_reps.tobytes()
+                got, want = _cache_arrays(cache), _cache_arrays(want_cache)
+                assert got.keys() == want.keys()
+                for key in want:
+                    assert got[key].dtype == want[key].dtype, key
+                    assert got[key].tobytes() == want[key].tobytes(), key
+                for given_ in UPSTREAMS:
+                    up = _upstream(given_, grad_reps, grad_logits)
+                    grad = backward(cache, **up)
+                    ref = _ref_backward(want_cache, **up)
+                    assert grad.dtype == ref.dtype
+                    assert grad.tobytes() == ref.tobytes(), given_
+
+    @settings(max_examples=25, deadline=None)
+    @given(**ENCODER_CASES)
+    def test_within_rounding_of_the_reference(self, n_frames, model_dim, masked, mask_prob,
+                                              seed):
+        """Each output, and each parameter's gradient, differs from the
+        reference's by at most 1e-5 of its largest magnitude."""
+        for dtype in (np.float32, np.float64):
+            state, frames, spec, grad_reps, grad_logits = _encoder_case(
+                n_frames, model_dim, masked, mask_prob, seed, dtype)
+            reps, cache = forward(state, frames, mask=spec)
+            want_reps, want_cache = _ref_forward(state, frames, mask=spec)
+            assert np.abs(reps - want_reps).max() <= 1e-5 * np.abs(want_reps).max()
+            for given_ in UPSTREAMS[1:]:
+                up = _upstream(given_, grad_reps, grad_logits)
+                grad = backward(cache, **up)
+                ref = _ref_backward(want_cache, **up)
+                offset = 0
+                for name, shape in param_layout(state.config):
+                    size = math.prod(shape)
+                    g, r = grad[offset : offset + size], ref[offset : offset + size]
+                    assert np.abs(g - r).max() <= 1e-5 * np.abs(r).max(), (given_, name)
+                    offset += size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_inputs_parameters_and_cache_are_left_unchanged(self, dtype, masked):
+        """The frames are already in the parameters' dtype, so `forward`
+        caches them as they are, and the upstreams reach `backward`'s
+        arithmetic uncopied; every one of them keeps its bytes, and two
+        `backward` calls on one cache agree."""
+        state, frames, spec, grad_reps, grad_logits = _encoder_case(
+            145, 32, masked, 0.1, 11, dtype)
+        before = {name: value.tobytes() for name, value in state.params.items()}
+        frames_before = frames.tobytes()
+        reps, cache = forward(state, frames, mask=spec)
+        assert cache["x_in"] is frames
+        assert frames.tobytes() == frames_before
+        cached = {key: value.tobytes() for key, value in _cache_arrays(cache).items()}
+        upstream = (grad_reps.tobytes(), grad_logits.tobytes())
+        for given_ in UPSTREAMS:
+            up = _upstream(given_, grad_reps, grad_logits)
+            first = backward(cache, **up)
+            assert backward(cache, **up).tobytes() == first.tobytes()
+        assert {key: value.tobytes() for key, value in _cache_arrays(cache).items()} == cached
+        assert (grad_reps.tobytes(), grad_logits.tobytes()) == upstream
+        assert {name: value.tobytes() for name, value in state.params.items()} == before
+        assert frames.tobytes() == frames_before
+
+    def test_ones_vectors_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(model, "_ones_vectors", {})
+        for n, dtype in itertools.product((32, 1, 320, 145), (np.float32, np.float64)):
+            ones = model._ones(n, dtype)
+            assert ones.dtype == dtype and ones.shape == (n,) and np.all(ones == 1.0)
+            with pytest.raises(ValueError):
+                ones[0] = 2.0

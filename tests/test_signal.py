@@ -457,7 +457,7 @@ class _FailingPiece:
         raise RuntimeError("failing piece")
 
 
-class TestThreadedRender:
+class TestRenderBytes:
     """The kernel's matrix product runs in BLAS, and synthesis may be called
     from several threads: the bytes equal the references above at any BLAS
     thread count and with several callers at once."""
@@ -512,7 +512,7 @@ class TestThreadedRender:
         assert not any(caller.is_alive() for caller in callers)
         assert got == [want] * len(got)
 
-    def test_a_failing_piece_raises_in_the_caller_and_the_worker_lives_on(self):
+    def test_a_failing_piece_raises_and_the_next_render_is_unchanged(self):
         """The renderer, which works on the calling thread, hands a piece's
         exception to its caller and renders the next call's pieces as before."""
         segs = [_draw_segment(np.random.default_rng(seed), 3, 2000) for seed in range(3)]

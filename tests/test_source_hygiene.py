@@ -6,8 +6,10 @@ the sample rate and the frame length and hop are known to ``signal`` alone,
 float32 is named only by ``model``'s parameter dtype and by
 ``checkpoint``'s on-disk format, synthesis runs on the calling thread:
 ``signal`` imports no ``threading`` and no module names ``synthesis_threads``,
-and in ``signal`` only the synthesis tables and the peak-bound grid take a
-``sin`` or ``cos``, so no per-sample trigonometry comes back.
+in ``signal`` only the synthesis tables and the peak-bound grid take a
+``sin`` or ``cos``, so no per-sample trigonometry comes back, and in
+``model`` every sum goes through the two BLAS helpers, so no numpy reduction
+over a short row comes back.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -446,3 +448,43 @@ def test_a_trig_use_is_found():
     assert _trig_uses(source) == [
         "line 5: cos", "line 9: cos", "line 9: sin", "line 9: sin", "line 12: sin",
         "line 14: cos"]
+
+
+# the functions of model.py that take every sum the encoder takes
+SUMMERS = {"_row_sums", "_col_sums"}
+
+
+def _reductions(source: str) -> list[str]:
+    """Where `source` names ``sum``, ``mean``, ``var`` or ``std`` as an
+    attribute (a method such as ``x.sum`` or a function such as
+    ``np.mean``, called or not), outside the top-level functions in
+    `SUMMERS`."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in SUMMERS:
+            continue
+        found += [(node.lineno, node.attr) for node in ast.walk(stmt)
+                  if isinstance(node, ast.Attribute) and node.attr in ("sum", "mean", "var", "std")]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_model_sums_only_in_its_blas_helpers():
+    assert _reductions((PACKAGE / "model.py").read_text(encoding="utf-8")) == []
+
+
+def test_a_reduction_is_found():
+    source = ("import numpy as np\n"
+              "def _row_sums(x):\n"
+              "    return x.sum(axis=1, keepdims=True)\n"
+              "def _layer_norm(x):\n"
+              "    return x.mean(axis=1), np.var(x, axis=1), x.std()\n"
+              "class EncoderState:\n"
+              "    def n_params(self):\n"
+              "        return sum(p.size for p in self.params) + np.sum(self.v)\n"
+              "        def _col_sums(x):\n"
+              "            return x.sum(axis=0)\n"
+              "TOTAL = np.add.reduce, 'sum and mean in prose are not reductions'\n"
+              "f = np.mean\n")
+    assert _reductions(source) == [
+        "line 5: mean", "line 5: std", "line 5: var", "line 8: sum", "line 10: sum",
+        "line 12: mean"]
