@@ -496,11 +496,8 @@ def gradcheck_suite(seed: int = 0, step: float = 1e-5):
     loss_of, grad, vec0, cfg = _full_model_loss_and_grad(seed)
     coords = set(rng.choice(vec0.size, size=min(_N_MODEL_COORDS, vec0.size),
                             replace=False).tolist())
-    offset = 0
-    for name, shape in param_layout(cfg):
-        size = int(np.prod(shape))
+    for name, _, part in param_layout(cfg):
         if name in ("mask_embedding", "head.weight", "head.bias", "in_proj.weight"):
-            coords.update(range(offset, min(offset + 3, offset + size)))
-        offset += size
+            coords.update(range(part.start, min(part.start + 3, part.stop)))
     out.append(("full_model_total", grad_check(loss_of, grad, vec0, step, indices=sorted(coords))))
     return out

@@ -118,11 +118,7 @@ def _config_name(cfg: EncoderConfig) -> str:
 
 
 def save_encoder(path, state: EncoderState) -> None:
-    cfg = state.config
-    tensors = {_config_name(cfg): np.zeros((0,))}
-    for name, _ in param_layout(cfg):
-        tensors[name] = state.params[name]
-    save_tensors(path, tensors)
+    save_tensors(path, {_config_name(state.config): np.zeros((0,)), **state.params})
 
 
 def load_encoder(path) -> EncoderState:
@@ -141,14 +137,14 @@ def load_encoder(path) -> EncoderState:
         cfg = EncoderConfig(**parsed)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    params = {}
-    for name, shape in param_layout(cfg):
+    layout = param_layout(cfg)
+    for name, shape, _ in layout:
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name}")
         if tensors[name].shape != shape:
             raise CheckpointError(f"{path}: tensor {name} has shape {tensors[name].shape}, expected {shape}")
-        params[name] = tensors[name].astype(PARAM_DTYPE)
-    return EncoderState(config=cfg, params=params)
+    return EncoderState(cfg, np.concatenate([tensors[name].ravel() for name, _, _ in layout],
+                                            dtype=PARAM_DTYPE))
 
 
 def save_codebook(path, cb: Codebook) -> None:

@@ -77,7 +77,7 @@ def _resolve(args) -> LabConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _echo(cfg: LabConfig, blas_pinned: bool) -> None:
+def _echo(cfg: LabConfig, blas_pinned: bool, args) -> None:
     # output bytes depend on the BLAS thread count, so the run records it
     print("# resolved config")
     print(f"# numpy {np.__version__}")
@@ -87,6 +87,11 @@ def _echo(cfg: LabConfig, blas_pinned: bool) -> None:
         print("# BLAS threads not pinned: no OpenBLAS handle found, the environment sets them")
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             print(f"# {var} = {os.environ.get(var, 'unset')}")
+    # the subcommand's own options; config keys follow as `key = value`
+    for name, value in vars(args).items():
+        if name not in ("command", "func") and not name.startswith("cfg_"):
+            value = ",".join(map(str, value)) if isinstance(value, list) else value
+            print(f"# --{name.replace('_', '-')} = {'unset' if value is None else value}")
     print(cfg.echo())
 
 
@@ -420,7 +425,10 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = _resolve(args)
-        _echo(cfg, _pin_blas())
+        if cfg["eval_interval"] and hasattr(args, "log") and args.log is None:
+            # the training-time probe rows are written beside the loss CSV
+            raise ConfigError(f"eval_interval = {cfg['eval_interval']} needs --log")
+        _echo(cfg, _pin_blas(), args)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

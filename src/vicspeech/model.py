@@ -1,12 +1,12 @@
 """Tiny pre-norm transformer encoder with span masking, a codeword prediction
 head, and exact hand-derived backward passes.
 
-The parameter set has a deterministic named layout (see :func:`param_layout`)
-so states flatten to vectors for the optimizer and serialize stably. The
-backward pass accepts simultaneous upstream gradients from the prediction
-head (``grad_logits``) and from regularizers acting on the final
-representations (``grad_reps``); backprop is linear in its upstream, so the
-two paths are additive.
+An encoder state is one read-only vector packed in the deterministic order of
+:func:`param_layout`, and its named parameters are views of it; the optimizer
+takes the vector and a checkpoint writes the views. The backward pass accepts
+simultaneous upstream gradients from the prediction head (``grad_logits``) and
+from regularizers acting on the final representations (``grad_reps``);
+backprop is linear in its upstream, so the two paths are additive.
 
 Masking replaces whole rows of a frames matrix with a learned embedding.
 ``forward`` takes the already-substituted frames matrix plus the mask; it
@@ -80,10 +80,13 @@ class EncoderConfig:
             raise ValueError("mask_start_prob must be in [0, 1]")
 
 
-def param_layout(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Deterministic (name, shape) list; vector packing and checkpoints follow it."""
+@functools.lru_cache(maxsize=None)
+def param_layout(cfg: EncoderConfig) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
+    """Each parameter's (name, shape, slice of the packed vector), in the
+    deterministic order that states, gradients and checkpoints follow; one
+    table per config."""
     f, d, h, k = cfg.feature_dim, cfg.model_dim, cfg.mlp_hidden, cfg.k_codewords
-    layout: list[tuple[str, tuple[int, ...]]] = [
+    shapes: list[tuple[str, tuple[int, ...]]] = [
         ("in_proj.weight", (f, d)),
         ("in_proj.bias", (d,)),
     ]
@@ -92,7 +95,7 @@ def param_layout(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
         # Attention maps are bias-free: a key bias shifts every score in a row
         # by the same amount, which row softmax cancels exactly, leaving a
         # parameter with identically zero gradient.
-        layout += [
+        shapes += [
             (p + "ln1.gain", (d,)),
             (p + "ln1.bias", (d,)),
             (p + "attn.wq", (d, d)),
@@ -106,72 +109,67 @@ def param_layout(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
             (p + "mlp.w2", (h, d)),
             (p + "mlp.b2", (d,)),
         ]
-    layout += [
+    shapes += [
         ("mask_embedding", (f,)),
         ("head.weight", (d, k)),
         ("head.bias", (k,)),
     ]
-    return layout
+    layout, offset = [], 0
+    for name, shape in shapes:
+        layout.append((name, shape, slice(offset, offset + math.prod(shape))))
+        offset += math.prod(shape)
+    return tuple(layout)
 
 
-@functools.lru_cache(maxsize=None)
-def _packing(cfg: EncoderConfig) -> tuple[tuple[tuple[str, tuple[int, ...], slice], ...], int]:
-    """Each parameter's (name, shape, slice of the packed vector), in
-    `param_layout` order, and the vector's length."""
-    table, offset = [], 0
-    for name, shape in param_layout(cfg):
-        size = math.prod(shape)
-        table.append((name, shape, slice(offset, offset + size)))
-        offset += size
-    return tuple(table), offset
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EncoderState:
+    """An encoder's parameters: `vector`, packed in `param_layout` order,
+    which the state makes read-only, and `params`, a view of each parameter
+    by name. The caller gives `vector` up; `from_vector` copies instead."""
+
     config: EncoderConfig
-    params: dict[str, np.ndarray]
+    vector: np.ndarray
+
+    def __post_init__(self):
+        n = param_layout(self.config)[-1][2].stop
+        if self.vector.shape != (n,):
+            raise ValueError(f"vector shape {self.vector.shape}, expected ({n},)")
+        self.vector.setflags(write=False)
+
+    @functools.cached_property
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: self.vector[part].reshape(shape)
+                for name, shape, part in param_layout(self.config)}
 
     def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.vector.size
 
     def to_vector(self) -> np.ndarray:
-        table, _ = _packing(self.config)
-        return np.concatenate([self.params[name].ravel() for name, _, _ in table])
+        return self.vector
 
     @classmethod
     def from_vector(cls, cfg: EncoderConfig, vec: np.ndarray) -> "EncoderState":
-        """The state whose `to_vector` is `vec`, in `vec`'s dtype. Its
-        parameters are views of one copy of `vec`."""
-        table, n = _packing(cfg)
-        vec = np.array(vec)
-        if vec.size != n:
-            raise ValueError(f"vector length {vec.size} != parameter count {n}")
-        return cls(config=cfg, params={name: vec[part].reshape(shape)
-                                       for name, shape, part in table})
-
-    def copy(self) -> "EncoderState":
-        return EncoderState(config=self.config, params={k: v.copy() for k, v in self.params.items()})
+        """The state that holds a copy of `vec`, in `vec`'s dtype."""
+        return cls(cfg, np.array(vec))
 
 
 def init_encoder(cfg: EncoderConfig, seed: int) -> EncoderState:
     """Scaled-uniform init: weights U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     layer-norm gains 1, all biases 0. The prediction head uses a 10x smaller
     bound so initial logits are near zero and the masked loss starts at ln k.
-    Deterministic given `seed`; the draws are float64, rounded to
-    ``PARAM_DTYPE``."""
+    Deterministic given `seed`: the draws are float64, made parameter by
+    parameter in layout order, and rounded to ``PARAM_DTYPE``."""
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_layout(cfg):
+    vec = np.zeros(param_layout(cfg)[-1][2].stop, PARAM_DTYPE)
+    for name, shape, part in param_layout(cfg):
         if name.endswith(".gain"):
-            params[name] = np.ones(shape, PARAM_DTYPE)
+            vec[part] = 1.0
         elif len(shape) == 2 or name == "mask_embedding":
             bound = 1.0 / math.sqrt(shape[0])
             if name == "head.weight":
                 bound *= 0.1
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(PARAM_DTYPE)
-        else:
-            params[name] = np.zeros(shape, PARAM_DTYPE)
-    return EncoderState(config=cfg, params=params)
+            vec[part] = rng.uniform(-bound, bound, size=vec[part].size)
+    return EncoderState(cfg, vec)
 
 
 def _sinusoid_table(n_frames: int, dim: int) -> Matrix:
@@ -446,9 +444,8 @@ def backward(
         grads["mask_embedding"] = _col_sums(g_input[cache["mask"]])
     # A path not taken (no logits, no mask) has zero gradient, and one
     # widened entry widens the result.
-    table, n = _packing(cfg)
-    flat = np.zeros(n, np.result_type(*grads.values()))
-    for name, _, part in table:
+    flat = np.zeros(state.n_params(), np.result_type(*grads.values()))
+    for name, _, part in param_layout(cfg):
         if name in grads:
             flat[part] = grads[name].ravel()
     return flat

@@ -473,6 +473,6 @@ def pretrain_noisy(
         raise ValueError("need at least one config")
     if teacher.config.feature_dim != cb.feature_dim or teacher.config.k_codewords != cb.k:
         raise ValueError("teacher config does not match codebook dimensions")
-    runs = [_Run(cfg, teacher.copy(), teacher=teacher if cfg.vic_active else None)
+    runs = [_Run(cfg, teacher, teacher=teacher if cfg.vic_active else None)
             for cfg in cfgs]
     return _train_loop(runs, corpus, cb, noisy_inputs=True, eval_hook=eval_hook)

@@ -23,7 +23,7 @@ from vicspeech.checkpoint import (
     save_tensors,
 )
 from vicspeech.codebook import Codebook
-from vicspeech.model import EncoderConfig, init_encoder
+from vicspeech.model import EncoderConfig, EncoderState, init_encoder, param_layout
 
 
 def _rename_in_place(path, old: bytes, new: bytes) -> None:
@@ -250,11 +250,31 @@ class TestEncoderCheckpoints:
         cfg = EncoderConfig(feature_dim=6, model_dim=8, n_blocks=1, mlp_hidden=12,
                             k_codewords=4)
         teacher = init_encoder(cfg, 3)
-        student = teacher.copy()
+        student = EncoderState.from_vector(cfg, teacher.to_vector())
         p1, p2 = tmp_path / "t.ckpt", tmp_path / "s.ckpt"
         save_encoder(p1, teacher)
         save_encoder(p2, student)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_equal_the_per_parameter_dict_form(self, tmp_path):
+        """`save_encoder` writes the state's views of its vector: the file is
+        the one that the config tensor and a dict of separate per-parameter
+        arrays give."""
+        cfg = EncoderConfig(feature_dim=6, model_dim=8, n_blocks=2, mlp_hidden=12,
+                            k_codewords=4)
+        state = init_encoder(cfg, 4)
+        config = "meta.encoder_config|" + "|".join(str(getattr(cfg, f.name))
+                                                   for f in fields(EncoderConfig))
+        tensors = {config: np.zeros((0,))}
+        for name, shape, part in param_layout(cfg):
+            tensors[name] = state.to_vector()[part].reshape(shape).copy()
+        p1, p2 = tmp_path / "views.ckpt", tmp_path / "dict.ckpt"
+        save_encoder(p1, state)
+        save_tensors(p2, tensors)
+        assert p1.read_bytes() == p2.read_bytes()
+        loaded = load_encoder(p1)
+        assert loaded.to_vector().tobytes() == state.to_vector().tobytes()
+        assert not loaded.to_vector().flags.writeable
 
 
 class TestCodebookCheckpoints:

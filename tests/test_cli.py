@@ -21,6 +21,7 @@ from vicspeech.checkpoint import load_codebook, load_encoder, load_tensors, save
     save_tensors
 from vicspeech.cli import build_parser, run
 from vicspeech.codebook import Codebook
+from vicspeech.config import load_config
 from vicspeech.signal import Waveform, build_corpus, write_wav
 
 
@@ -230,6 +231,8 @@ class TestConfigErrorsBeforeRealInputs:
             "features": ["--manifest", manifest],
             "kmeans": ["--manifest", manifest],
             "pretrain": ["--manifest", manifest, "--codebook", codebook],
+            "vic-pretrain": ["--teacher", str(pipeline_dir / "teacher.ckpt"),
+                             "--manifest", manifest, "--codebook", codebook],
             "probe": ["--encoder", str(pipeline_dir / "teacher.ckpt"),
                       "--train-manifest", manifest],
             "ablate": ["--manifest", manifest, "--codebook", codebook,
@@ -304,6 +307,25 @@ class TestConfigErrorsBeforeRealInputs:
         assert run(argv) == 1
         assert f"config error: {config}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "vic-pretrain"])
+    @pytest.mark.parametrize("in_file", [False, True], ids=["flag", "config-file"])
+    def test_eval_interval_needs_a_log(self, pipeline_dir, tmp_path, capsys, no_reads, command,
+                                       in_file):
+        """The training-time probe rows are written beside the loss CSV, so
+        a run that makes them without `--log` would throw them away."""
+        argv = self._argv(command, pipeline_dir, tmp_path / "out.ckpt")
+        if in_file:
+            config = tmp_path / "run.cfg"
+            config.write_text("eval_interval = 2\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--eval-interval", "2"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "config error: eval_interval = 2 needs --log" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if in_file else [])
 
     def test_analyze_variance_takes_the_clean_level_alone(self):
         args = build_parser().parse_args(["analyze-variance", "--encoder", "e", "--manifest", "m",
@@ -868,6 +890,16 @@ class TestGradcheckCommand:
                      "masked_prediction", "full_model_total"):
             assert name in out
 
+    def test_echoes_its_own_flags(self, capsys):
+        """`--seed` and `--step` are no config keys; each is echoed on a
+        `# <flag> = <value>` line, and the `key = value` block is the config
+        echo alone."""
+        assert run(["gradcheck", "--seed", "2", "--step", "2e-5"]) == 0
+        out = capsys.readouterr().out
+        assert "# --seed = 2\n# --step = 2e-05\n" in out
+        block = [line for line in out.splitlines() if " = " in line and not line.startswith("#")]
+        assert "\n".join(block) == load_config().echo()
+
 
 class TestAblateCommand:
     def test_emits_four_cumulative_rows(self, pipeline_dir, tmp_path, capsys):
@@ -887,6 +919,11 @@ class TestAblateCommand:
         assert lines[0] == "config_tag,n_accuracy_mean,n_accuracy_std,l_m,s,v,c"
         tags = [line.split(",")[0] for line in lines[1:]]
         assert tags == ["lm", "lm+inv", "lm+inv+var", "lm+inv+var+cov"]
+        echoed = capsys.readouterr().out
+        for line in ("# --seeds = 1", "# --snr-levels = 5.0,inf", "# --eval-noise-kinds = natural",
+                     "# --seed = 0", f"# --out = {out}", "# --eval-manifest = unset",
+                     "steps = 3", "noise_kinds = natural"):
+            assert f"\n{line}\n" in echoed, line
 
     def test_full_row_equals_the_vic_pretrain_run_of_its_config(self, pipeline_dir, tmp_path):
         """The `lm+inv+var+cov` student of seed 1 is the one `vic-pretrain

@@ -70,7 +70,7 @@ class TestInit:
                 assert np.all(value == 0.0)
 
     def test_weight_bounds_scale_with_fan_in(self, small_state):
-        for name, shape in param_layout(small_state.config):
+        for name, shape, _ in param_layout(small_state.config):
             if len(shape) == 2:
                 bound = 1.0 / math.sqrt(shape[0])
                 assert np.abs(small_state.params[name]).max() <= bound
@@ -90,6 +90,88 @@ class TestInit:
         back = EncoderState.from_vector(small_state.config, vec)
         for name in small_state.params:
             assert np.array_equal(back.params[name], small_state.params[name])
+
+
+def _reference_init(cfg, seed):
+    """`init_encoder` before a state became one vector, kept as the
+    reference: a draw per parameter, in layout order, each its own array."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape, _ in param_layout(cfg):
+        if name.endswith(".gain"):
+            params[name] = np.ones(shape, model.PARAM_DTYPE)
+        elif len(shape) == 2 or name == "mask_embedding":
+            bound = 1.0 / math.sqrt(shape[0])
+            if name == "head.weight":
+                bound *= 0.1
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(model.PARAM_DTYPE)
+        else:
+            params[name] = np.zeros(shape, model.PARAM_DTYPE)
+    return params
+
+
+INIT_CONFIGS = [
+    EncoderConfig(),
+    EncoderConfig(feature_dim=10, model_dim=16, n_blocks=2, mlp_hidden=24, k_codewords=8),
+    EncoderConfig(feature_dim=1, model_dim=2, n_blocks=1, mlp_hidden=1, k_codewords=1),
+    EncoderConfig(feature_dim=7, model_dim=5, n_blocks=3, mlp_hidden=9, k_codewords=3),
+]
+
+
+class TestPackedState:
+    """A state is one read-only vector in `param_layout` order, and its
+    parameters are views of it."""
+
+    @pytest.mark.parametrize("cfg", INIT_CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_init_equals_per_parameter_draws(self, cfg, seed):
+        want = np.concatenate([p.ravel() for p in _reference_init(cfg, seed).values()])
+        got = init_encoder(cfg, seed).to_vector()
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_layout_slices_tile_the_vector(self, small_cfg):
+        layout = param_layout(small_cfg)
+        assert param_layout(small_cfg) is layout
+        offset = 0
+        for _, shape, part in layout:
+            assert (part.start, part.stop) == (offset, offset + math.prod(shape))
+            offset = part.stop
+        assert offset == init_encoder(small_cfg, 0).n_params()
+
+    def test_params_are_views_of_the_vector(self, small_state):
+        vec = small_state.vector
+        assert small_state.to_vector() is vec
+        for name, shape, part in param_layout(small_state.config):
+            p = small_state.params[name]
+            assert p.shape == shape
+            assert p.base is vec
+            assert p.__array_interface__["data"][0] == vec[part].__array_interface__["data"][0]
+
+    def test_writing_a_parameter_or_the_vector_raises(self, small_state):
+        before = small_state.vector.tobytes()
+        for name in ("in_proj.weight", "block1.ln2.gain", "head.bias"):
+            with pytest.raises(ValueError, match="read-only"):
+                small_state.params[name][...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            small_state.vector[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            small_state.to_vector()[:] += 1.0
+        assert small_state.vector.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_from_vector_keeps_its_own_copy(self, small_state, dtype):
+        vec = small_state.to_vector().astype(dtype)
+        state = EncoderState.from_vector(small_state.config, vec)
+        assert state.vector.dtype == dtype
+        assert state.vector.tobytes() == vec.tobytes()
+        vec[:] = 7.0
+        assert state.vector.tobytes() == small_state.vector.astype(dtype).tobytes()
+        assert vec.flags.writeable
+
+    def test_wrong_length_rejected(self, small_state):
+        with pytest.raises(ValueError, match="expected"):
+            EncoderState.from_vector(small_state.config, small_state.vector[:-1])
 
 
 def _reference_sample_mask(n_frames, cfg, seed):
@@ -228,14 +310,10 @@ class TestPredictCodewords:
         _, grad_logits = masked_prediction_loss(logits, labels, spec)
         grad = backward(cache, grad_logits=grad_logits)
 
-        layout = param_layout(small_cfg)
-        sizes = {name: int(np.prod(shape)) for name, shape in layout}
-        offset = 0
         head_indices = []
-        for name, _ in layout:
+        for name, _, part in param_layout(small_cfg):
             if name.startswith("head."):
-                head_indices.extend(range(offset, offset + sizes[name]))
-            offset += sizes[name]
+                head_indices.extend(range(part.start, part.stop))
 
         def loss_of(vec):
             st = EncoderState.from_vector(small_cfg, vec)
@@ -327,13 +405,9 @@ class TestBackward:
         rng = np.random.default_rng(3)
         grad = backward(cache, grad_reps=rng.standard_normal(reps.shape))
 
-        layout = param_layout(small_cfg)
-        offset = 0
-        for name, shape in layout:
-            size = int(np.prod(shape))
+        for name, _, part in param_layout(small_cfg):
             if name == "mask_embedding":
-                emb_grad = grad[offset : offset + size]
-            offset += size
+                emb_grad = grad[part]
         assert np.abs(emb_grad).max() > 0.0
 
 
@@ -481,9 +555,9 @@ def _ref_backward(cache, grad_reps=None, grad_logits=None):
         g_input = g @ p["in_proj.weight"].T
         grads["mask_embedding"] = g_input[cache["mask"]].sum(axis=0)
     layout = param_layout(cfg)
-    for name, shape in layout:  # a path not taken (no logits, no mask) has zero gradient
+    for name, shape, _ in layout:  # a path not taken (no logits, no mask) has zero gradient
         grads.setdefault(name, np.zeros(shape, reps.dtype))
-    return np.concatenate([grads[name].ravel() for name, _ in layout])
+    return np.concatenate([grads[name].ravel() for name, _, _ in layout])
 
 
 def _numpy_row_sums(x):
@@ -581,12 +655,9 @@ class TestEncoderEqualsReference:
                 up = _upstream(given_, grad_reps, grad_logits)
                 grad = backward(cache, **up)
                 ref = _ref_backward(want_cache, **up)
-                offset = 0
-                for name, shape in param_layout(state.config):
-                    size = math.prod(shape)
-                    g, r = grad[offset : offset + size], ref[offset : offset + size]
+                for name, _, part in param_layout(state.config):
+                    g, r = grad[part], ref[part]
                     assert np.abs(g - r).max() <= 1e-5 * np.abs(r).max(), (given_, name)
-                    offset += size
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("masked", [False, True])

@@ -434,7 +434,7 @@ class TestPretrainNoisy:
 def _reference_lm_only_loop(teacher, corpus, cb, cfg):
     """Minimal masked-prediction-only trainer sharing only the seed-derivation
     helpers and primitive ops with the real loop."""
-    state = teacher.copy()
+    state = teacher
     adam = AdamState.zeros(state.to_vector().size)
     losses = []
     codewords = {}
