@@ -192,43 +192,40 @@ def fit_linear_probe(enc: EncoderState, train_corpus: Corpus,
 def _fit_softmax_regression(x: Matrix, y: np.ndarray, iters: int, lr: float) -> LinearProbe:
     """Full-batch Adam on the mean cross-entropy of softmax(x @ w + b).
 
-    Each step does the arithmetic of the plain loop (logits, shift by the row
-    max, exp, divide by the row sum, gather, one-hot subtract, divide by n),
-    in the same order, so the parameters are bit-identical to it; only array
-    allocation and indexing are hoisted out of the loop. The row max is taken
-    column by column, because numpy's reduction over a narrow inner axis is
-    several times slower, and a max is exact in any order.
+    Class-major: the parameters are one (classes, d + 1) matrix [wᵀ b], and a
+    step's logits are its product with [xᵀ; 1ᵀ], so the bias rides the
+    product. The class sums and the gradient are BLAS products too, so no
+    reduction runs over a short row. They sum in another order than the
+    row-major plain loop, so the parameters differ from that loop's at float64
+    rounding level. No loss is computed: a +inf or NaN logit turns its frame's
+    column NaN, as it turned that loop's loss NaN, so the fit raises on a
+    non-finite gradient at the same step.
     """
     n, d = x.shape
     n_classes = int(y.max()) + 1
-    n_w = d * n_classes
-    vec = np.zeros(n_w + n_classes)
+    x1 = np.vstack([x.T, np.ones(n)])
+    vec = np.zeros(n_classes * (d + 1))
     st = AdamState.zeros(vec.size)
-    label_at = np.arange(n) * n_classes + y  # flat index of (row, y[row])
-    logits = np.empty((n, n_classes))
+    label_at = y * n + np.arange(n)  # flat index of (y[col], col)
+    ones = np.ones(n_classes)
+    logits = np.empty((n_classes, n))
     flat = logits.reshape(-1)
-    row_max = np.empty(n)
+    col_max = np.empty(n)
     grad = np.empty(vec.size)
-    grad_w = grad[:n_w].reshape(d, n_classes)
-    grad_b = grad[n_w:]
     for _ in range(iters):
-        np.matmul(x, vec[:n_w].reshape(d, n_classes), out=logits)
-        logits += vec[n_w:]
-        np.copyto(row_max, logits[:, 0])
-        for j in range(1, n_classes):
-            np.maximum(row_max, logits[:, j], out=row_max)
-        logits -= row_max[:, None]
+        np.matmul(vec.reshape(n_classes, d + 1), x1, out=logits)
+        np.max(logits, axis=0, out=col_max)
+        logits -= col_max
         np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        loss = -np.log(flat[label_at] + 1e-300).mean()
-        if not np.isfinite(loss):
-            raise RuntimeError("linear probe diverged")
+        logits /= ones @ logits
         flat[label_at] -= 1.0
-        logits /= n
-        np.matmul(x.T, logits, out=grad_w)
-        logits.sum(axis=0, out=grad_b)
+        np.matmul(logits, x1.T, out=grad.reshape(n_classes, d + 1))
+        grad /= n
+        if not np.isfinite(grad).all():
+            raise RuntimeError("linear probe diverged")
         vec, st = adam_step(vec, grad, st, lr)
-    return LinearProbe(weight=vec[:n_w].reshape(d, n_classes).copy(), bias=vec[n_w:].copy())
+    v = vec.reshape(n_classes, d + 1)
+    return LinearProbe(weight=v[:, :d].T.copy(), bias=v[:, d].copy())
 
 
 def linear_probe(

@@ -409,7 +409,7 @@ def _train_step(run: _Run, step: int, corpus: Corpus, cb: cb_mod.Codebook,
     vec, run.adam = adam_step(run.state.to_vector(), grad_vec, run.adam, cfg.learning_rate)
     if not np.isfinite(vec).all():
         raise TrainingDivergedError(f"parameters overflowed {vec.dtype} at step {step}")
-    run.state = EncoderState.from_vector(enc_cfg, vec)
+    run.state = EncoderState(enc_cfg, vec)
 
     if cfg.eval_interval and eval_hook and (step + 1) % cfg.eval_interval == 0:
         run.log.eval_rows.append(eval_hook(step, run.state))

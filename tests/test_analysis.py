@@ -158,8 +158,8 @@ class TestLinearProbe:
 
 
 def _reference_softmax_regression(x, y, iters, lr):
-    """The probe fit as a plain loop, the reference its fast path must match
-    bit for bit."""
+    """The probe fit as a plain loop, the reference its class-major path must
+    match to float64 rounding."""
     n, d = x.shape
     n_classes = int(y.max()) + 1
     w = np.zeros((d, n_classes))
@@ -185,32 +185,49 @@ def _reference_softmax_regression(x, y, iters, lr):
     return vec[: d * n_classes].reshape(d, n_classes), vec[d * n_classes :]
 
 
+def _rounding_error(probe, want_w, want_b):
+    """The largest parameter difference, relative to the largest entry."""
+    top = max(np.abs(want_w).max(), np.abs(want_b).max())
+    diff = max(np.abs(probe.weight - want_w).max(), np.abs(probe.bias - want_b).max())
+    return diff / top if top else diff
+
+
 class TestSoftmaxRegression:
+    """The class-major loop sums in another order than the plain loop, so
+    its parameters differ at float64 rounding level. Labels drawn apart from
+    x make Adam amplify that difference over hundreds of steps (5.3e-3
+    relative after 300 at benchmark scale), so no bound is pinned on that
+    case at that length."""
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4000), n_classes=st.sampled_from([1, 2, 7, 8, 9, 16, 48]),
            d=st.integers(1, 40), scale=st.floats(0.1, 3.0), iters=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1))
     @example(n=3300, n_classes=8, d=32, scale=1.0, iters=40, seed=0)  # benchmark scale
-    def test_bit_identical_to_plain_loop(self, n, n_classes, d, scale, iters, seed):
+    def test_within_rounding_of_plain_loop(self, n, n_classes, d, scale, iters, seed):
         rng = np.random.default_rng(seed)
         x = scale * rng.standard_normal((n, d))
         y = rng.integers(n_classes, size=n)
         y[rng.integers(n)] = n_classes - 1  # the class count is read off the labels
         want_w, want_b = _reference_softmax_regression(x, y, iters, 0.05)
         got = analysis._fit_softmax_regression(x, y, iters, 0.05)
-        assert got.weight.tobytes() == want_w.tobytes()
-        assert got.bias.tobytes() == want_b.tobytes()
+        assert got.weight.shape == want_w.shape and got.bias.shape == want_b.shape
+        # measured at most 6.5e-9 over 600 drawn cases
+        assert _rounding_error(got, want_w, want_b) <= 1e-7
 
-    def test_fit_linear_probe_matches_plain_loop(self, trained_encoder, mini_corpus):
-        got, x, y = analysis.fit_linear_probe(trained_encoder, mini_corpus)
-        assert x.tobytes() == np.concatenate(
-            [forward(trained_encoder, mini_corpus.clean_features(i))[0]
-             for i in range(len(mini_corpus))]).astype(np.float64).tobytes()
-        assert np.array_equal(y, np.concatenate([mini_corpus.frame_labels(i)
-                                                 for i in range(len(mini_corpus))]))
-        want_w, want_b = _reference_softmax_regression(x, y, 300, 0.05)
-        assert got.weight.tobytes() == want_w.tobytes()
-        assert got.bias.tobytes() == want_b.tobytes()
+    def test_fit_linear_probe_matches_plain_loop(self, trained_encoder, tiny_encoder,
+                                                 mini_corpus):
+        for enc in (trained_encoder, tiny_encoder):
+            got, x, y = analysis.fit_linear_probe(enc, mini_corpus)
+            assert x.tobytes() == np.concatenate(
+                [forward(enc, mini_corpus.clean_features(i))[0]
+                 for i in range(len(mini_corpus))]).astype(np.float64).tobytes()
+            assert np.array_equal(y, np.concatenate([mini_corpus.frame_labels(i)
+                                                     for i in range(len(mini_corpus))]))
+            want_w, want_b = _reference_softmax_regression(x, y, 300, 0.05)
+            # measured 5.0e-16 on the trained encoder and 7.4e-16 on the random one
+            assert _rounding_error(got, want_w, want_b) <= 1e-12
+            assert np.array_equal(got.predict(x), (x @ want_w + want_b).argmax(axis=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
@@ -221,6 +238,20 @@ class TestSoftmaxRegression:
         y = rng.integers(3, size=50)
         with pytest.raises(RuntimeError, match="linear probe diverged"):
             analysis._fit_softmax_regression(x, y, 5, 1e10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fit", [_reference_softmax_regression,
+                                     analysis._fit_softmax_regression],
+                             ids=["plain", "class_major"])
+    def test_divergence_is_raised_at_the_same_iteration(self, fit):
+        # every label is class 1 and every input positive, so each Adam step
+        # moves the two classes' parameters apart: the logits overflow after four
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 1.5, (50, 2))
+        y = np.ones(50, dtype=np.int64)
+        fit(x, y, 4, 2e307)
+        with pytest.raises(RuntimeError, match="linear probe diverged"):
+            fit(x, y, 5, 2e307)
 
 
 def _reference_mean_sampled_channel_std(enc, corpus, noise_kinds, snr_range_db, n, seed):

@@ -8,8 +8,9 @@ float32 is named only by ``model``'s parameter dtype and by
 ``signal`` imports no ``threading`` and no module names ``synthesis_threads``,
 in ``signal`` only the synthesis tables and the peak-bound grid take a
 ``sin`` or ``cos``, so no per-sample trigonometry comes back, and in
-``model`` every sum goes through the two BLAS helpers, so no numpy reduction
-over a short row comes back.
+``model`` every sum goes through the two BLAS helpers, and
+``analysis._fit_softmax_regression`` takes its sums as matrix products, so no
+numpy reduction over a short row comes back.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -454,14 +455,15 @@ def test_a_trig_use_is_found():
 SUMMERS = {"_row_sums", "_col_sums"}
 
 
-def _reductions(source: str) -> list[str]:
+def _reductions(source: str, function: str | None = None) -> list[str]:
     """Where `source` names ``sum``, ``mean``, ``var`` or ``std`` as an
     attribute (a method such as ``x.sum`` or a function such as
-    ``np.mean``, called or not), outside the top-level functions in
-    `SUMMERS`."""
+    ``np.mean``, called or not): outside the top-level functions in
+    `SUMMERS`, or, given `function`, inside that top-level function only."""
     found = []
     for stmt in ast.parse(source).body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name in SUMMERS:
+        name = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        if (name in SUMMERS) if function is None else (name != function):
             continue
         found += [(node.lineno, node.attr) for node in ast.walk(stmt)
                   if isinstance(node, ast.Attribute) and node.attr in ("sum", "mean", "var", "std")]
@@ -488,3 +490,20 @@ def test_a_reduction_is_found():
     assert _reductions(source) == [
         "line 5: mean", "line 5: std", "line 5: var", "line 8: sum", "line 10: sum",
         "line 12: mean"]
+
+
+def test_the_probe_fit_sums_only_through_blas():
+    source = (PACKAGE / "analysis.py").read_text(encoding="utf-8")
+    assert _reductions(source, "_fit_softmax_regression") == []
+
+
+def test_a_reduction_in_the_probe_fit_is_found():
+    source = ("import numpy as np\n"
+              "def _fit_softmax_regression(x, y):\n"
+              "    p = x / x.sum(axis=1, keepdims=True)\n"
+              "    def loss():\n"
+              "        return -np.mean(np.log(p))\n"
+              "    return p.max(axis=0), np.add.reduce(p), 'sum in prose is not a reduction'\n"
+              "def fit_linear_probe(x):\n"
+              "    return x.std(), _fit_softmax_regression(x, x.mean(axis=1))\n")
+    assert _reductions(source, "_fit_softmax_regression") == ["line 3: sum", "line 5: mean"]

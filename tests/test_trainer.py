@@ -10,6 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from vicspeech import trainer
 from vicspeech.analysis import ABLATION_CONFIGS
 from vicspeech.codebook import assign
 from vicspeech.losses import VicWeights, covariance, invariance, masked_prediction_loss, \
@@ -340,6 +341,23 @@ class TestPretrainClean:
         for b in log.steps:
             assert b.s == b.v == b.c == 0.0
             assert b.l_tot == b.l_m
+
+    def test_the_next_state_takes_over_adams_vector(self, mini_corpus, mini_codebook,
+                                                    mini_encoder_config, tiny_cfg,
+                                                    monkeypatch):
+        returned = []
+
+        def recorded(*args, **kwargs):
+            result = adam_step(*args, **kwargs)
+            returned.append(result[0])
+            return result
+
+        monkeypatch.setattr(trainer, "adam_step", recorded)
+        state, _ = pretrain_clean(mini_corpus, mini_codebook, replace(tiny_cfg, steps=1),
+                                  enc_cfg=mini_encoder_config)
+        assert len(returned) == 1
+        assert state.vector is returned[0]
+        assert not state.vector.flags.writeable
 
 
 class TestPretrainNoisy:
