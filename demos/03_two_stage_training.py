@@ -38,9 +38,6 @@ print(f"stage 0: masked loss {tlog.steps[0].l_m:.3f} -> {tlog.steps[-1].l_m:.3f}
       f"(ln k = {np.log(cb.k):.3f})")
 
 # --- stage 1: three students on noisy input -------------------------------
-conditions = [(k, s) for k in ("babble", "music") for s in (0.0, 15.0)]
-conditions.append(("clean", float("inf")))
-
 flags = {"baseline": (False, False, False),
          "invariance-only": (True, False, False),
          "full regularizer": (True, True, True)}
@@ -52,7 +49,10 @@ for tag, (student, slog) in zip(flags, pretrain_noisy(teacher, train, cb, run_cf
     last = slog.steps[-1]
     print(f"\nstage 1 [{tag}]")
     print(f"  final l_m {last.l_m:.3f}  s {last.s:.2f}  v {last.v:.4f}  c {last.c:.4f}")
-    results = linear_probe(student, train, conditions, seed=0, eval_corpus=ev)
+    # linear_probe(enc, train_corpus, eval_corpus, noise_kinds, snr_levels_db, seed):
+    # each kind at each SNR, kind by kind; the first SNR inf gives the one clean row
+    results = linear_probe(student, train, ev, ["babble", "music"], [float("inf"), 0.0, 15.0],
+                           seed=0)
     for r in results:
         snr = "inf" if np.isinf(r.snr_db) else f"{r.snr_db:g}"
         print(f"  probe {r.noise_kind:>6} @ {snr:>4} dB: {r.frame_accuracy:.3f}")

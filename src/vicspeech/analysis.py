@@ -8,7 +8,8 @@ eval excerpts never repeat training noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ _TAG_PROBE_NOISE = 102
 _TAG_SAMPLE_STD = 103
 
 _PROBE_LR = 0.05  # the linear probe's Adam step size
+_HOOK_PROBE_ITERS = 100  # the training-time eval's probe fit steps
 _HOOK_CONDITION = ("natural", 7.5, 0)  # the training-time eval's noise kind, SNR and seed
 _N_MODEL_COORDS = 220  # encoder coordinates the full-model gradcheck draws at random
 
@@ -231,26 +233,24 @@ def _fit_softmax_regression(x: Matrix, y: np.ndarray, iters: int, lr: float) -> 
 def linear_probe(
     enc: EncoderState,
     train_corpus: Corpus,
-    eval_conditions: Sequence[tuple[str, float]],
+    eval_corpus: Corpus,
+    noise_kinds: Sequence[str],
+    snr_levels_db: Sequence[float],
     seed: int = 0,
-    eval_corpus: Optional[Corpus] = None,
 ) -> list[ProbeResult]:
-    """Fit the probe on clean representations, then score frame accuracy
-    under each (noise kind, SNR) condition. SNR inf rows evaluate on clean
-    input and are reported under the kind ``clean``."""
-    ev = train_corpus if eval_corpus is None else eval_corpus
-    _check_labelled(train_corpus, ev)
+    """Fit the probe on clean `train_corpus` representations, then score frame
+    accuracy on `eval_corpus` for each noise kind at each SNR, kind by kind.
+    The first SNR inf gives the one row of kind ``clean``; later ones are skipped."""
+    _check_labelled(train_corpus, eval_corpus)
     probe = fit_linear_probe(enc, train_corpus)[0]
     results = []
-    seen_clean = False
-    for kind, snr in eval_conditions:
-        if np.isinf(snr) and snr > 0:
-            if seen_clean:
+    for kind, snr in product(noise_kinds, snr_levels_db):
+        if snr == np.inf:
+            if any(r.snr_db == np.inf for r in results):
                 continue
-            seen_clean = True
             kind = "clean"
-        correct, total = _probe_counts(probe, ev,
-                                       _encode(enc, ev, kind, snr, seed, _TAG_PROBE_NOISE))
+        correct, total = _probe_counts(
+            probe, eval_corpus, _encode(enc, eval_corpus, kind, snr, seed, _TAG_PROBE_NOISE))
         results.append(ProbeResult(noise_kind=kind, snr_db=float(snr),
                                    frame_accuracy=correct / total, n_frames=total))
     return results
@@ -270,7 +270,7 @@ def write_probe_csv(path, results: Sequence[ProbeResult], model_tag: str = "mode
                for r in results))
 
 
-def make_train_eval_hook(corpus: Corpus, probe_iters: int = 100):
+def make_train_eval_hook(corpus: Corpus):
     """Periodic-eval callback for the trainer: a quick probe on clean
     representations, scored on the representations it was fitted on, the same
     probe under one fixed noisy condition, and the mean per-channel std of the
@@ -278,7 +278,7 @@ def make_train_eval_hook(corpus: Corpus, probe_iters: int = 100):
     _check_labelled(corpus)
 
     def hook(step: int, state: EncoderState) -> EvalRow:
-        probe, x, y = fit_linear_probe(state, corpus, iters=probe_iters)
+        probe, x, y = fit_linear_probe(state, corpus, iters=_HOOK_PROBE_ITERS)
         noisy = list(_encode(state, corpus, *_HOOK_CONDITION, _TAG_EVAL_NOISE))
         correct_n, total = _probe_counts(probe, corpus, noisy)
         pooled = np.concatenate(noisy, dtype=np.float64)
@@ -364,20 +364,20 @@ def ablation_run(
     train_corpus: Corpus,
     cb: cb_mod.Codebook,
     seeds: Sequence[int],
-    eval_conditions: Sequence[tuple[str, float]],
-    eval_corpus: Optional[Corpus] = None,
+    eval_corpus: Corpus,
+    noise_kinds: Sequence[str],
+    snr_levels_db: Sequence[float],
     probe_seed: int = 0,
 ) -> AblationResult:
     """Train the four cumulative regularizer configurations from `teacher`
-    with shared seeds and probe each student. Rows appear in cumulative
-    order; the first is the masked-prediction-only baseline. A seed's four
-    students train in lockstep on one noisy batch per step."""
+    with shared seeds and `linear_probe` each student over the grid. Rows
+    appear in cumulative order; the first is the masked-prediction-only
+    baseline. A seed's four students train in lockstep on one noisy batch."""
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"duplicate seeds in {list(seeds)}")
-    ev = train_corpus if eval_corpus is None else eval_corpus
-    _check_labelled(train_corpus, ev)
+    _check_labelled(train_corpus, eval_corpus)
     students: dict[tuple[str, int], EncoderState] = {}
     logs: dict[tuple[str, int], TrainLog] = {}
     probe_results: dict[tuple[str, int], list[ProbeResult]] = {}
@@ -388,8 +388,8 @@ def ablation_run(
         for (tag, _), (student, log) in zip(ABLATION_CONFIGS, trained):
             students[(tag, seed)] = student
             logs[(tag, seed)] = log
-            probe_results[(tag, seed)] = linear_probe(student, train_corpus, eval_conditions,
-                                                      seed=probe_seed, eval_corpus=ev)
+            probe_results[(tag, seed)] = linear_probe(student, train_corpus, eval_corpus,
+                                                      noise_kinds, snr_levels_db, probe_seed)
     rows = []
     for tag, _ in ABLATION_CONFIGS:
         accs_arr = np.array([n_accuracy(probe_results[(tag, seed)]) for seed in seeds])
@@ -441,7 +441,8 @@ def _full_model_loss_and_grad(seed: int):
     zp0 = sample_frames(teacher_reps, reps0, n_sample, sample_seed).Zp
     gamma = 1.5 * float(zp0.std(axis=0, ddof=1).max()) + 0.5
     cfg = TrainConfig(vic=VicWeights(lam=5.0, mu=1.0, nu=1.0, gamma=gamma, epsilon=1e-4,
-                                      alpha=0.5, n_sample=n_sample))
+                                      alpha=0.5, n_sample=n_sample),
+                      use_inv=True, use_var=True, use_cov=True)
 
     def objective(vec: np.ndarray):
         st = EncoderState.from_vector(enc_cfg, vec)

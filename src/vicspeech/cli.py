@@ -225,18 +225,13 @@ def _cmd_vic_pretrain(args, cfg: LabConfig) -> int:
     return 0
 
 
-def _conditions(kinds: list[str], levels: list[float]) -> list[tuple[str, float]]:
-    return [(kind, snr) for kind in kinds for snr in levels]
-
-
 def _cmd_probe(args, cfg: LabConfig) -> int:
     enc = load_encoder(args.encoder)
     train = Corpus.load(args.train_manifest)
     ev = train if args.eval_manifest is None else Corpus.load(args.eval_manifest)
     if args.codebook and load_codebook(args.codebook).feature_dim != N_FILTERS:
         raise ValueError("codebook feature dim does not match corpus features")
-    conds = _conditions(args.noise_kinds, args.snr_levels)
-    results = analysis.linear_probe(enc, train, conds, seed=args.seed, eval_corpus=ev)
+    results = analysis.linear_probe(enc, train, ev, args.noise_kinds, args.snr_levels, args.seed)
     analysis.write_probe_csv(args.out, results, model_tag=args.model_tag)
     for r in results:
         snr = "inf" if np.isinf(r.snr_db) else f"{r.snr_db:g}"
@@ -266,9 +261,8 @@ def _cmd_ablate(args, cfg: LabConfig) -> int:
     ev = corpus if args.eval_manifest is None else Corpus.load(args.eval_manifest)
     cb = load_codebook(args.codebook)
     teacher = load_encoder(args.teacher)
-    conds = _conditions(args.eval_noise_kinds, args.snr_levels)
-    result = analysis.ablation_run(teacher, cfg.train, corpus, cb, args.seeds, conds,
-                                   eval_corpus=ev, probe_seed=args.seed)
+    result = analysis.ablation_run(teacher, cfg.train, corpus, cb, args.seeds, ev,
+                                   args.eval_noise_kinds, args.snr_levels, probe_seed=args.seed)
     result.write_csv(args.out)
     print(result.format_table())
     print(f"wrote {args.out}")

@@ -42,7 +42,7 @@ DEFAULTS: dict[str, tuple[Any, Optional[str]]] = {
     "n_segments": (12, ">= 1"),
     "corpus_seed": (100, ">= 0"),
     # codebook
-    "k": (16, ">= 2"),
+    "k": (16, None),
     "kmeans_max_iters": (50, ">= 0"),
     "kmeans_seed": (7, ">= 0"),
     # encoder

@@ -73,9 +73,13 @@ class EncoderConfig:
     mask_span: int = 10
 
     def __post_init__(self):
-        for name, low in (("model_dim", 2), ("n_blocks", 1), ("mlp_hidden", 1), ("mask_span", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"invalid encoder config: {name} must be >= {low}")
+        # each bound names its config key (`k` sets k_codewords; no key sets feature_dim)
+        for key, value, low in (("feature_dim", self.feature_dim, 1),
+                                ("model_dim", self.model_dim, 2), ("n_blocks", self.n_blocks, 1),
+                                ("mlp_hidden", self.mlp_hidden, 1), ("k", self.k_codewords, 2),
+                                ("mask_span", self.mask_span, 1)):
+            if value < low:
+                raise ValueError(f"invalid encoder config: {key} must be >= {low}")
         if not 0.0 <= self.mask_start_prob <= 1.0:
             raise ValueError("mask_start_prob must be in [0, 1]")
 

@@ -67,9 +67,9 @@ class TrainConfig:
     snr_range_db: tuple[float, float] = (5.0, 10.0)
     noise_kinds: tuple[str, ...] = NOISE_KINDS
     vic: VicWeights = field(default_factory=VicWeights)
-    use_inv: bool = True
-    use_var: bool = True
-    use_cov: bool = True
+    use_inv: bool = False
+    use_var: bool = False
+    use_cov: bool = False
     seed: int = 1
     eval_interval: int = 0
 

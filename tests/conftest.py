@@ -95,7 +95,7 @@ def bench(tmp_path_factory):
                             k_codewords=12)
     base_cfg = TrainConfig(steps=400, batch_utterances=8, learning_rate=1e-3, seed=10,
                            noise_kinds=("music", "natural"), snr_range_db=(5.0, 10.0),
-                           vic=VicWeights(gamma=2.0))
+                           vic=VicWeights(gamma=2.0), use_inv=True, use_var=True, use_cov=True)
     return dict(root=root, train_manifest=train_manifest, eval_manifest=eval_manifest,
                 train=train, ev=ev, cb=cb, enc_cfg=enc_cfg, base_cfg=base_cfg)
 
@@ -113,11 +113,12 @@ def bench_teacher(bench):
     return state, log
 
 
-def _ablation_of_seed(bench, teacher, conditions, seed):
+def _ablation_of_seed(bench, teacher, seed):
     from vicspeech.analysis import ablation_run
 
     return ablation_run(teacher, bench["base_cfg"], bench["train"], bench["cb"], (seed,),
-                        conditions, eval_corpus=bench["ev"], probe_seed=0)
+                        bench["ev"], ("babble", "music", "natural"), (0.0, 15.0, float("inf")),
+                        probe_seed=0)
 
 
 @pytest.fixture(scope="session")
@@ -134,13 +135,10 @@ def ablation(bench, bench_teacher):
     from vicspeech.analysis import AblationResult
 
     seeds = (1, 2, 3)
-    conditions = [(k, s) for k in ("babble", "music", "natural") for s in (0.0, 15.0)]
-    conditions.append(("clean", float("inf")))
     # fork is safe here: BLAS runs single-threaded (see the top of this file)
     with ProcessPoolExecutor(max_workers=len(seeds),
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        parts = list(pool.map(partial(_ablation_of_seed, bench, bench_teacher[0], conditions),
-                              seeds))
+        parts = list(pool.map(partial(_ablation_of_seed, bench, bench_teacher[0]), seeds))
     return AblationResult(
         rows=[],
         students={k: v for part in parts for k, v in part.students.items()},

@@ -210,9 +210,8 @@ def test_criterion_8_probe_ordering_and_pipeline_time(bench, bench_teacher, abla
                       for s in SEEDS])
     base_n = np.mean([analysis.n_accuracy(ablation.probe_results[("lm", s)])
                       for s in SEEDS])
-    conditions = [(k, s) for k in EVAL_KINDS for s in EVAL_SNRS] + [("clean", float("inf"))]
-    teacher_results = analysis.linear_probe(bench_teacher[0], bench["train"], conditions,
-                                            seed=0, eval_corpus=bench["ev"])
+    teacher_results = analysis.linear_probe(bench_teacher[0], bench["train"], bench["ev"],
+                                            EVAL_KINDS, EVAL_SNRS + (float("inf"),), seed=0)
     teacher_clean = _clean_accuracy(teacher_results)
     full_clean = np.mean([_clean_accuracy(ablation.probe_results[("lm+inv+var+cov", s)])
                           for s in SEEDS])

@@ -101,27 +101,66 @@ class TestChannelVarianceReport:
         assert a.rows[0].mean_channel_variance == b.rows[0].mean_channel_variance
 
 
+def _reference_linear_probe(enc, train_corpus, eval_conditions, seed=0, eval_corpus=None):
+    """`linear_probe` when it took a list of (noise kind, SNR) conditions and
+    fell back to the train corpus without an eval corpus. Kept verbatim as
+    the reference, but for the module prefixes."""
+    ev = train_corpus if eval_corpus is None else eval_corpus
+    analysis._check_labelled(train_corpus, ev)
+    probe = analysis.fit_linear_probe(enc, train_corpus)[0]
+    results = []
+    seen_clean = False
+    for kind, snr in eval_conditions:
+        if np.isinf(snr) and snr > 0:
+            if seen_clean:
+                continue
+            seen_clean = True
+            kind = "clean"
+        correct, total = analysis._probe_counts(
+            probe, ev, analysis._encode(enc, ev, kind, snr, seed, analysis._TAG_PROBE_NOISE))
+        results.append(analysis.ProbeResult(noise_kind=kind, snr_db=float(snr),
+                                            frame_accuracy=correct / total, n_frames=total))
+    return results
+
+
 class TestLinearProbe:
+    @pytest.mark.parametrize("kinds, levels", [
+        (("babble", "music"), (0.0, 5.0)),
+        (("music", "natural"), (float("inf"), 5.0)),
+        (("babble", "natural"), (0.0, float("inf"))),
+        (("babble", "music", "natural"), (0.0, float("inf"), 15.0)),
+        (("natural",), (5.0, float("inf"))),
+    ], ids=["no-inf", "inf-first", "inf-last", "inf-in-every-kind", "one-kind"])
+    def test_grid_equals_the_condition_list(self, trained_encoder, mini_corpus, kinds, levels):
+        """The grid is scored kind by kind, as the list of its (kind, SNR)
+        pairs in that order was."""
+        ev = Corpus(mini_corpus.utterances[:3])
+        got = analysis.linear_probe(trained_encoder, mini_corpus, ev, kinds, levels, seed=2)
+        want = _reference_linear_probe(trained_encoder, mini_corpus,
+                                       [(k, s) for k in kinds for s in levels], seed=2,
+                                       eval_corpus=ev)
+        assert got == want
+
     def test_clean_fit_beats_majority_baseline(self, trained_encoder, mini_corpus):
-        results = analysis.linear_probe(trained_encoder, mini_corpus,
-                                        [("clean", float("inf"))], seed=0)
+        results = analysis.linear_probe(trained_encoder, mini_corpus, mini_corpus,
+                                        ["music"], [float("inf")], seed=0)
         labels = np.concatenate([mini_corpus.frame_labels(i) for i in range(len(mini_corpus))])
         majority = np.bincount(labels).max() / labels.size
         assert results[0].frame_accuracy >= majority
 
     def test_deterministic(self, trained_encoder, mini_corpus):
-        conds = [("music", 5.0), ("clean", float("inf"))]
-        a = analysis.linear_probe(trained_encoder, mini_corpus, conds, seed=0)
-        b = analysis.linear_probe(trained_encoder, mini_corpus, conds, seed=0)
+        grid = (["music"], [5.0, float("inf")])
+        a = analysis.linear_probe(trained_encoder, mini_corpus, mini_corpus, *grid, seed=0)
+        b = analysis.linear_probe(trained_encoder, mini_corpus, mini_corpus, *grid, seed=0)
         assert [r.frame_accuracy for r in a] == [r.frame_accuracy for r in b]
 
     def test_infinite_snr_conditions_collapse_to_one_clean_row(self, trained_encoder,
                                                                mini_corpus):
-        conds = [("babble", float("inf")), ("music", float("inf")), ("music", 5.0)]
-        results = analysis.linear_probe(trained_encoder, mini_corpus, conds, seed=0)
+        results = analysis.linear_probe(trained_encoder, mini_corpus, mini_corpus,
+                                        ["babble", "music"], [float("inf"), 5.0], seed=0)
         kinds = [r.noise_kind for r in results]
         assert kinds.count("clean") == 1
-        assert len(results) == 2
+        assert len(results) == 3
 
     def test_n_accuracy_averages_noisy_conditions_only(self):
         results = [
@@ -132,8 +171,8 @@ class TestLinearProbe:
         assert analysis.n_accuracy(results) == pytest.approx(0.5)
 
     def test_probe_csv_format(self, trained_encoder, mini_corpus, tmp_path):
-        results = analysis.linear_probe(trained_encoder, mini_corpus,
-                                        [("music", 5.0), ("clean", float("inf"))], seed=0)
+        results = analysis.linear_probe(trained_encoder, mini_corpus, mini_corpus,
+                                        ["music"], [5.0, float("inf")], seed=0)
         path = tmp_path / "probe.csv"
         analysis.write_probe_csv(path, results, model_tag="enc")
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -151,9 +190,9 @@ class TestLinearProbe:
     def test_untrained_encoder_scores_below_trained_on_clean(self, tiny_encoder,
                                                              trained_encoder,
                                                              mini_corpus):
-        cond = [("clean", float("inf"))]
-        untrained = analysis.linear_probe(tiny_encoder, mini_corpus, cond, seed=0)
-        trained = analysis.linear_probe(trained_encoder, mini_corpus, cond, seed=0)
+        grid = (["music"], [float("inf")])
+        untrained = analysis.linear_probe(tiny_encoder, mini_corpus, mini_corpus, *grid, seed=0)
+        trained = analysis.linear_probe(trained_encoder, mini_corpus, mini_corpus, *grid, seed=0)
         assert untrained[0].frame_accuracy < trained[0].frame_accuracy
 
 
@@ -270,7 +309,7 @@ def _reference_mean_sampled_channel_std(enc, corpus, noise_kinds, snr_range_db, 
     return float(pair.Zp.std(axis=0, ddof=1).mean())
 
 
-def _reference_train_eval_hook(corpus, probe_iters):
+def _reference_train_eval_hook(corpus):
     """`make_train_eval_hook` before it scored the clean condition on the
     fit's pooled representations: it encoded the clean utterances again.
     Kept verbatim as the reference, but for taking the probe out of the
@@ -278,7 +317,7 @@ def _reference_train_eval_hook(corpus, probe_iters):
     representations in float64."""
 
     def hook(step, state):
-        probe = analysis.fit_linear_probe(state, corpus, iters=probe_iters)[0]
+        probe = analysis.fit_linear_probe(state, corpus, iters=analysis._HOOK_PROBE_ITERS)[0]
         correct_c, total = analysis._probe_counts(probe, corpus, analysis._encode(state, corpus))
         noisy = list(analysis._encode(state, corpus, *analysis._HOOK_CONDITION,
                                       analysis._TAG_EVAL_NOISE))
@@ -315,7 +354,7 @@ class TestMergedPathsAreBitwise:
         rows, counts = [], []
         for make in (analysis.make_train_eval_hook, _reference_train_eval_hook):
             calls.clear()
-            rows.append(make(corpus, probe_iters=20)(3, trained_encoder))
+            rows.append(make(corpus)(3, trained_encoder))
             counts.append(len(calls))
         assert rows[0] == rows[1]
         assert counts == [8, 12]
@@ -326,7 +365,7 @@ class TestAblationRun:
         cfg = TrainConfig(steps=1, batch_utterances=3, noise_kinds=("natural",))
         with pytest.raises(ValueError, match="duplicate seeds"):
             analysis.ablation_run(tiny_encoder, cfg, mini_corpus, mini_codebook, (1, 1),
-                                  [("clean", float("inf"))])
+                                  mini_corpus, ["natural"], [float("inf")])
 
     def test_a_reloaded_teacher_gives_the_same_ablation(self, trained_encoder, mini_corpus,
                                                         mini_codebook, tmp_path):
@@ -335,9 +374,8 @@ class TestAblationRun:
         path = tmp_path / "teacher.ckpt"
         save_encoder(path, trained_encoder)
         cfg = TrainConfig(steps=2, batch_utterances=3, seed=4, noise_kinds=("music", "natural"))
-        conditions = [("natural", 5.0), ("clean", float("inf"))]
         mem, disk = (analysis.ablation_run(teacher, cfg, mini_corpus, mini_codebook, (1,),
-                                           conditions)
+                                           mini_corpus, ["natural"], [5.0, float("inf")])
                      for teacher in (trained_encoder, load_encoder(path)))
         assert mem.students.keys() == disk.students.keys()
         for key, student in mem.students.items():

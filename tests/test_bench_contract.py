@@ -6,6 +6,7 @@ copy of the frame length and hop, which must be the package's; the
 `workloads` fixture loads that copy."""
 
 import importlib
+import inspect
 
 from vicspeech import signal
 
@@ -33,3 +34,16 @@ def test_the_benchmark_frames_as_the_package_does(workloads):
     HOP: if they drifted from the package's, the count would be wrong
     without any error."""
     assert (workloads.FRAME_LEN, workloads.HOP) == (signal.FRAME_LEN, signal.HOP)
+
+
+def test_the_arguments_the_benchmark_reads_are_where_it_reads_them():
+    """`spans._note` reads some arguments of a traced call by position: the
+    forward pass's `training` flag, the VIC sample size and the noise draw's
+    kind, seed and length. Were one of them moved, traced calls would be
+    misclassified without any error."""
+    def params(mod, attr):
+        return list(inspect.signature(getattr(_module(mod), attr)).parameters)
+
+    assert params("model", "forward")[2] == "training"
+    assert params("losses", "sample_frames")[2] == "n"
+    assert params("signal", "synth_noise") == ["kind", "seed", "n_samples"]

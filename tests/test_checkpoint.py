@@ -185,7 +185,7 @@ class TestEncoderCheckpoints:
     @settings(max_examples=25, deadline=None)
     @given(feature_dim=st.integers(1, 6), model_dim=st.integers(2, 6),
            n_blocks=st.integers(1, 2), mlp_hidden=st.integers(1, 6),
-           k_codewords=st.integers(1, 6), mask_start_prob=st.floats(0.0, 1.0),
+           k_codewords=st.integers(2, 6), mask_start_prob=st.floats(0.0, 1.0),
            mask_span=st.integers(1, 20))
     def test_every_config_field_round_trips(self, **values):
         """Each field is written with str and read back with its default's
@@ -215,8 +215,11 @@ class TestEncoderCheckpoints:
 
     @pytest.mark.parametrize("old, new, reason", [
         ("|40|64|", "|40|1|", "invalid encoder config: model_dim must be >= 2"),
-        ("|0.08|", "|1.5|", "mask_start_prob must be in [0, 1]")],
-        ids=["model_dim", "mask_start_prob"])
+        ("|0.08|", "|1.5|", "mask_start_prob must be in [0, 1]"),
+        ("|40|", "|0|", "invalid encoder config: feature_dim must be >= 1"),
+        ("|128|16|", "|128|1|", "invalid encoder config: k must be >= 2"),
+        ("|128|16|", "|128|0|", "invalid encoder config: k must be >= 2")],
+        ids=["model_dim", "mask_start_prob", "feature_dim", "k_codewords-1", "k_codewords-0"])
     def test_invalid_config_value_named_with_path(self, tmp_path, old, new, reason):
         """A config name that parses to values the encoder rejects is a
         checkpoint error that names the file."""

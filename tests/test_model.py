@@ -56,11 +56,18 @@ class TestInit:
         b = init_encoder(small_cfg, 7).to_vector()
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("name, low", [("model_dim", 2), ("n_blocks", 1),
+    @pytest.mark.parametrize("name, low", [("feature_dim", 1), ("model_dim", 2), ("n_blocks", 1),
                                            ("mlp_hidden", 1), ("mask_span", 1)])
     def test_config_below_minimum_rejected(self, small_cfg, name, low):
         with pytest.raises(ValueError, match=f"{name} must be >= {low}"):
             EncoderConfig(**{**small_cfg.__dict__, name: low - 1})
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_fewer_than_two_codewords_rejected(self, small_cfg, k):
+        """An encoder needs two codewords to predict among. The bound names
+        the config key, `k`, so a config error and a checkpoint error read alike."""
+        with pytest.raises(ValueError, match="invalid encoder config: k must be >= 2"):
+            EncoderConfig(**{**small_cfg.__dict__, "k_codewords": k})
 
     def test_layer_norm_gains_one_biases_zero(self, small_state):
         for name, value in small_state.params.items():
@@ -113,7 +120,7 @@ def _reference_init(cfg, seed):
 INIT_CONFIGS = [
     EncoderConfig(),
     EncoderConfig(feature_dim=10, model_dim=16, n_blocks=2, mlp_hidden=24, k_codewords=8),
-    EncoderConfig(feature_dim=1, model_dim=2, n_blocks=1, mlp_hidden=1, k_codewords=1),
+    EncoderConfig(feature_dim=1, model_dim=2, n_blocks=1, mlp_hidden=1, k_codewords=2),
     EncoderConfig(feature_dim=7, model_dim=5, n_blocks=3, mlp_hidden=9, k_codewords=3),
 ]
 

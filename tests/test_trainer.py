@@ -38,7 +38,8 @@ from vicspeech.trainer import (
 @pytest.fixture
 def tiny_cfg():
     return TrainConfig(steps=8, batch_utterances=3, learning_rate=1e-3, seed=5,
-                       noise_kinds=("music", "natural"), snr_range_db=(5.0, 10.0))
+                       noise_kinds=("music", "natural"), snr_range_db=(5.0, 10.0),
+                       use_inv=True, use_var=True, use_cov=True)
 
 
 class TestAdam:
@@ -305,7 +306,8 @@ class TestStepObjectiveIsBitwise:
         state, inputs, specs, labels, teacher_reps = batch
         for n_sample in (5, 20, 40, 500):
             cfg = TrainConfig(vic=VicWeights(lam=5.0, mu=0.7, nu=1.3, gamma=2.0, alpha=0.3,
-                                             n_sample=n_sample))
+                                             n_sample=n_sample),
+                              use_inv=True, use_var=True, use_cov=True)
             if flags is None:
                 teacher_reps = None
             else:
@@ -538,7 +540,7 @@ class TestTrainLogCsv:
         from vicspeech.analysis import make_train_eval_hook
 
         cfg = replace(tiny_cfg, eval_interval=4)
-        hook = make_train_eval_hook(mini_corpus, probe_iters=20)
+        hook = make_train_eval_hook(mini_corpus)
         _, log = pretrain_clean(mini_corpus, mini_codebook, cfg,
                                 enc_cfg=mini_encoder_config, eval_hook=hook)
         assert [r.step for r in log.eval_rows] == [3, 7]
