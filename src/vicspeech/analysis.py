@@ -3,10 +3,16 @@ gradient-check suite.
 
 Evaluation noise draws use seed tags disjoint from the training stream, so
 eval excerpts never repeat training noise.
+
+The probe's softmax-regression fit runs in one forked child process (POSIX)
+while the caller encodes the eval grid. The child computes the same float64
+arithmetic on the same BLAS, so every output byte is the in-process fit's.
+The parent holds the reps only of the rows it encoded before the fit ended.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Sequence
@@ -181,14 +187,98 @@ def _probe_counts(probe: LinearProbe, corpus: Corpus, encoded) -> tuple[int, int
     return correct, frames
 
 
+class ProbeFit:
+    """`_fit_softmax_regression(x, y, iters, _PROBE_LR)` run in one forked
+    child process, which sends back the parameters, or the message of the
+    error it raised, through a pipe. Use it as a context manager: leaving the
+    block kills a child that still runs, reaps it and closes the pipe."""
+
+    def __init__(self, x: Matrix, y: np.ndarray, iters: int):
+        self._probe: LinearProbe | None = None
+        self._d = x.shape[1]
+        read_fd, write_fd = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self._pid == 0:  # the child leaves only through os._exit, flushing no stdio buffer
+            code = 1
+            try:
+                os.close(read_fd)
+                try:
+                    probe = _fit_softmax_regression(x, y, iters, _PROBE_LR)
+                    payload = b"P" + np.vstack([probe.weight, probe.bias]).tobytes()
+                except Exception as exc:
+                    payload = b"E" + str(exc).encode()
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self._fd = read_fd
+
+    def __enter__(self) -> ProbeFit:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def done(self) -> bool:
+        """Whether `result` would return or raise without waiting for the fit."""
+        # imported here, not at the top, so that a command that fits no probe never loads it
+        import select
+
+        if self._fd < 0:
+            return True
+        poll = select.poll()
+        poll.register(self._fd, select.POLLIN)
+        return bool(poll.poll(0))
+
+    def result(self) -> LinearProbe:
+        """Wait for the fit, reap the child and return the probe. The child's
+        error is raised here as a RuntimeError with its message."""
+        if self._probe is None:
+            try:
+                chunks = []
+                while chunk := os.read(self._fd, 1 << 16):
+                    chunks.append(chunk)
+                code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+                self._pid = 0
+            finally:
+                self.close()
+            data = b"".join(chunks)
+            if code != 0 or not data:
+                raise RuntimeError(f"the linear probe fit's process ended with code {code}")
+            if data[:1] == b"E":
+                raise RuntimeError(data[1:].decode())
+            params = np.frombuffer(data, offset=1).reshape(self._d + 1, -1)
+            self._probe = LinearProbe(weight=params[:-1].copy(), bias=params[-1].copy())
+        return self._probe
+
+    def close(self) -> None:
+        """Kill the child if it is not reaped yet, reap it and close the pipe."""
+        if self._pid:
+            from signal import SIGKILL  # only a parent that unwinds before `result` kills
+
+            os.kill(self._pid, SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = 0
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+
 def fit_linear_probe(enc: EncoderState, train_corpus: Corpus,
-                     iters: int = 300) -> tuple[LinearProbe, Matrix, np.ndarray]:
+                     iters: int = 300) -> tuple[ProbeFit, Matrix, np.ndarray]:
     """Softmax regression from frozen clean representations to unit symbols.
-    Returns the probe and the pooled representations, cast to float64, and
-    labels it was fitted on, in corpus order."""
+    Returns the running fit and the pooled representations, cast to float64,
+    and labels it is fitted on, in corpus order."""
     y = np.concatenate([train_corpus.frame_labels(i) for i in range(len(train_corpus))])
     x = np.concatenate(list(_encode(enc, train_corpus)), dtype=np.float64)
-    return _fit_softmax_regression(x, y, iters, _PROBE_LR), x, y
+    return ProbeFit(x, y, iters), x, y
 
 
 def _fit_softmax_regression(x: Matrix, y: np.ndarray, iters: int, lr: float) -> LinearProbe:
@@ -240,19 +330,37 @@ def linear_probe(
 ) -> list[ProbeResult]:
     """Fit the probe on clean `train_corpus` representations, then score frame
     accuracy on `eval_corpus` for each noise kind at each SNR, kind by kind.
-    The first SNR inf gives the one row of kind ``clean``; later ones are skipped."""
+    The first SNR inf gives the one row of kind ``clean``; later ones are skipped.
+    Rows are encoded while the fit runs; a row encoded before it ends is held
+    until it does, and later rows are scored as they are encoded."""
     _check_labelled(train_corpus, eval_corpus)
-    probe = fit_linear_probe(enc, train_corpus)[0]
-    results = []
+    grid: list[tuple[str, float]] = []
     for kind, snr in product(noise_kinds, snr_levels_db):
         if snr == np.inf:
-            if any(r.snr_db == np.inf for r in results):
+            if any(s == np.inf for _, s in grid):
                 continue
             kind = "clean"
-        correct, total = _probe_counts(
-            probe, eval_corpus, _encode(enc, eval_corpus, kind, snr, seed, _TAG_PROBE_NOISE))
-        results.append(ProbeResult(noise_kind=kind, snr_db=float(snr),
+        grid.append((kind, float(snr)))
+    results: list[ProbeResult] = []
+    held: list[tuple[str, float, list[Matrix]]] = []
+
+    def score(kind: str, snr: float, encoded) -> None:
+        correct, total = _probe_counts(fit.result(), eval_corpus, encoded)
+        results.append(ProbeResult(noise_kind=kind, snr_db=snr,
                                    frame_accuracy=correct / total, n_frames=total))
+
+    with fit_linear_probe(enc, train_corpus)[0] as fit:
+        for kind, snr in grid:
+            encoded = _encode(enc, eval_corpus, kind, snr, seed, _TAG_PROBE_NOISE)
+            if not fit.done():
+                held.append((kind, snr, list(encoded)))
+                continue
+            for row in held:
+                score(*row)
+            held.clear()
+            score(kind, snr, encoded)
+        for row in held:
+            score(*row)
     return results
 
 
@@ -273,13 +381,16 @@ def write_probe_csv(path, results: Sequence[ProbeResult], model_tag: str = "mode
 def make_train_eval_hook(corpus: Corpus):
     """Periodic-eval callback for the trainer: a quick probe on clean
     representations, scored on the representations it was fitted on, the same
-    probe under one fixed noisy condition, and the mean per-channel std of the
-    pooled noisy representations. `corpus` must carry unit labels."""
+    probe under one fixed noisy condition, which is encoded while the probe
+    fits, and the mean per-channel std of the pooled noisy representations.
+    `corpus` must carry unit labels."""
     _check_labelled(corpus)
 
     def hook(step: int, state: EncoderState) -> EvalRow:
-        probe, x, y = fit_linear_probe(state, corpus, iters=_HOOK_PROBE_ITERS)
-        noisy = list(_encode(state, corpus, *_HOOK_CONDITION, _TAG_EVAL_NOISE))
+        fit, x, y = fit_linear_probe(state, corpus, iters=_HOOK_PROBE_ITERS)
+        with fit:
+            noisy = list(_encode(state, corpus, *_HOOK_CONDITION, _TAG_EVAL_NOISE))
+            probe = fit.result()
         correct_n, total = _probe_counts(probe, corpus, noisy)
         pooled = np.concatenate(noisy, dtype=np.float64)
         return EvalRow(step=step, probe_acc_clean=int((probe.predict(x) == y).sum()) / total,

@@ -1,5 +1,7 @@
 """Representation statistics, the linear probe, and the ablation table."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -104,10 +106,11 @@ class TestChannelVarianceReport:
 def _reference_linear_probe(enc, train_corpus, eval_conditions, seed=0, eval_corpus=None):
     """`linear_probe` when it took a list of (noise kind, SNR) conditions and
     fell back to the train corpus without an eval corpus. Kept verbatim as
-    the reference, but for the module prefixes."""
+    the reference, but for the module prefixes and for taking the probe from
+    the forked fit's `result()`."""
     ev = train_corpus if eval_corpus is None else eval_corpus
     analysis._check_labelled(train_corpus, ev)
-    probe = analysis.fit_linear_probe(enc, train_corpus)[0]
+    probe = analysis.fit_linear_probe(enc, train_corpus)[0].result()
     results = []
     seen_clean = False
     for kind, snr in eval_conditions:
@@ -257,7 +260,8 @@ class TestSoftmaxRegression:
     def test_fit_linear_probe_matches_plain_loop(self, trained_encoder, tiny_encoder,
                                                  mini_corpus):
         for enc in (trained_encoder, tiny_encoder):
-            got, x, y = analysis.fit_linear_probe(enc, mini_corpus)
+            fit, x, y = analysis.fit_linear_probe(enc, mini_corpus)
+            got = fit.result()
             assert x.tobytes() == np.concatenate(
                 [forward(enc, mini_corpus.clean_features(i))[0]
                  for i in range(len(mini_corpus))]).astype(np.float64).tobytes()
@@ -293,6 +297,86 @@ class TestSoftmaxRegression:
             fit(x, y, 5, 2e307)
 
 
+class TestForkedFit:
+    """The probe fits in a forked child while the parent encodes the grid.
+    Its result does not depend on when the child ends, and no child or pipe
+    outlives the probe, whether the fit or the parent fails."""
+
+    def test_equals_the_in_process_fit(self, trained_encoder, tiny_encoder, mini_corpus):
+        for enc in (trained_encoder, tiny_encoder):
+            fit, x, y = analysis.fit_linear_probe(enc, mini_corpus)
+            got = fit.result()
+            want = analysis._fit_softmax_regression(x, y, 300, analysis._PROBE_LR)
+            assert got.weight.shape == want.weight.shape and got.bias.shape == want.bias.shape
+            assert got.weight.tobytes() == want.weight.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+            assert fit.done() and fit.result() is got
+
+    @pytest.mark.parametrize("done", [None, False, True],
+                             ids=["as-timed", "ends-after-the-last-row",
+                                  "ends-before-the-first-row"])
+    @pytest.mark.parametrize("kinds, levels", [
+        (("music",), (float("inf"),)),
+        (("babble", "music", "natural"), (0.0, 5.0, 10.0, 15.0, float("inf"))),
+    ], ids=["1-row", "13-row"])
+    def test_probe_equals_reference_whenever_the_fit_ends(self, trained_encoder, mini_corpus,
+                                                          monkeypatch, kinds, levels, done):
+        """`done` pins what the fit reports between rows: never done, so
+        every row is held until the end, or done from the first row, so the
+        parent waits for the fit and then scores each row as it streams."""
+        if done is not None:
+            monkeypatch.setattr(analysis.ProbeFit, "done", lambda self: done)
+        ev = Corpus(mini_corpus.utterances[:3])
+        got = analysis.linear_probe(trained_encoder, mini_corpus, ev, kinds, levels, seed=2)
+        want = _reference_linear_probe(trained_encoder, mini_corpus,
+                                       [(k, s) for k in kinds for s in levels], seed=2,
+                                       eval_corpus=ev)
+        assert len(got) == (1 if len(levels) == 1 else 13)
+        assert got == want
+
+    @staticmethod
+    def _open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def _assert_no_child_and_no_pipe(self, n_fds):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert self._open_fds() == n_fds
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_raised_in_the_parent(self, monkeypatch):
+        # the case of TestSoftmaxRegression::test_divergence_is_raised_at_the_same_iteration
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 1.5, (50, 2))
+        y = np.ones(50, dtype=np.int64)
+        monkeypatch.setattr(analysis, "_PROBE_LR", 2e307)  # the child reads it after the fork
+        n_fds = self._open_fds()
+        want = analysis._fit_softmax_regression(x, y, 4, 2e307)
+        with analysis.ProbeFit(x, y, 4) as fit:
+            assert fit.result().weight.tobytes() == want.weight.tobytes()
+        with analysis.ProbeFit(x, y, 5) as fit:
+            with pytest.raises(RuntimeError, match="^linear probe diverged$"):
+                fit.result()
+        self._assert_no_child_and_no_pipe(n_fds)
+
+    def test_an_error_in_the_parent_propagates_unchanged(self, trained_encoder, mini_corpus,
+                                                         monkeypatch):
+        """A condition draw that raises while the child fits: the parent's
+        error comes out as it was raised, and the child is killed and reaped."""
+        error = KeyError("no such condition")
+
+        def fail(*args, **kwargs):
+            raise error
+
+        ev = Corpus(mini_corpus.utterances[:3])
+        monkeypatch.setattr(ev, "condition_features", fail)
+        n_fds = self._open_fds()
+        with pytest.raises(KeyError) as info:
+            analysis.linear_probe(trained_encoder, mini_corpus, ev, ["music"], [5.0])
+        assert info.value is error
+        self._assert_no_child_and_no_pipe(n_fds)
+
+
 def _reference_mean_sampled_channel_std(enc, corpus, noise_kinds, snr_range_db, n, seed):
     """`analysis.mean_sampled_channel_std` before the condition draw moved
     into `Corpus.draw_condition`, kept verbatim as the reference."""
@@ -313,11 +397,12 @@ def _reference_train_eval_hook(corpus):
     """`make_train_eval_hook` before it scored the clean condition on the
     fit's pooled representations: it encoded the clean utterances again.
     Kept verbatim as the reference, but for taking the probe out of the
-    tuple `fit_linear_probe` now returns and pooling the noisy
-    representations in float64."""
+    tuple `fit_linear_probe` now returns, through the forked fit's
+    `result()`, and pooling the noisy representations in float64."""
 
     def hook(step, state):
-        probe = analysis.fit_linear_probe(state, corpus, iters=analysis._HOOK_PROBE_ITERS)[0]
+        probe = analysis.fit_linear_probe(state, corpus,
+                                          iters=analysis._HOOK_PROBE_ITERS)[0].result()
         correct_c, total = analysis._probe_counts(probe, corpus, analysis._encode(state, corpus))
         noisy = list(analysis._encode(state, corpus, *analysis._HOOK_CONDITION,
                                       analysis._TAG_EVAL_NOISE))

@@ -9,6 +9,8 @@ import itertools
 import math
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -795,6 +797,35 @@ class TestProbeAndVariance:
         assert code == 2
         assert "codebook feature dim" in capsys.readouterr().err
         assert not (tmp_path / "probe.csv").exists()
+
+    def test_block_buffered_stdout_is_written_once(self, pipeline_dir, tmp_path, capsys):
+        """The probe fits in a forked child while the parent's stdout buffer
+        holds the config echo. The child leaves without flushing it, so a
+        `probe` whose stdout is a file prints what an in-process run prints."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                           os.environ.get("PYTHONPATH")]))}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"  # as in conftest.py
+        argv = ["probe", "--encoder", str(pipeline_dir / "teacher.ckpt"),
+                "--train-manifest", str(pipeline_dir / "corpus" / "manifest.tsv"),
+                "--out", str(tmp_path / "probe.csv"), "--snr-levels", "5,inf",
+                "--noise-kinds", "natural", "--seed", "1"]
+        stdout = tmp_path / "stdout.txt"
+        with open(stdout, "wb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "vicspeech.cli"] + argv, stdout=fh,
+                                  stderr=subprocess.PIPE, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        text = stdout.read_text(encoding="utf-8")
+        assert text.count("# resolved config\n") == 1
+        results = [line for line in text.splitlines()
+                   if " acc " in line or line.startswith(("n-accuracy ", "wrote "))]
+        assert len(results) == 4  # two probe rows, the n-accuracy and the file written
+        for line in results:
+            assert text.count(line) == 1, line
+        assert run(argv) == 0
+        assert capsys.readouterr().out == text
 
     def test_rerun_probe_is_byte_identical(self, pipeline_dir, tmp_path):
         a, b = tmp_path / "p1.csv", tmp_path / "p2.csv"

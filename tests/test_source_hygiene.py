@@ -10,7 +10,10 @@ in ``signal`` only the synthesis tables and the peak-bound grid take a
 ``sin`` or ``cos``, so no per-sample trigonometry comes back, and in
 ``model`` every sum goes through the two BLAS helpers, and
 ``analysis._fit_softmax_regression`` takes its sums as matrix products, so no
-numpy reduction over a short row comes back.
+numpy reduction over a short row comes back, and the package's one
+concurrency is the probe fit's forked child: ``os.fork`` is named in one
+function, and no package module imports ``threading``, ``multiprocessing``
+or ``concurrent``.
 
 An import whose statement carries ``# noqa: F401`` is exempt from the first
 check: those keep a function bound in a module that does not call it, so that
@@ -507,3 +510,77 @@ def test_a_reduction_in_the_probe_fit_is_found():
               "def fit_linear_probe(x):\n"
               "    return x.std(), _fit_softmax_regression(x, x.mean(axis=1))\n")
     assert _reductions(source, "_fit_softmax_regression") == ["line 3: sum", "line 5: mean"]
+
+
+def _fork_sites(source: str) -> list[str]:
+    """Where `source` names ``os.fork`` (called or not) or imports ``fork``
+    from ``os``, with the qualified name of the innermost enclosing function
+    or class, or ``<module>`` outside them."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Attribute) and child.attr == "fork"
+                 and isinstance(child.value, ast.Name) and child.value.id == "os")
+                    or (isinstance(child, ast.ImportFrom) and child.module == "os"
+                        and any(alias.name == "fork" for alias in child.names))):
+                found.append((child.lineno, ".".join(scope) or "<module>"))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return [f"line {line}: {where}" for line, where in sorted(found)]
+
+
+def test_one_function_forks():
+    sites = [f"{path.stem}.{site.split(': ')[1]}" for path in sorted(PACKAGE.glob("*.py"))
+             for site in _fork_sites(path.read_text(encoding="utf-8"))]
+    assert sites == ["analysis.ProbeFit.__init__"]
+
+
+def test_a_fork_site_is_found():
+    source = ("import os\n"
+              "from os import fork, getpid\n"
+              "PID = os.fork\n"
+              "class Fit:\n"
+              "    def start(self):\n"
+              "        def child():\n"
+              "            return os.fork()\n"
+              "        return os.fork(), child, os.forkpty, self.fork, 'os.fork in prose'\n")
+    assert _fork_sites(source) == ["line 2: <module>", "line 3: <module>",
+                                   "line 7: Fit.start.child", "line 8: Fit.start"]
+
+
+CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
+
+
+def _concurrency_imports(source: str) -> list[str]:
+    """Where `source` imports, at any depth, a module of `CONCURRENCY` or
+    from one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return [f"line {line}: {name}" for line, name in sorted(found) if name in CONCURRENCY]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_threads_or_pools(path):
+    assert _concurrency_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_concurrency_import_is_found():
+    source = ("import threading as th\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "import os, multiprocessing.pool\n"
+              "from .threading import helper\n"
+              "from . import multiprocessing\n"
+              "def f():\n"
+              "    import queue\n"
+              "    from multiprocessing import get_context\n"
+              "    return 'threading in prose is not an import'\n")
+    assert _concurrency_imports(source) == [
+        "line 1: threading", "line 2: concurrent", "line 3: multiprocessing",
+        "line 8: multiprocessing"]
